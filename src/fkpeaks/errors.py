@@ -74,3 +74,9 @@ class TailTruncationWarning(UserWarning):
 
 class TruncationError(RuntimeError):
     """Strict-mode escalation of TailTruncationWarning."""
+
+
+# Failures a solve can end in on valid code: a failed start of a
+# multi-start run, as opposed to a programming error
+SOLVER_ERRORS = (ParameterError, IterationError, NoContractionError,
+                 LinearSolveError, BracketError, TruncationError)

@@ -383,7 +383,7 @@ def solve_system(base: SchrodingerGroundState, params: ProblemParams,
         alpha = v ** (1.0 / (p - 1.0))
         beta = (v / coeff) ** (1.0 / (2.0 * s))
         prof = rescaled_profile(base, alpha, beta)
-        res = _fixed_coefficient_residual(prof, coeff, v, s, p)
+        res = float(np.abs(residual_density(prof, s, p, coeff, 0.0, v)).max())
         alphas.append(alpha)
         betas.append(beta)
         profiles.append(prof)
@@ -395,12 +395,16 @@ def solve_system(base: SchrodingerGroundState, params: ProblemParams,
     )
 
 
-def _fixed_coefficient_residual(u: Field, coeff: float, v: float, s: float,
-                                p: float) -> float:
-    """Sup-residual of A (-Delta)^s u + v u - u^p with A frozen."""
-    density = (coeff * sp.fractional_laplacian(u, s).values
-               + v * u.values - sp.pos_power(u.values, p))
-    return float(np.abs(density).max())
+def residual_density(u: Field, s: float, p: float, a_eps: float,
+                     b_eps: float, V) -> np.ndarray:
+    """Density of the Kirchhoff residual I'(u),
+
+        (a_eps + b_eps ||(-Delta)^(s/2) u||^2) (-Delta)^s u + V u - u_+^p,
+
+    with V a scalar or grid values (b_eps = 0 freezes the coefficient)."""
+    coef = a_eps + b_eps * sp.seminorm_sq(u, s)
+    return (coef * sp.fractional_laplacian(u, s).values
+            + V * u.values - sp.pos_power(u.values, p))
 
 
 def pde_residual(u: Field, params: ProblemParams, V, eps: float = 1.0,
@@ -416,16 +420,14 @@ def pde_residual(u: Field, params: ProblemParams, V, eps: float = 1.0,
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
     s, p, n = params.s, params.p, params.dim
-    S = sp.seminorm_sq(u, s)
-    coef = eps ** (2.0 * s) * params.a + eps ** (4.0 * s - n) * params.b * S
     if callable(V):
         v_vals = V(*u.grid.coords)
     elif isinstance(V, Field):
         v_vals = V.values
     else:
         v_vals = np.asarray(V, dtype=float)
-    density = (coef * sp.fractional_laplacian(u, s).values
-               + v_vals * u.values - sp.pos_power(u.values, p))
+    density = residual_density(u, s, p, eps ** (2.0 * s) * params.a,
+                               eps ** (4.0 * s - n) * params.b, v_vals)
     h = u.grid.spacing ** n
     sup = float(np.abs(density).max())
     l2 = float(np.sqrt(h * (density**2).sum()))

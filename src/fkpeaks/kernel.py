@@ -1,11 +1,14 @@
-"""Linearized operator around a ground state and its kernel.
+"""Second variation of the Kirchhoff functional and its kernel.
 
-L+ phi = A (-Delta)^s phi + c phi - p U^(p-1) phi
-         + 2 b (int (-Delta)^(s/2) U . (-Delta)^(s/2) phi) (-Delta)^s U
+L phi = A (-Delta)^s phi + c phi - p U^(p-1) phi
+        + 2 b (int (-Delta)^(s/2) U . (-Delta)^(s/2) phi) (-Delta)^s U
 
-with A the full Kirchhoff coefficient and c the local potential value
-(c = 1, A = a + b ||(-Delta)^(s/2) U||^2 for the unit-potential ground
-state).  Nondegeneracy means the kernel is exactly span{d_j U}.
+with A the full Kirchhoff coefficient, c the potential (a constant or a
+grid array) and b the weight of the nonlocal rank-one term.  For the
+unit-potential ground state this is L+ (c = 1, A = a + b ||(-Delta)^(s/2)
+U||^2), and nondegeneracy means its kernel is exactly span{d_j U}; the
+reduction uses the same operator as L_eps, with c = V and the weight
+b eps^(4s-N).
 """
 
 from __future__ import annotations
@@ -25,23 +28,23 @@ KERNEL_THRESHOLD = 1e-4  # |lambda| below this counts as kernel, at default grid
 
 @dataclass
 class LinearizedOperator:
-    """Matrix-free symmetric action of L+ on the profile's grid."""
+    """Matrix-free symmetric action of L on the profile's grid."""
 
     profile: Field
     s: float
     p: float
     coefficient: float       # A = bulk Kirchhoff coefficient
-    b: float
-    c: float                 # local potential value
+    b: float                 # weight of the rank-one term
+    c: float | np.ndarray    # potential: a value or grid values
 
     def __post_init__(self):
         if not (0.0 < self.s <= 1.0):
             raise ParameterError(f"s must lie in (0, 1], got {self.s}")
         grid = self.profile.grid
-        self._flU = sp.fractional_laplacian(self.profile, self.s).values
-        self._pUp1 = self.p * sp.pos_power(self.profile.values, self.p - 1.0)
+        self.flU = sp.fractional_laplacian(self.profile, self.s).values
+        self._local = self.c - self.p * sp.pos_power(self.profile.values,
+                                                     self.p - 1.0)
         self._h = grid.spacing**grid.dim
-        self._sym = grid.symbol(self.s)
 
     @property
     def grid(self) -> GridSpec:
@@ -66,13 +69,28 @@ class LinearizedOperator:
         )
 
     def apply_values(self, vals: np.ndarray) -> np.ndarray:
-        flv = sp._ifftn(self._sym * sp._fftn(vals)).real
-        out = self.coefficient * flv + (self.c - self._pUp1) * vals
+        """L v on grid values (2 transforms)."""
+        sym = self.grid.symbol(self.s)
+        out = self.coefficient * sp._ifftn(sym * sp._fftn(vals)).real
+        return self._add_lower_order(out, vals)
+
+    def apply_conjugated(self, vals: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """m L m v for a real Fourier multiplier m (4 transforms)."""
+        vhat = sp._fftn(vals)
+        u = sp._ifftn(m * vhat).real
+        g = self._add_lower_order(np.zeros_like(u), u)
+        diag = self.coefficient * self.grid.symbol(self.s) * m * vhat
+        return sp._ifftn(diag * m + m * sp._fftn(g)).real
+
+    def _add_lower_order(self, out: np.ndarray,
+                         vals: np.ndarray) -> np.ndarray:
+        """out += (c - p U^(p-1)) v + 2 b <(-D)^s U, v> (-D)^s U."""
+        out += self._local * vals
         if self.b != 0.0:
             # <(-D)^(s/2)U, (-D)^(s/2)phi> = <(-D)^s U, phi>: one inner
             # product per application
-            inner = self._h * float((self._flU * vals).sum())
-            out += 2.0 * self.b * inner * self._flU
+            inner = self._h * float((self.flU * vals).sum())
+            out += 2.0 * self.b * inner * self.flU
         return out
 
 
@@ -138,7 +156,7 @@ def kernel_spectrum(op: LinearizedOperator, n: int,
         return op.apply_values(flat.reshape(shape)).ravel()
 
     a_op = sla.LinearOperator((npts, npts), matvec=matvec, dtype=float)
-    precond_arr = 1.0 / (op.coefficient * op._sym + op.c)
+    precond_arr = 1.0 / (op.coefficient * op.grid.symbol(op.s) + op.c)
     m_op = sla.LinearOperator(
         (npts, npts),
         matvec=lambda v: sp._ifftn(precond_arr * sp._fftn(v.reshape(shape))).real.ravel(),
@@ -201,12 +219,18 @@ def subspace_cosines(op: LinearizedOperator,
 def kernel_report(op: LinearizedOperator, n: int,
                   threshold: float = KERNEL_THRESHOLD,
                   method: str = "iterative") -> dict:
-    """Spectrum summary: kernel count/alignment, gap, Morse-index count.
+    """Spectrum summary: kernel count/alignment, gap, Morse-index count,
+    and the residual ||L v - lambda v|| / ||v|| of every returned pair.
 
     The negative-eigenvalue count is a diagnostic only.
     """
     pairs = kernel_spectrum(op, n, method=method)
     vals = [lam for lam, _ in pairs]
+    residuals = [
+        float(np.linalg.norm(op.apply_values(f.values) - lam * f.values)
+              / np.linalg.norm(f.values))
+        for lam, f in pairs
+    ]
     kernel_pairs = [(lam, f) for lam, f in pairs if abs(lam) < threshold]
     cosines = subspace_cosines(op, [f for _, f in kernel_pairs])
     absvals = sorted(abs(v) for v in vals)
@@ -220,4 +244,5 @@ def kernel_report(op: LinearizedOperator, n: int,
         "kernel_cosines": cosines,
         "gap_ratio": gap_ratio,
         "negative_count": sum(1 for v in vals if v < -threshold),
+        "pair_residuals": residuals,
     }

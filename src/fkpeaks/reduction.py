@@ -12,7 +12,10 @@ Each fixed-point step solves the constrained symmetric system
 
     L_eps dphi + sum lambda_ij w_ij = -(l_eps + L_eps phi + R'(phi))
 
-by projected MINRES after symmetric preconditioning with
+whose right-hand side is -I'_eps(U + phi), evaluated as the Kirchhoff
+residual at U + phi (groundstate.residual_density); L_eps is the
+kernel module's LinearizedOperator at U.  The system is solved by
+projected MINRES after symmetric preconditioning with
 P0 = eps^2s a (-Delta)^s + Vbar (a Fourier multiplier), which keeps the
 iteration matrix O(1)-conditioned uniformly in eps.
 """
@@ -36,7 +39,13 @@ from .errors import (
     TailTruncationWarning,
     TruncationError,
 )
-from .groundstate import SystemSolution, solve_profile
+from .groundstate import (
+    SystemSolution,
+    pde_residual,
+    residual_density,
+    solve_profile,
+)
+from .kernel import LinearizedOperator
 from .spectral import Field, GridSpec, ProblemParams
 
 
@@ -394,7 +403,7 @@ def solve_grid_system(
 
     if not shared_coefficient:
         # independent per-peak coefficients: k decoupled scalar fixed points
-        profs, semis, resid, coeffs = [], [], [], []
+        profs, semis, resid = [], [], []
         for i, v in enumerate(vals):
             sub = solve_grid_system(
                 grid, params, [v], eps,
@@ -404,11 +413,8 @@ def solve_grid_system(
             profs.append(sub.profiles[0])
             semis.append(sub.seminorms[0])
             resid.append(sub.residuals[0])
-            coeffs.append(sub.coefficient)
-        gs = GridSystem(grid, eps, float("nan"), profs, semis, vals, resid,
-                        shared_coefficient=False)
-        gs.peak_coefficients = coeffs
-        return gs
+        return GridSystem(grid, eps, float("nan"), profs, semis, vals, resid,
+                          shared_coefficient=False)
 
     coeff = coefficient_hint if coefficient_hint else a * 2.0
     profs = warm
@@ -501,7 +507,7 @@ class _Frame:
         self.red = red
         self.cfg = cfg
         grid, params = red.grid, red.params
-        eps, s, p, n = cfg.eps, params.s, params.p, params.dim
+        eps, s, n = cfg.eps, params.s, params.dim
         gs = red.system(eps)
         self.gsys = gs
 
@@ -512,35 +518,20 @@ class _Frame:
             u += f.values
         self.U = Field(grid, u)
         self.V = red.V
-        self.sym = grid.symbol(s)
-
-        uhat = self.U.spectral()
-        self.fLU = sp._ifftn(self.sym * uhat).real          # (-Delta)^s U
-        wq = grid.spacing**n / grid.points_per_dim**n
-        self.S_tot = float(wq * (self.sym * np.abs(uhat) ** 2).sum())
+        self.a_eps = eps ** (2.0 * s) * params.a
         self.C = params.b * eps ** (4.0 * s - n)            # Kirchhoff weight
-        self.bulk = eps ** (2.0 * s) * params.a + self.C * self.S_tot
-        self.Up = sp.pos_power(u, p)
-        self.pUp1 = p * sp.pos_power(u, p - 1.0)
-        self.wq = wq
         self.h = grid.spacing**n
+        self.L = self.second_variation(self.U)              # L_eps
 
         # translation modes dU/dy_ij and their eps-inner representatives
-        modes = []
-        self.shifted_profiles = []
-        for i, w in enumerate(gs.profiles):
-            sh = sp.translate(w, cfg.y[i])
-            self.shifted_profiles.append(sh)
-            for j in range(n):
-                d = sp.derivative(sh, j)
-                modes.append(-d.values)
-        self.modes = modes
-        dens = [self._p_apply(m) for m in modes]
+        self.modes = [-sp.derivative(f, j).values
+                      for f in shifted for j in range(n)]
+        dens = [self._p_apply(m) for m in self.modes]
         self.mode_densities = dens
 
         # symmetric preconditioner: P0 = eps^2s a |xi|^2s + Vbar
         vbar = float(np.min(self.V))
-        self.p0 = eps ** (2.0 * s) * params.a * self.sym + vbar
+        self.p0 = self.a_eps * grid.symbol(s) + vbar
         self.p0_isqrt = 1.0 / np.sqrt(self.p0)
         # orthonormal basis of preconditioned constraint densities
         wmat = np.stack([
@@ -553,9 +544,9 @@ class _Frame:
 
     def _p_apply(self, vals: np.ndarray) -> np.ndarray:
         """eps-inner-product representative density P f = eps^2s a (-D)^s f + V f."""
-        eps, params = self.cfg.eps, self.red.params
-        fl = sp._ifftn(self.sym * sp._fftn(vals)).real
-        return eps ** (2.0 * params.s) * params.a * fl + self.V * vals
+        sym = self.red.grid.symbol(self.red.params.s)
+        fl = sp._ifftn(sym * sp._fftn(vals)).real
+        return self.a_eps * fl + self.V * vals
 
     def project(self, flat: np.ndarray) -> np.ndarray:
         return flat - self.Qc.T @ (self.Qc @ flat)
@@ -571,54 +562,43 @@ class _Frame:
         return sp._ifftn(self.p0_isqrt
                          * sp._fftn(xi.reshape(vals.shape))).real
 
+    def apply_hat(self, flat: np.ndarray,
+                  lin: LinearizedOperator) -> np.ndarray:
+        """Projected, preconditioned action Q m L m Q in the coordinates
+        xi = P0^(1/2) phi, with m = P0^(-1/2) and Q the constraint
+        projector."""
+        v = self.project(flat).reshape(self.U.values.shape)
+        return self.project(lin.apply_conjugated(v, self.p0_isqrt).ravel())
+
     def leps_density(self, vals: np.ndarray) -> np.ndarray:
         """Density of the quadratic-form action L_eps phi."""
-        phihat = sp._fftn(vals)
-        fl = sp._ifftn(self.sym * phihat).real
-        rank1 = 2.0 * self.C * (self.h * float((self.fLU * vals).sum()))
-        return (self.bulk * fl + (self.V - self.pUp1) * vals
-                + rank1 * self.fLU)
+        return self.L.apply_values(vals)
 
-    def linearization(self, u_vals: np.ndarray) -> dict:
-        """Coefficients of the second variation I''(u) at an arbitrary u
-        (same five-term structure as L_eps, evaluated at u instead of U)."""
-        p = self.red.params.p
-        uhat = sp._fftn(u_vals)
-        flu = sp._ifftn(self.sym * uhat).real
-        s_u = float(self.wq * (self.sym * np.abs(uhat) ** 2).sum())
-        eps, params = self.cfg.eps, self.red.params
-        return {
-            "bulk": eps ** (2.0 * params.s) * params.a + self.C * s_u,
-            "fLu": flu,
-            "pup1": p * sp.pos_power(u_vals, p - 1.0),
-        }
+    def second_variation(self, u: Field) -> LinearizedOperator:
+        """The second variation I''_eps(u); L_eps at the ansatz u = U."""
+        params = self.red.params
+        return LinearizedOperator(
+            profile=u, s=params.s, p=params.p,
+            coefficient=self.a_eps + self.C * sp.seminorm_sq(u, params.s),
+            b=self.C, c=self.V,
+        )
 
-    def ell_density(self) -> np.ndarray:
-        """Density of l_eps = <I'(U_ansatz), .>."""
-        return self.bulk * self.fLU + self.V * self.U.values - self.Up
-
-    def rprime_density(self, vals: np.ndarray) -> np.ndarray:
-        """Density of R'(phi), the superquadratic remainder derivative."""
-        p = self.red.params.p
-        phihat = sp._fftn(vals)
-        fl = sp._ifftn(self.sym * phihat).real
-        s_phi = float(self.wq * (self.sym * np.abs(phihat) ** 2).sum())
-        iu_phi = self.h * float((self.fLU * vals).sum())
-        a1 = self.C * ((s_phi + 2.0 * iu_phi) * fl + s_phi * self.fLU)
-        u = self.U.values
-        a2 = (sp.pos_power(u + vals, p) - self.Up - self.pUp1 * vals)
-        return a1 - a2
+    def gradient_density(self, u: Field) -> np.ndarray:
+        """Density of I'_eps(u); l_eps at the ansatz u = U."""
+        params = self.red.params
+        return residual_density(u, params.s, params.p, self.a_eps, self.C,
+                                self.V)
 
     def remainder(self, vals: np.ndarray) -> float:
         """R_eps(phi) = A1(phi) - A2(phi) (exact expressions)."""
         p = self.red.params.p
-        phihat = sp._fftn(vals)
-        s_phi = float(self.wq * (self.sym * np.abs(phihat) ** 2).sum())
-        iu_phi = self.h * float((self.fLU * vals).sum())
+        s_phi = sp.seminorm_inner(self.red.grid, self.red.params.s,
+                                  sp._fftn(vals))
+        iu_phi = self.h * float((self.L.flU * vals).sum())
         a1 = 0.25 * self.C * (s_phi**2 + 4.0 * s_phi * iu_phi)
         u = self.U.values
         a2 = (sp.pos_power(u + vals, p + 1.0) - sp.pos_power(u, p + 1.0)
-              - (p + 1.0) * self.Up * vals
+              - (p + 1.0) * sp.pos_power(u, p) * vals
               - 0.5 * p * (p + 1.0) * sp.pos_power(u, p - 1.0) * vals**2)
         return a1 - self.h * float(a2.sum()) / (p + 1.0)
 
@@ -626,17 +606,17 @@ class _Frame:
         return math.sqrt(max(self.eps_inner_vals(vals, vals), 0.0))
 
     def eps_inner_vals(self, u: np.ndarray, v: np.ndarray) -> float:
-        eps, params = self.cfg.eps, self.red.params
-        uhat, vhat = sp._fftn(u), sp._fftn(v)
-        semi = float(self.wq * (self.sym * (uhat.conj() * vhat)).sum().real)
+        uhat = sp._fftn(u)
+        vhat = uhat if v is u else sp._fftn(v)
+        semi = sp.seminorm_inner(self.red.grid, self.red.params.s, uhat, vhat)
         mass = self.h * float((self.V * u * v).sum())
-        return eps ** (2.0 * params.s) * params.a * semi + mass
+        return self.a_eps * semi + mass
 
     def energy(self, vals: np.ndarray) -> float:
         """I_eps evaluated at the given field values."""
         p = self.red.params.p
-        uhat = sp._fftn(vals)
-        s_u = float(self.wq * (self.sym * np.abs(uhat) ** 2).sum())
+        s_u = sp.seminorm_inner(self.red.grid, self.red.params.s,
+                                sp._fftn(vals))
         quad = self.eps_inner_vals(vals, vals)
         pot = self.h * float(sp.pos_power(vals, p + 1.0).sum())
         return 0.5 * quad + 0.25 * self.C * s_u**2 - pot / (p + 1.0)
@@ -655,29 +635,15 @@ class _Frame:
 
     def solve_constrained(self, rhs_density: np.ndarray, rtol: float,
                           atol: float, maxiter: int,
-                          lin: dict | None = None) -> np.ndarray:
+                          lin: LinearizedOperator | None = None) -> np.ndarray:
         """Solve the constrained symmetric system A phi = -rhs on E_{eps,y};
-        A is L_eps by default, or the second variation at `lin`."""
+        A is L_eps by default, or the second variation `lin`."""
         npts = self.U.values.size
         shape = self.U.values.shape
-        p0_isqrt = self.p0_isqrt
-        bulk = self.bulk if lin is None else lin["bulk"]
-        flu = self.fLU if lin is None else lin["fLu"]
-        pup1 = self.pUp1 if lin is None else lin["pup1"]
-
-        def apply_hat(flat):
-            v = self.project(flat)
-            vv = v.reshape(shape)
-            vhat = sp._fftn(vv)
-            u = sp._ifftn(p0_isqrt * vhat).real
-            diag = bulk * self.sym * p0_isqrt * vhat
-            g = (self.V - pup1) * u
-            g += (2.0 * self.C * self.h * float((flu * u).sum())) * flu
-            out = sp._ifftn(diag * p0_isqrt + p0_isqrt * sp._fftn(g)).real
-            return self.project(out.ravel())
-
-        op = sla.LinearOperator((npts, npts), matvec=apply_hat, dtype=float)
-        b = -sp._ifftn(p0_isqrt * sp._fftn(rhs_density)).real.ravel()
+        lin = self.L if lin is None else lin
+        op = sla.LinearOperator((npts, npts), dtype=float,
+                                matvec=lambda v: self.apply_hat(v, lin))
+        b = -sp._ifftn(self.p0_isqrt * sp._fftn(rhs_density)).real.ravel()
         b = self.project(b)
         bnorm = float(np.linalg.norm(b))
         if bnorm == 0.0:
@@ -690,7 +656,7 @@ class _Frame:
                 f"(rhs norm {bnorm:.3e}, info={info})"
             )
         xi = self.project(xi)
-        return sp._ifftn(p0_isqrt * sp._fftn(xi.reshape(shape))).real
+        return sp._ifftn(self.p0_isqrt * sp._fftn(xi.reshape(shape))).real
 
     def multipliers(self, grad_density: np.ndarray) -> np.ndarray:
         """Lagrange multipliers of the constrained stationarity system."""
@@ -710,7 +676,7 @@ class _Frame:
         if not hasattr(self, "_d2cache"):
             self._d2cache = {}
         if key not in self._d2cache:
-            f = sp.derivative(sp.derivative(self.shifted_profiles[a], j), b)
+            f = sp.derivative(sp.derivative(self.peak_fields[a], j), b)
             self._d2cache[key] = self._p_apply(f.values)
         return self._d2cache[key]
 
@@ -727,10 +693,7 @@ def eps_inner(u: Field, v: Field, eps: float, V, params: ProblemParams) -> float
         raise ParameterError(f"eps must be positive, got {eps}")
     grid, s = u.grid, params.s
     vvals = _potential_values(V, grid)
-    wq = grid.spacing**grid.dim / grid.points_per_dim**grid.dim
-    semi = float(
-        wq * (grid.symbol(s) * (u.spectral().conj() * v.spectral())).sum().real
-    )
+    semi = sp.seminorm_inner(grid, s, u.spectral(), v.spectral())
     mass = grid.spacing**grid.dim * float((vvals * u.values * v.values).sum())
     return eps ** (2.0 * s) * params.a * semi + mass
 
@@ -747,13 +710,13 @@ def build_ansatz(red: Reducer, cfg: PeakConfig) -> Field:
 def ell(red: Reducer, cfg: PeakConfig, phi: Field) -> float:
     """l_eps(phi) = <I'_eps(U_{eps,y}), phi>."""
     fr = red.frame(cfg)
-    return fr.h * float((fr.ell_density() * phi.values).sum())
+    return fr.h * float((fr.gradient_density(fr.U) * phi.values).sum())
 
 
 def ell_norm(red: Reducer, cfg: PeakConfig) -> float:
     """Dual norm of l_eps restricted to E_{eps,y} (preconditioner estimate)."""
     fr = red.frame(cfg)
-    dens = fr.ell_density()
+    dens = fr.gradient_density(fr.U)
     b = sp._ifftn(fr.p0_isqrt * sp._fftn(dens)).real.ravel()
     return float(np.linalg.norm(fr.project(b)) * math.sqrt(fr.h))
 
@@ -782,6 +745,8 @@ def solve_correction(
     current iterate, which drives the same fixed point quadratically.
     Stops when ||phi_{n+1} - phi_n||_eps < outer_tol_factor * eps^(N/2).
     """
+    if max_outer < 1:
+        raise ParameterError(f"max_outer must be at least 1, got {max_outer}")
     fr = frame if frame is not None else red.frame(cfg)
     n = red.params.dim
     tol = outer_tol_factor * cfg.eps ** (0.5 * n)
@@ -794,10 +759,11 @@ def solve_correction(
     increments: list[float] = []
     bad_streak = 0
     for it in range(1, max_outer + 1):
-        grad = fr.ell_density() + fr.leps_density(phi) + fr.rprime_density(phi)
-        lin = None if it <= picard_steps else fr.linearization(fr.U.values + phi)
+        u = Field(red.grid, fr.U.values + phi)
+        lin = None if it <= picard_steps else fr.second_variation(u)
         try:
-            delta = fr.solve_constrained(grad, rtol=inner_rtol,
+            delta = fr.solve_constrained(fr.gradient_density(u),
+                                         rtol=inner_rtol,
                                          atol=0.01 * tol, maxiter=maxiter,
                                          lin=lin)
         except LinearSolveError:
@@ -836,13 +802,11 @@ def solve_correction(
         )
 
     phi_field = Field(red.grid, phi)
-    grad = fr.ell_density() + fr.leps_density(phi) + fr.rprime_density(phi)
-    lam = fr.multipliers(grad)
-    u_full = fr.U.values + phi
-    energy = fr.energy(u_full)
-    from .groundstate import pde_residual  # local import avoids cycle at load
-    sup_res, _ = pde_residual(Field(red.grid, u_full), red.params,
-                              fr.V, cfg.eps)
+    u_full = Field(red.grid, fr.U.values + phi)
+    sup_res, _, grad = pde_residual(u_full, red.params, fr.V, cfg.eps,
+                                    return_density=True)
+    lam = fr.multipliers(grad.values)
+    energy = fr.energy(u_full.values)
     return ReducedSolution(
         config=cfg,
         correction=phi_field,
@@ -870,9 +834,8 @@ def reduced_energy_gradient(red: Reducer, cfg: PeakConfig,
                             phi: Field | None = None) -> np.ndarray:
     """d I_eps(U_y + phi)/dy at frozen phi: <I'_eps(u), dU/dy_ij>."""
     fr = red.frame(cfg)
-    vals = fr.U.values if phi is None else fr.U.values + phi.values
-    grad_dens = (fr.ell_density() + fr.leps_density(vals - fr.U.values)
-                 + fr.rprime_density(vals - fr.U.values))
+    u = fr.U if phi is None else Field(red.grid, fr.U.values + phi.values)
+    grad_dens = fr.gradient_density(u)
     return np.array([
         fr.h * float((grad_dens * mode).sum()) for mode in fr.modes
     ])
@@ -886,8 +849,7 @@ def reduced_gradient_total(red: Reducer, cfg: PeakConfig,
     y-dependence of the orthogonality constraints."""
     fr = frame if frame is not None else red.frame(cfg)
     phi = sol.correction.values
-    grad_dens = (fr.ell_density() + fr.leps_density(phi)
-                 + fr.rprime_density(phi))
+    grad_dens = fr.gradient_density(Field(red.grid, fr.U.values + phi))
     lam = fr.multipliers(grad_dens)
     k, n = cfg.y.shape
     out = np.zeros(k * n)
@@ -943,24 +905,12 @@ def coercivity_estimate(red: Reducer, cfg: PeakConfig, n_eigs: int = 2,
     """
     fr = red.frame(cfg)
     npts = red.grid.points_per_dim**red.grid.dim
-    shape = red.grid.shape
-    p0_isqrt = fr.p0_isqrt
-
-    def single(v):
-        v = fr.project(v)
-        vhat = sp._fftn(v.reshape(shape))
-        u = sp._ifftn(p0_isqrt * vhat).real
-        g = (fr.V - fr.pUp1) * u
-        g += (2.0 * fr.C * fr.h * float((fr.fLU * u).sum())) * fr.fLU
-        res = sp._ifftn(fr.bulk * fr.sym * p0_isqrt * vhat
-                        + p0_isqrt * sp._fftn(g)).real
-        return fr.project(res.ravel())
 
     def apply_sq(block):
         block = block.reshape(npts, -1)
         out = np.empty_like(block)
         for col in range(block.shape[1]):
-            out[:, col] = single(single(block[:, col]))
+            out[:, col] = fr.apply_hat(fr.apply_hat(block[:, col], fr.L), fr.L)
         return out
 
     op = sla.LinearOperator((npts, npts), matmat=apply_sq,
@@ -1029,12 +979,13 @@ def minimize_peaks(
 
     def correction_at(yflat, tol_factor):
         cfg = y0.with_y(np.asarray(yflat).reshape(k, n))
-        cfg.require_admissible(red.potential)
+        fr = red.frame(cfg)
         sol = solve_correction(red, cfg, phi0=warm["phi"],
-                               outer_tol_factor=tol_factor, picard_steps=1)
+                               outer_tol_factor=tol_factor, picard_steps=1,
+                               frame=fr)
         warm["phi"] = sol.correction
         evaluations["count"] += 1
-        return cfg, sol
+        return fr, sol
 
     def j_eps(yflat) -> float:
         cfg = y0.with_y(np.asarray(yflat).reshape(k, n))
@@ -1044,6 +995,10 @@ def minimize_peaks(
             return math.inf
         _, sol = correction_at(yflat, search_tol_factor)
         return sol.reduced_energy
+
+    def gradient_at(yflat) -> np.ndarray:
+        fr, sol = correction_at(yflat, outer_tol_factor)
+        return reduced_gradient_total(red, fr.cfg, sol, frame=fr)
 
     # coordinate-wise bracketing: one golden round plus a bounded parabolic
     # round, precise enough to land in the gradient-polish basin
@@ -1086,16 +1041,13 @@ def minimize_peaks(
     jac = None
     last_step = math.inf
     for _ in range(24):
-        cfg, sol = correction_at(y, outer_tol_factor)
-        g = reduced_gradient_total(red, cfg, sol)
+        g = gradient_at(y)
         if jac is None:
             jac = np.empty((y.size, y.size))
             for idx in range(y.size):
                 yp = y.copy()
                 yp[idx] += fd_h
-                cfg_p, sol_p = correction_at(yp, outer_tol_factor)
-                gp = reduced_gradient_total(red, cfg_p, sol_p)
-                jac[:, idx] = (gp - g) / fd_h
+                jac[:, idx] = (gradient_at(yp) - g) / fd_h
         try:
             step = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError:

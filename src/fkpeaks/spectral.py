@@ -27,22 +27,12 @@ from .errors import (
     ParameterError,
 )
 
-_FFT_WORKERS = 1
-
-
-def set_fft_workers(n: int) -> None:
-    """Set the worker count for internal FFTs (1 keeps results bitwise
-    deterministic; larger counts agree to ~1e-14 relative)."""
-    global _FFT_WORKERS
-    _FFT_WORKERS = int(n)
-
-
 def _fftn(a):
-    return sfft.fftn(a, workers=_FFT_WORKERS)
+    return sfft.fftn(a)
 
 
 def _ifftn(a):
-    return sfft.ifftn(a, workers=_FFT_WORKERS)
+    return sfft.ifftn(a)
 
 
 @dataclass(frozen=True)
@@ -112,9 +102,19 @@ class GridSpec:
             out = out | extra
         return out
 
+    @cached_property
+    def _symbols(self) -> dict[float, np.ndarray]:
+        return {}
+
     def symbol(self, s: float) -> np.ndarray:
-        """Multiplier |xi|^(2s); the zero mode maps to zero."""
-        return self.xi_sq ** float(s) if s != 1.0 else self.xi_sq
+        """Multiplier |xi|^(2s); the zero mode maps to zero.  Computed once
+        per s and shared read-only."""
+        s = float(s)
+        if s not in self._symbols:
+            sym = self.xi_sq ** s if s != 1.0 else self.xi_sq
+            sym.setflags(write=False)
+            self._symbols[s] = sym
+        return self._symbols[s]
 
     def radii(self) -> np.ndarray:
         """|x| over the grid."""
@@ -130,14 +130,6 @@ class GridSpec:
 
     def __hash__(self):
         return hash((self.dim, self.half_width, self.points_per_dim))
-
-
-def suggest_half_width(s: float, dim: int, tail_constant: float = 1.0,
-                       threshold: float = 1e-8) -> float:
-    """Half-width at which a |x|^-(N+2s) tail falls below `threshold` of
-    the peak.  Honest but enormous for small s; callers usually trade the
-    threshold off against grid cost."""
-    return (tail_constant / threshold) ** (1.0 / (dim + 2.0 * s))
 
 
 class Field:
@@ -293,11 +285,18 @@ def lq_norm(f: Field, q: float) -> float:
 def seminorm_sq(f: Field, s: float) -> float:
     """||(-Delta)^(s/2) f||_2^2 by Parseval on the discrete modes."""
     _check_s(s)
-    g = f.grid
-    coeffs = f.spectral()
+    return seminorm_inner(f.grid, s, f.spectral())
+
+
+def seminorm_inner(grid: GridSpec, s: float, uhat: np.ndarray,
+                   vhat: np.ndarray | None = None) -> float:
+    """int (-Delta)^(s/2) u (-Delta)^(s/2) v by Parseval from the
+    transforms uhat, vhat; vhat = None gives ||(-Delta)^(s/2) u||^2."""
     # h^N/M^N normalisation: |fhat|^2 * (2L)^N / M^(2N)
-    w = g.spacing ** g.dim / g.points_per_dim ** g.dim
-    return float(w * (g.symbol(s) * np.abs(coeffs) ** 2).sum())
+    w = grid.spacing ** grid.dim / grid.points_per_dim ** grid.dim
+    if vhat is None:
+        return float(w * (grid.symbol(s) * np.abs(uhat) ** 2).sum())
+    return float(w * (grid.symbol(s) * (uhat.conj() * vhat)).sum().real)
 
 
 def invert_shifted(g: Field, c: float, s: float) -> Field:
@@ -329,15 +328,6 @@ def derivative(f: Field, axis: int) -> Field:
     shape[axis] = g.points_per_dim
     coeffs = f.spectral() * (1j * xi.reshape(shape))
     return Field.from_spectral(g, coeffs)
-
-
-def gradient_sq(f: Field) -> Field:
-    """|grad f|^2, used by the classical Pohozaev boundary terms."""
-    g = f.grid
-    total = np.zeros(g.shape)
-    for j in range(g.dim):
-        total += derivative(f, j).values ** 2
-    return Field(g, total)
 
 
 def translate(f: Field, shift) -> Field:
@@ -395,11 +385,6 @@ def interpolate(f: Field, points: np.ndarray) -> np.ndarray:
 def pos_power(values: np.ndarray, p: float) -> np.ndarray:
     """max(u, 0)^p; the nonlinearity used in the energy calculus."""
     return np.maximum(values, 0.0) ** p
-
-
-def signed_power(values: np.ndarray, p: float) -> np.ndarray:
-    """sign(u) |u|^p; odd-safe power used inside fixed-point iterations."""
-    return np.sign(values) * np.abs(values) ** p
 
 
 def random_band_limited(grid: GridSpec, cutoff: float, seed,

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import spectral as sp
-from .errors import GeometryError, ParameterError
+from .errors import SOLVER_ERRORS, GeometryError, ParameterError
 from .groundstate import pde_residual
 from .reduction import (
     PeakConfig,
@@ -249,14 +249,11 @@ def sobolev_scaling_check(grid: GridSpec, params: ProblemParams, V,
     cutoff = cutoff if cutoff else 0.25 * float(np.sqrt(grid.xi_sq.max()))
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     h = grid.spacing**n
-    wq = h / grid.points_per_dim**n
     ratios = np.empty((samples, eps_arr.size))
     for i in range(samples):
         phi = sp.random_band_limited(grid, cutoff, seed=(seed, i))
         lq = float((h * np.abs(phi.values) ** q).sum() ** (1.0 / q))
-        semi = float(
-            (wq * grid.symbol(params.s) * np.abs(phi.spectral()) ** 2).sum()
-        )
+        semi = sp.seminorm_sq(phi, params.s)
         mass = float(h * (v_vals * phi.values**2).sum())
         for j, eps in enumerate(eps_arr):
             norm_eps = math.sqrt(eps ** (2.0 * params.s) * params.a * semi + mass)
@@ -537,7 +534,7 @@ def uniqueness_probe(red: Reducer, eps: float, starts: list[PeakConfig],
             continue
         try:
             best, sol, _ = minimize_peaks(red, cfg, xatol=xatol)
-        except Exception as exc:  # partial report per spec
+        except SOLVER_ERRORS as exc:  # partial report per spec
             failed.append({"start": idx, "error": repr(exc)})
             continue
         solutions.append((idx, best, sol))

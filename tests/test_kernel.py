@@ -102,6 +102,14 @@ class TestKernelSpectrum:
         text = json.dumps(report)
         assert "kernel_dim" in text
 
+    def test_pair_residuals_reported(self, small_operator):
+        report = kn.kernel_report(small_operator, n=4)
+        res = report["pair_residuals"]
+        assert len(res) == len(report["eigenvalues"])
+        # pairs come sorted by |lambda|: the first is the translation mode
+        assert report["kernel_dim"] == 1
+        assert res[0] < 1e-6
+
     def test_eigenfields_l2_normalized(self, small_operator):
         pairs = kn.kernel_spectrum(small_operator, 3)
         for _, f in pairs:

@@ -254,6 +254,25 @@ class TestApplyLeps:
         diff = np.abs(via_reduction.values - via_kernel.values).max()
         assert diff < 1e-12 * np.abs(via_kernel.values).max()
 
+    def test_conjugated_apply_matches_plain_apply(self):
+        # the fused 4-transform m L m against m (L (m v)) on E_{eps,y}, 2D
+        params = sp.ProblemParams(2, 0.75, 2.0, 1.0, 0.05)
+        grid = sp.GridSpec(2, 2.5, 64)
+        pot = rd.Potential.single_well([0.1, -0.1], 1.0, [1.0, 1.5], m=2.0)
+        red = rd.Reducer(grid, params, pot)
+        fr = red.frame(rd.PeakConfig(0.25, [[0.1, -0.1]], delta=0.4,
+                                     theta=0.8))
+        v = sp.random_band_limited(grid, 8.0, seed=5).values
+        v = fr.project(v.ravel()).reshape(grid.shape)
+        m = fr.p0_isqrt
+
+        def mult(x):
+            return sp._ifftn(m * sp._fftn(x)).real
+
+        fused = fr.L.apply_conjugated(v, m)
+        plain = mult(fr.L.apply_values(mult(v)))
+        assert np.abs(fused - plain).max() < 1e-12 * np.abs(plain).max()
+
     def test_coercive_on_constraint_complement(self, reducer_1d):
         cfg = rd.PeakConfig(0.05, [[0.3]], delta=0.5, theta=0.8)
         rho = rd.coercivity_estimate(reducer_1d, cfg, n_eigs=2)
@@ -315,6 +334,11 @@ class TestSolveCorrection:
         v = np.array([norms[x] for x in e])
         slope = np.polyfit(np.log(e), np.log(v), 1)[0]
         assert slope >= 1.0 - 0.2
+
+    def test_max_outer_below_one_rejected(self, reducer_1d):
+        cfg = rd.PeakConfig(0.1, [[0.3]], delta=0.5, theta=0.8)
+        with pytest.raises(ParameterError):
+            rd.solve_correction(reducer_1d, cfg, max_outer=0)
 
     def test_warm_start_converges_to_same_fixed_point(self, reducer_1d):
         cfg = rd.PeakConfig(0.08, [[0.35]], delta=0.5, theta=0.8)

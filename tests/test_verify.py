@@ -6,7 +6,7 @@ import pytest
 from fkpeaks import reduction as rd
 from fkpeaks import spectral as sp
 from fkpeaks import verify as vf
-from fkpeaks.errors import GeometryError, ParameterError
+from fkpeaks.errors import GeometryError, NoContractionError, ParameterError
 
 
 from tests_support import manufactured_classical
@@ -263,7 +263,7 @@ class TestUniquenessProbe:
         def flaky(red, cfg, **kw):
             calls["n"] += 1
             if calls["n"] == 2:
-                raise RuntimeError("forced failure")
+                raise NoContractionError("forced failure")
             return real(red, cfg, **kw)
 
         monkeypatch.setattr(vf, "minimize_peaks", flaky)
@@ -276,6 +276,16 @@ class TestUniquenessProbe:
         assert rep.passed is None
         assert rep.notes == "partial report"
         assert len(rep.measured["failed"]) == 1
+        assert rep.measured["failed"][0]["start"] == 1
+
+    def test_programming_error_propagates(self, quick_reducer, monkeypatch):
+        def broken(red, cfg, **kw):
+            raise TypeError("not a solver failure")
+
+        monkeypatch.setattr(vf, "minimize_peaks", broken)
+        starts = [rd.PeakConfig(0.1, [[0.25]], delta=0.4, theta=0.8)]
+        with pytest.raises(TypeError):
+            vf.uniqueness_probe(quick_reducer, 0.1, starts, tol=1e-6)
 
 
 class TestCheckReport:
