@@ -290,9 +290,16 @@ def _stage_reduce(manifest, params, grid, potential, run_dir) -> dict:
         "passed": bool(
             orth < 1e-8
             and all(r < 1.0 for r in sol.contraction_ratios)
+            and (not minimize or _certified(info))
         ),
     }
     return report
+
+
+def _certified(search: dict) -> bool:
+    """The peak search converged to a strict local minimum."""
+    return (search["termination"] == "converged"
+            and all(ev > 0 for ev in search["hessian_eigenvalues"]))
 
 
 def _stage_sweep(manifest, params, grid, potential, run_dir) -> dict:
@@ -328,12 +335,13 @@ def _stage_sweep(manifest, params, grid, potential, run_dir) -> dict:
                 max(r["ratios"]) if r["ratios"] else 0.0,
                 r["iterations"],
             ])
-    report = {"records": records, "passed": True}
+    report = {"records": records, "passed": not minimize or all(
+        _certified(r["search"]) for r in records)}
     if len(records) >= 4 and minimize:
         fit = vf.asymptotics_fit(records, m=potential.m, dim=params.dim)
         _write_json(run_dir / "asymptotics.json", fit.as_dict())
         report["asymptotics"] = fit.as_dict()
-        report["passed"] = bool(fit.passed)
+        report["passed"] = report["passed"] and bool(fit.passed)
     return report
 
 

@@ -76,6 +76,10 @@ class TruncationError(RuntimeError):
     """Strict-mode escalation of TailTruncationWarning."""
 
 
+class BoundaryMinimizerWarning(UserWarning):
+    """The reduced-energy minimiser sits on the boundary of D_eps_delta."""
+
+
 # Failures a solve can end in on valid code: a failed start of a
 # multi-start run, as opposed to a programming error
 SOLVER_ERRORS = (ParameterError, IterationError, NoContractionError,

@@ -27,12 +27,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as sopt
 from scipy.sparse import linalg as sla
 
 from . import spectral as sp
 from .errors import (
+    BoundaryMinimizerWarning,
     GridMismatchError,
+    IterationError,
     LinearSolveError,
     NoContractionError,
     ParameterError,
@@ -615,9 +616,11 @@ class _Frame:
     def energy(self, vals: np.ndarray) -> float:
         """I_eps evaluated at the given field values."""
         p = self.red.params.p
-        s_u = sp.seminorm_inner(self.red.grid, self.red.params.s,
-                                sp._fftn(vals))
-        quad = self.eps_inner_vals(vals, vals)
+        grid, s = self.red.grid, self.red.params.s
+        uhat = sp._fftn(vals)
+        s_u = sp.seminorm_inner(grid, s, uhat)
+        quad = (self.a_eps * sp.seminorm_inner(grid, s, uhat, uhat)
+                + self.h * float((self.V * vals * vals).sum()))
         pot = self.h * float(sp.pos_power(vals, p + 1.0).sum())
         return 0.5 * quad + 0.25 * self.C * s_u**2 - pot / (p + 1.0)
 
@@ -931,146 +934,118 @@ def coercivity_estimate(red: Reducer, cfg: PeakConfig, n_eigs: int = 2,
 # peak minimisation
 # ---------------------------------------------------------------------------
 
-def _golden_section(fn, lo: float, hi: float, tol: float,
-                    max_iter: int = 200) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(max_iter):
-        if hi - lo < tol:
-            break
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = fn(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = fn(x2)
-    return 0.5 * (lo + hi)
+# a search that needs more corrections than this is not converging
+MAX_SEARCH_EVALUATIONS = 100
 
 
 def minimize_peaks(
     red: Reducer,
     y0: PeakConfig,
-    coarse_tol: float = 1e-3,
-    xatol: float = 1e-8,
-    rounds: int = 6,
-    span_fraction: float = 0.6,
     outer_tol_factor: float = 1e-10,
-    search_tol_factor: float = 1e-8,
 ) -> tuple[PeakConfig, ReducedSolution, dict]:
-    """Minimise the reduced energy over D_{eps,delta}.
+    """Minimise the reduced energy j_eps over D_{eps,delta}.
 
-    Coordinate-wise golden-section refinement followed by a bounded
-    parabolic polish per coordinate; every candidate is re-validated for
-    membership in D_{eps,delta} before its correction is solved.  Search
-    evaluations solve the correction to `search_tol_factor` (the reduced
-    energy is second-order insensitive to the correction error); the
-    returned solution is a fresh full-tolerance solve.
+    Trust-region Newton from y0 on the exact reduced gradient (multiplier
+    formula) with a symmetrised forward-difference Jacobian.  A step is
+    accepted when it lowers sup|grad j|, not j: near the minimiser the
+    changes of j fall below its roundoff.  Steps are clipped to the trust
+    radius and halved until they stay in D_{eps,delta}.  The search
+    converges when the Newton step solved with a Jacobian built at the
+    current y falls below a floor; that Jacobian's eigenvalues are the
+    certificate (all positive: a strict local minimum).  The returned
+    solution is a fresh full-tolerance solve.
+
+    Raises IterationError on a singular Newton system or when the search
+    needs more than MAX_SEARCH_EVALUATIONS corrections.
     """
     y0.require_admissible(red.potential)
-    eps, delta = y0.eps, y0.delta
-    peaks = red.potential.peaks
+    delta, peaks = y0.delta, red.potential.peaks
     k, n = y0.y.shape
-    warm: dict = {"phi": None}
-    evaluations = {"count": 0, "rejected": 0}
+    floor = 1e-13
+    fd_h = max(1e-3 * delta, 1.6e-7)
+    count = {"evaluations": 0, "newton_steps": 0, "rejected": 0}
+    warm = None
 
-    def correction_at(yflat, tol_factor):
-        cfg = y0.with_y(np.asarray(yflat).reshape(k, n))
+    def admissible(y) -> bool:
+        return y0.with_y(y.reshape(k, n)).admissibility(red.potential)[0]
+
+    def gradient_at(y) -> np.ndarray:
+        nonlocal warm
+        cfg = y0.with_y(y.reshape(k, n))
         fr = red.frame(cfg)
-        sol = solve_correction(red, cfg, phi0=warm["phi"],
-                               outer_tol_factor=tol_factor, picard_steps=1,
-                               frame=fr)
-        warm["phi"] = sol.correction
-        evaluations["count"] += 1
-        return fr, sol
+        sol = solve_correction(red, cfg, phi0=warm,
+                               outer_tol_factor=outer_tol_factor,
+                               picard_steps=1, frame=fr)
+        warm = sol.correction
+        count["evaluations"] += 1
+        return reduced_gradient_total(red, cfg, sol, frame=fr)
 
-    def j_eps(yflat) -> float:
-        cfg = y0.with_y(np.asarray(yflat).reshape(k, n))
-        ok, _ = cfg.admissibility(red.potential)
-        if not ok:
-            evaluations["rejected"] += 1
-            return math.inf
-        _, sol = correction_at(yflat, search_tol_factor)
-        return sol.reduced_energy
-
-    def gradient_at(yflat) -> np.ndarray:
-        fr, sol = correction_at(yflat, outer_tol_factor)
-        return reduced_gradient_total(red, fr.cfg, sol, frame=fr)
-
-    # coordinate-wise bracketing: one golden round plus a bounded parabolic
-    # round, precise enough to land in the gradient-polish basin
-    y = y0.y.copy().ravel()
-    span = span_fraction * delta
-    brent_tol = max(3e-3 * delta, xatol)
-    rnd = 0
-    for rnd in range(min(rounds, 2)):
-        moved = 0.0
+    def jacobian_at(y, g) -> np.ndarray:
+        jac = np.empty((y.size, y.size))
         for idx in range(y.size):
-            i, j = divmod(idx, n)
-            center = peaks[i, j]
-            lo = max(y[idx] - span, center - delta * 0.999)
-            hi = min(y[idx] + span, center + delta * 0.999)
+            yp = y.copy()
+            yp[idx] += fd_h
+            jac[:, idx] = (gradient_at(yp) - g) / fd_h
+        return 0.5 * (jac + jac.T)
 
-            def fn1d(t, idx=idx):
-                yy = y.copy()
-                yy[idx] = t
-                return j_eps(yy)
-
-            if rnd == 0:
-                t = _golden_section(
-                    fn1d, lo, hi,
-                    tol=max((hi - lo) / 16.0, coarse_tol, brent_tol),
-                )
-            else:
-                res = sopt.minimize_scalar(
-                    fn1d, bounds=(lo, hi), method="bounded",
-                    options={"xatol": brent_tol},
-                )
-                t = float(res.x)
-            moved = max(moved, abs(t - y[idx]))
-            y[idx] = t
-        span = max(4.0 * moved, 64.0 * brent_tol)
-
-    # gradient polish: chord Newton on the exact reduced gradient
-    # (multiplier formula); the Jacobian is reused until steps stagnate
-    newton_steps = 0
-    fd_h = max(1e-3 * delta, 16.0 * xatol)
-    jac = None
-    last_step = math.inf
-    for _ in range(24):
-        g = gradient_at(y)
-        if jac is None:
-            jac = np.empty((y.size, y.size))
-            for idx in range(y.size):
-                yp = y.copy()
-                yp[idx] += fd_h
-                jac[:, idx] = (gradient_at(yp) - g) / fd_h
+    y = y0.y.ravel().copy()
+    g = gradient_at(y)
+    jac, fresh = jacobian_at(y, g), True
+    radius = 0.05 * delta
+    termination = None
+    while termination is None:
+        gnorm = float(np.abs(g).max())
+        if count["evaluations"] > MAX_SEARCH_EVALUATIONS:
+            raise IterationError(
+                f"peak search ran past {MAX_SEARCH_EVALUATIONS} corrections "
+                f"(sup|grad j| = {gnorm:.3e})",
+                residual=gnorm, iterations=count["evaluations"],
+            )
         try:
             step = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError:
-            break
+            step = np.full_like(g, np.nan)
         if not np.all(np.isfinite(step)):
-            break
-        limit = 0.05 * delta
+            raise IterationError(
+                "singular reduced-energy Jacobian: eigenvalues "
+                f"{np.linalg.eigvalsh(jac).tolist()}",
+                residual=gnorm, iterations=count["evaluations"],
+            )
         norm = float(np.abs(step).max())
-        if norm > limit:
-            step *= limit / norm
-            norm = limit
-        y_new = y + step
-        ok, _ = y0.with_y(y_new.reshape(k, n)).admissibility(red.potential)
-        if not ok:
+        if norm < floor:
+            if fresh:
+                termination = "converged"
+            else:
+                jac, fresh = jacobian_at(y, g), True
+            continue
+        shortened = norm > radius
+        if shortened:
+            step *= radius / norm
+        while not admissible(y + step):
+            step *= 0.5
+            count["rejected"] += 1
+            shortened = True
+            if float(np.abs(step).max()) < floor:
+                termination = "boundary"
+                break
+        if termination is not None:
             break
-        y = y_new
-        newton_steps += 1
-        if norm < max(1e-13, 1e-5 * xatol):
-            break
-        if norm > 0.5 * last_step and norm < 1e3 * xatol:
-            # chord iteration stagnating near the floor: good enough
-            break
-        last_step = norm
+        g_new = gradient_at(y + step)
+        new_norm = float(np.abs(g_new).max())
+        if new_norm < gnorm:
+            y, g = y + step, g_new
+            count["newton_steps"] += 1
+            fresh = False
+            if shortened:
+                radius = min(2.0 * radius, delta)
+            elif new_norm > 0.25 * gnorm:
+                jac, fresh = jacobian_at(y, g), True
+        elif not fresh:
+            jac, fresh = jacobian_at(y, g), True
+        else:
+            # shrink below the rejected step, which may be shorter than
+            # the radius
+            radius = 0.5 * float(np.abs(step).max())
 
     best = y0.with_y(y.reshape(k, n))
     boundary_slack = float(
@@ -1080,17 +1055,17 @@ def minimize_peaks(
         warnings.warn(
             "reduced-energy minimiser sits on the D_eps_delta boundary "
             f"(slack {boundary_slack:.2e}); interior minimum not confirmed",
-            stacklevel=2,
+            BoundaryMinimizerWarning, stacklevel=2,
         )
     # fresh final solve: history-free, so identical minimisers give
     # identical solutions across different starts
     final = solve_correction(red, best, outer_tol_factor=outer_tol_factor)
     info = {
-        "evaluations": evaluations["count"],
-        "rejected": evaluations["rejected"],
-        "rounds": rnd + 1,
-        "newton_steps": newton_steps,
+        **count,
         "boundary_slack": boundary_slack,
+        "termination": termination,
+        "grad_norm": float(np.abs(g).max()),
+        "hessian_eigenvalues": np.linalg.eigvalsh(jac).tolist(),
     }
     return best, final, info
 
@@ -1106,7 +1081,6 @@ def sweep_reduction(
     theta: float,
     y0_offset=None,
     minimize: bool = True,
-    xatol: float = 1e-8,
     outer_tol_factor: float = 1e-10,
 ) -> list[dict]:
     """Run the correction (and optionally the peak search) over an eps list.
@@ -1121,7 +1095,7 @@ def sweep_reduction(
         cfg0 = PeakConfig(eps, peaks + offset, delta, theta)
         if minimize:
             best, sol, info = minimize_peaks(
-                red, cfg0, xatol=xatol, outer_tol_factor=outer_tol_factor,
+                red, cfg0, outer_tol_factor=outer_tol_factor,
             )
         else:
             best = cfg0

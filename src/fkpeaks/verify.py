@@ -521,7 +521,7 @@ def asymptotics_fit(records: list[dict], m: float, dim: int,
 # ---------------------------------------------------------------------------
 
 def uniqueness_probe(red: Reducer, eps: float, starts: list[PeakConfig],
-                     tol: float = 1e-6, xatol: float = 1e-8) -> CheckReport:
+                     tol: float = 1e-6) -> CheckReport:
     """Multi-start convergence: all admissible starts must produce the
     same full solution in sup norm within tol * ||u||_inf."""
     solutions = []
@@ -533,7 +533,7 @@ def uniqueness_probe(red: Reducer, eps: float, starts: list[PeakConfig],
             rejected.append({"start": idx, "reason": why})
             continue
         try:
-            best, sol, _ = minimize_peaks(red, cfg, xatol=xatol)
+            best, sol, _ = minimize_peaks(red, cfg)
         except SOLVER_ERRORS as exc:  # partial report per spec
             failed.append({"start": idx, "error": repr(exc)})
             continue

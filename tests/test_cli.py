@@ -6,7 +6,7 @@ import pytest
 from fkpeaks import cli
 from fkpeaks import io as fio
 from fkpeaks import spectral as sp
-from fkpeaks.errors import ParameterError
+from fkpeaks.errors import BoundaryMinimizerWarning, ParameterError
 
 
 def manifest_groundstate(tmp_path):
@@ -137,6 +137,20 @@ class TestReduceCommand:
         assert report["orthogonality"] < 1e-8
         assert all(r < 1.0 for r in report["contraction_ratios"])
         assert (run_dir / "solution.bin").exists()
+        assert report["search"]["termination"] == "converged"
+        assert all(ev > 0 for ev in report["search"]["hessian_eigenvalues"])
+
+    def test_boundary_minimizer_fails_the_gate(self, tmp_path):
+        spec = manifest_sweep(tmp_path)
+        spec["command"] = "reduce"
+        spec["eps"] = [0.1]
+        spec["delta"] = 1e-4
+        spec["output_dir"] = str(tmp_path / "reduce")
+        with pytest.warns(BoundaryMinimizerWarning):
+            status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        assert status == 1
+        report = json.loads((run_dir / "report.json").read_text())
+        assert report["search"]["termination"] == "boundary"
 
 
 class TestVerifyCommand:

@@ -5,7 +5,8 @@ from fkpeaks import groundstate as gs
 from fkpeaks import kernel as kn
 from fkpeaks import reduction as rd
 from fkpeaks import spectral as sp
-from fkpeaks.errors import ParameterError
+from fkpeaks.errors import (BoundaryMinimizerWarning, IterationError,
+                            ParameterError)
 
 
 @pytest.fixture(scope="module")
@@ -388,18 +389,50 @@ class TestMinimizePeaks:
             coeffs=[[1.0], [1.0]], m=2.0, far_value=2.0, plateau=0.6,
         )
         red = rd.Reducer(grid, params, pot)
-        y0 = rd.PeakConfig(0.05, [[-1.03], [0.98]], delta=0.3, theta=0.8)
-        best, sol, _ = rd.minimize_peaks(red, y0)
-        # the objective is symmetric under reflection: minimizer mirrors
-        assert abs(best.y[0, 0] + best.y[1, 0]) < 1e-6
-        assert np.abs(sol.orthogonality).max() < 1e-8
+        eigs = []
+        for start in ([[-1.03], [0.98]], [[-0.97], [1.04]]):
+            y0 = rd.PeakConfig(0.05, start, delta=0.3, theta=0.8)
+            best, sol, info = rd.minimize_peaks(red, y0)
+            # the objective is symmetric under reflection: minimizer mirrors
+            assert abs(best.y[0, 0] + best.y[1, 0]) < 1e-6
+            assert np.abs(sol.orthogonality).max() < 1e-8
+            assert info["termination"] == "converged"
+            eigs.append(np.array(info["hessian_eigenvalues"]))
+        assert np.all(eigs[0] > 0)
+        assert np.abs(eigs[0] - eigs[1]).max() < 1e-8 * np.abs(eigs[0]).max()
 
-    def test_candidates_outside_d_rejected(self, reducer_1d):
-        y0 = rd.PeakConfig(0.05, [[0.79]], delta=0.5, theta=0.8)
-        best, _, info = rd.minimize_peaks(reducer_1d, y0, rounds=1)
-        assert info["rejected"] >= 0
+    def test_certificate_agrees_across_starts(self, reducer_1d):
+        runs = [rd.minimize_peaks(
+                    reducer_1d, rd.PeakConfig(0.05, [[y]], delta=0.5,
+                                              theta=0.8))
+                for y in (0.36, 0.2)]
+        (b1, _, i1), (b2, _, i2) = runs
+        for info in (i1, i2):
+            assert info["termination"] == "converged"
+            assert isinstance(info["hessian_eigenvalues"], list)
+            assert all(ev > 0 for ev in info["hessian_eigenvalues"])
+            assert info["grad_norm"] < 1e-10
+        assert np.abs(b1.y - b2.y).max() < 1e-10
+        e1, e2 = i1["hessian_eigenvalues"][0], i2["hessian_eigenvalues"][0]
+        assert abs(e1 - e2) < 1e-8 * abs(e1)
+
+    def test_step_out_of_d_halved_to_boundary(self, reducer_1d):
+        # the minimizer drifts about 2e-3 from the well, beyond this delta
+        y0 = rd.PeakConfig(0.05, [[0.3]], delta=1e-3, theta=0.8)
+        with pytest.warns(BoundaryMinimizerWarning):
+            best, _, info = rd.minimize_peaks(reducer_1d, y0)
+        assert info["rejected"] > 0
+        assert info["termination"] == "boundary"
         ok, _ = best.admissibility(reducer_1d.potential)
         assert ok
+
+    def test_evaluation_bound_raises(self, reducer_1d, monkeypatch):
+        monkeypatch.setattr(rd, "MAX_SEARCH_EVALUATIONS", 3)
+        y0 = rd.PeakConfig(0.05, [[0.36]], delta=0.5, theta=0.8)
+        with pytest.raises(IterationError) as exc:
+            rd.minimize_peaks(reducer_1d, y0)
+        assert exc.value.iterations > 3
+        assert exc.value.residual > 0
 
     def test_start_outside_d_raises(self, reducer_1d):
         with pytest.raises(ParameterError):

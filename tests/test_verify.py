@@ -6,7 +6,8 @@ import pytest
 from fkpeaks import reduction as rd
 from fkpeaks import spectral as sp
 from fkpeaks import verify as vf
-from fkpeaks.errors import GeometryError, NoContractionError, ParameterError
+from fkpeaks.errors import (GeometryError, IterationError,
+                            NoContractionError, ParameterError)
 
 
 from tests_support import manufactured_classical
@@ -277,6 +278,18 @@ class TestUniquenessProbe:
         assert rep.notes == "partial report"
         assert len(rep.measured["failed"]) == 1
         assert rep.measured["failed"][0]["start"] == 1
+
+    def test_singular_search_is_a_failed_start(self, quick_reducer,
+                                               monkeypatch):
+        # a constant reduced gradient has a zero Jacobian
+        monkeypatch.setattr(rd, "reduced_gradient_total",
+                            lambda *a, **kw: np.ones(1))
+        cfg = rd.PeakConfig(0.1, [[0.25]], delta=0.4, theta=0.8)
+        with pytest.raises(IterationError, match="eigenvalues"):
+            rd.minimize_peaks(quick_reducer, cfg)
+        rep = vf.uniqueness_probe(quick_reducer, 0.1, [cfg], tol=1e-6)
+        assert rep.passed is None
+        assert [f["start"] for f in rep.measured["failed"]] == [0]
 
     def test_programming_error_propagates(self, quick_reducer, monkeypatch):
         def broken(red, cfg, **kw):
