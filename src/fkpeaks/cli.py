@@ -239,16 +239,21 @@ def _reducer_for(manifest, params, grid, potential):
     )
 
 
-def _run_one_eps(manifest, params, grid, potential, eps, minimize) -> dict:
-    red = _reducer_for(manifest, params, grid, potential)
+def _search_options(manifest, potential) -> tuple[np.ndarray, float]:
+    """The start offset from the wells and the correction tolerance."""
     offset = np.asarray(manifest.options.get("y0_offset", 0.0))
-    records = rd.sweep_reduction(
-        red, [eps], manifest.delta, manifest.theta,
-        y0_offset=np.broadcast_to(offset, potential.peaks.shape),
-        minimize=minimize,
-        outer_tol_factor=float(manifest.tolerances.get("correction", 1e-10)),
+    return (np.broadcast_to(offset, potential.peaks.shape),
+            float(manifest.tolerances.get("correction", 1e-10)))
+
+
+def _sweep(manifest, params, grid, potential, eps_list,
+           minimize) -> list[dict]:
+    red = _reducer_for(manifest, params, grid, potential)
+    offset, outer = _search_options(manifest, potential)
+    return rd.sweep_reduction(
+        red, eps_list, manifest.delta, manifest.theta, y0_offset=offset,
+        minimize=minimize, outer_tol_factor=outer,
     )
-    return records[0]
 
 
 def _stage_reduce(manifest, params, grid, potential, run_dir) -> dict:
@@ -257,12 +262,9 @@ def _stage_reduce(manifest, params, grid, potential, run_dir) -> dict:
     eps = float(manifest.eps[0])
     minimize = bool(manifest.options.get("minimize", True))
     red = _reducer_for(manifest, params, grid, potential)
-    offset = np.asarray(manifest.options.get("y0_offset", 0.0))
-    cfg0 = rd.PeakConfig(
-        eps, potential.peaks + np.broadcast_to(offset, potential.peaks.shape),
-        manifest.delta, manifest.theta,
-    )
-    outer = float(manifest.tolerances.get("correction", 1e-10))
+    offset, outer = _search_options(manifest, potential)
+    cfg0 = rd.PeakConfig(eps, potential.peaks + offset, manifest.delta,
+                         manifest.theta)
     if minimize:
         best, sol, info = rd.minimize_peaks(red, cfg0, outer_tol_factor=outer)
     else:
@@ -308,20 +310,14 @@ def _stage_sweep(manifest, params, grid, potential, run_dir) -> dict:
     minimize = bool(manifest.options.get("minimize", True))
     eps_list = sorted((float(e) for e in manifest.eps), reverse=True)
     if manifest.threads > 1:
-        args = [(manifest, params, grid, potential, e, minimize)
-                for e in eps_list]
         with futures.ThreadPoolExecutor(max_workers=manifest.threads) as pool:
-            records = list(pool.map(lambda a: _run_one_eps(*a), args))
+            records = list(pool.map(
+                lambda e: _sweep(manifest, params, grid, potential, [e],
+                                 minimize)[0],
+                eps_list))
     else:
-        red = _reducer_for(manifest, params, grid, potential)
-        offset = np.asarray(manifest.options.get("y0_offset", 0.0))
-        records = rd.sweep_reduction(
-            red, eps_list, manifest.delta, manifest.theta,
-            y0_offset=np.broadcast_to(offset, potential.peaks.shape),
-            minimize=minimize,
-            outer_tol_factor=float(
-                manifest.tolerances.get("correction", 1e-10)),
-        )
+        records = _sweep(manifest, params, grid, potential, eps_list,
+                         minimize)
     with open(run_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eps", "phi_norm", "energy_over_epsN", "max_drift",

@@ -9,6 +9,10 @@ unit-potential ground state this is L+ (c = 1, A = a + b ||(-Delta)^(s/2)
 U||^2), and nondegeneracy means its kernel is exactly span{d_j U}; the
 reduction uses the same operator as L_eps, with c = V and the weight
 b eps^(4s-N).
+
+The kernel comes from Lanczos on the n+1 lowest eigenvalues with a
+magnitude certificate; this serves operators with few negative
+eigenvalues such as L+ (Morse index 1).
 """
 
 from __future__ import annotations
@@ -118,18 +122,34 @@ def _dense_matrix(op: LinearizedOperator) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def smallest_magnitude(vals: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the n smallest |lambda| among the k lowest eigenvalues.
+
+    Magnitude certificate: every eigenvalue not computed lies at or above
+    max(vals), so the pick is the true n smallest in magnitude only when
+    no picked |lambda| exceeds max(vals).  Raises EigensolverError when
+    one does: the smallest magnitudes may then lie outside the block.
+    """
+    order = np.argsort(np.abs(vals), kind="stable")[:n]
+    top = float(np.max(vals))
+    if np.any(np.abs(vals[order]) > top):
+        raise EigensolverError(
+            f"smallest |eigenvalue| not certified: picked {vals[order].tolist()}"
+            f" but the largest computed eigenvalue is {top:.6e}",
+        )
+    return order
+
+
 def kernel_spectrum(op: LinearizedOperator, n: int,
-                    method: str = "iterative",
-                    inner_rtol: float = 1e-9,
-                    maxiter: int = 4000) -> list[tuple[float, Field]]:
+                    method: str = "iterative") -> list[tuple[float, Field]]:
     """The n smallest-magnitude eigenpairs of the discretized operator.
 
-    `iterative` runs restarted shift-inverted Lanczos (ARPACK) at shift 0
-    with matrix-free inner MINRES solves preconditioned by the spectral
-    part; eigenvalues are re-evaluated as Rayleigh quotients of the
-    returned vectors.  `dense` assembles the matrix column by column and
-    diagonalises it (cross-validation oracle on small grids).
-    Eigenfields are L2-normalised.
+    `iterative` runs Lanczos (ARPACK) on the n+1 lowest eigenvalues with a
+    magnitude certificate (`smallest_magnitude`); it serves operators
+    with few negative eigenvalues such as L+, whose kernel and single
+    negative direction lie among them.  `dense` assembles the matrix
+    column by column and diagonalises it (cross-validation oracle on
+    small grids).  Eigenfields are L2-normalised.
     """
     if n < 1 or n > 2 * op.grid.dim + 4:
         raise ParameterError(f"n must lie in [1, 2N+4], got {n}")
@@ -140,72 +160,42 @@ def kernel_spectrum(op: LinearizedOperator, n: int,
     if method == "dense":
         if npts > 6000:
             raise ParameterError("dense spectrum limited to small grids")
-        mat = _dense_matrix(op)
-        vals, vecs = np.linalg.eigh(mat)
+        vals, vecs = np.linalg.eigh(_dense_matrix(op))
         order = np.argsort(np.abs(vals))[:n]
-        pairs = []
-        for idx in order:
-            v = vecs[:, idx].reshape(shape)
-            v = v / np.sqrt(h * (v**2).sum())
-            pairs.append((float(vals[idx]), Field(op.grid, v)))
-        return pairs
-    if method != "iterative":
+    elif method == "iterative":
+        def matvec(flat):
+            return op.apply_values(flat.reshape(shape)).ravel()
+
+        a_op = sla.LinearOperator((npts, npts), matvec=matvec, dtype=float)
+        v0 = np.cos(np.arange(npts) * 0.37) + 0.5  # fixed deterministic start
+        try:
+            vals, vecs = sla.eigsh(a_op, k=n + 1, which="SA", v0=v0,
+                                   tol=1e-10)
+        except sla.ArpackNoConvergence as exc:
+            ritz = []
+            if exc.eigenvalues is not None and exc.eigenvectors is not None:
+                for lam, vec in zip(exc.eigenvalues, exc.eigenvectors.T):
+                    r = np.linalg.norm(matvec(vec) - lam * vec)
+                    ritz.append(float(r))
+            raise EigensolverError(
+                f"Lanczos stagnated ({exc})", ritz_residuals=ritz,
+            ) from exc
+        order = smallest_magnitude(vals, n)
+    else:
         raise ParameterError(f"unknown method {method!r}")
 
-    def matvec(flat):
-        return op.apply_values(flat.reshape(shape)).ravel()
-
-    a_op = sla.LinearOperator((npts, npts), matvec=matvec, dtype=float)
-    precond_arr = 1.0 / (op.coefficient * op.grid.symbol(op.s) + op.c)
-    m_op = sla.LinearOperator(
-        (npts, npts),
-        matvec=lambda v: sp._ifftn(precond_arr * sp._fftn(v.reshape(shape))).real.ravel(),
-        dtype=float,
-    )
-    solve_failures = []
-
-    def opinv(rhs):
-        x, info = sla.minres(a_op, rhs, rtol=inner_rtol, maxiter=maxiter, M=m_op)
-        if info > 0:
-            solve_failures.append(info)
-        return x
-
-    opinv_op = sla.LinearOperator((npts, npts), matvec=opinv, dtype=float)
-    v0 = np.cos(np.arange(npts) * 0.37) + 0.5  # fixed deterministic start
-    try:
-        vals, vecs = sla.eigsh(a_op, k=n, sigma=0.0, which="LM", v0=v0,
-                               OPinv=opinv_op, maxiter=300, tol=1e-10)
-    except sla.ArpackNoConvergence as exc:
-        ritz = []
-        if exc.eigenvalues is not None and exc.eigenvectors is not None:
-            for lam, vec in zip(exc.eigenvalues, exc.eigenvectors.T):
-                r = np.linalg.norm(matvec(vec) - lam * vec)
-                ritz.append(float(r))
-        raise EigensolverError(
-            f"shift-invert Lanczos stagnated ({exc})", ritz_residuals=ritz,
-        ) from exc
-    if len(solve_failures) > len(vals) * 50:
-        raise EigensolverError(
-            f"inner MINRES failed to converge {len(solve_failures)} times",
-            ritz_residuals=None,
-        )
-
     pairs = []
-    for idx in range(vals.size):
-        v = vecs[:, idx]
-        # Rayleigh quotient cleans up inexact-inverse bias
-        lam = float(v @ matvec(v) / (v @ v))
-        vn = v.reshape(shape) / np.sqrt(h * (v**2).sum())
-        pairs.append((lam, Field(op.grid, vn)))
-    pairs.sort(key=lambda t: abs(t[0]))
-    return pairs[:n]
+    for idx in order:
+        v = vecs[:, idx].reshape(shape)
+        v = v / np.sqrt(h * (v**2).sum())
+        pairs.append((float(vals[idx]), Field(op.grid, v)))
+    return pairs
 
 
 def subspace_cosines(op: LinearizedOperator,
                      fields: list[Field]) -> list[float]:
     """Cosine of each field against span{d_j U} (orthogonal projection)."""
     modes = translation_modes(op)
-    h = op.grid.spacing**op.grid.dim
     basis = np.stack([m.values.ravel() for m in modes])
     q, _ = np.linalg.qr(basis.T)
     out = []

@@ -32,6 +32,7 @@ from scipy.sparse import linalg as sla
 from . import spectral as sp
 from .errors import (
     BoundaryMinimizerWarning,
+    EigensolverError,
     GridMismatchError,
     IterationError,
     LinearSolveError,
@@ -46,7 +47,7 @@ from .groundstate import (
     residual_density,
     solve_profile,
 )
-from .kernel import LinearizedOperator
+from .kernel import LinearizedOperator, smallest_magnitude
 from .spectral import Field, GridSpec, ProblemParams
 
 
@@ -93,16 +94,12 @@ class Potential:
     @classmethod
     def constant(cls, value: float, dim: int = 1) -> "Potential":
         """Constant potential (no wells); peak metadata is a formal origin."""
-        pot = cls.__new__(cls)
-        pot.fn = lambda pts: np.full(np.asarray(pts).shape[:-1], float(value))
-        pot.peaks = np.zeros((1, dim))
-        pot.coeffs = np.ones((1, dim))
-        pot.m = 2.0
-        pot.holder = 1.0
-        pot.grad_fn = lambda pts, axis: np.zeros(np.asarray(pts).shape[:-1])
-        pot._grid_cache = {}
-        pot._constant = float(value)
-        return pot
+        return cls(
+            lambda pts: np.full(np.asarray(pts).shape[:-1], float(value)),
+            peaks=np.zeros((1, dim)), coeffs=np.ones((1, dim)), m=2.0,
+            holder=1.0,
+            grad_fn=lambda pts, axis: np.zeros(np.asarray(pts).shape[:-1]),
+        )
 
     @classmethod
     def single_well(cls, center, value: float, coeffs, m: float,
@@ -899,35 +896,40 @@ def energy_constants(sys: SystemSolution) -> tuple[float, list[float]]:
 def coercivity_estimate(red: Reducer, cfg: PeakConfig, n_eigs: int = 2,
                         tol: float = 1e-7, maxiter: int = 400) -> float:
     """Invertibility constant of the projected, preconditioned quadratic
-    form on E_{eps,y}: the smallest |Ritz value|.
+    form on E_{eps,y}: the smallest |eigenvalue|.
 
     The form is indefinite on E (the profile's single negative direction
     is not a translation mode and survives the projection), so the
-    quantitative content of the inversion lemma is min |lambda| >= rho > 0,
-    estimated here through the squared operator.
+    quantitative content of the inversion lemma is min |lambda| >= rho > 0.
+    LOBPCG finds the n_eigs lowest eigenvalues on E (the constraints
+    deflate the translation directions exactly), and the magnitude
+    certificate of kernel.smallest_magnitude picks min |lambda| among
+    them.  Raises EigensolverError when the pairs miss `tol`.
     """
     fr = red.frame(cfg)
     npts = red.grid.points_per_dim**red.grid.dim
 
-    def apply_sq(block):
-        block = block.reshape(npts, -1)
+    def apply(block):
         out = np.empty_like(block)
         for col in range(block.shape[1]):
-            out[:, col] = fr.apply_hat(fr.apply_hat(block[:, col], fr.L), fr.L)
+            out[:, col] = fr.apply_hat(block[:, col], fr.L)
         return out
 
-    op = sla.LinearOperator((npts, npts), matmat=apply_sq,
-                            matvec=lambda v: apply_sq(v)[:, 0], dtype=float)
     rng = np.random.default_rng(7)
     x0 = rng.standard_normal((npts, n_eigs))
     for col in range(n_eigs):
         x0[:, col] = fr.project(x0[:, col])
-    y_constraints = fr.Qc.T
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        vals, _ = sla.lobpcg(op, x0, Y=y_constraints, largest=False,
-                             tol=tol, maxiter=maxiter)
-    return float(math.sqrt(max(np.min(vals), 0.0)))
+    vals, _, history = sla.lobpcg(apply, x0, Y=fr.Qc.T, largest=False,
+                                  tol=tol, maxiter=maxiter,
+                                  retResidualNormsHistory=True)
+    residuals = np.atleast_1d(history[-1])
+    if np.max(residuals) > tol:
+        raise EigensolverError(
+            f"LOBPCG missed tol {tol:.1e} on E_eps_y: residuals "
+            f"{residuals.tolist()}",
+            ritz_residuals=residuals.tolist(),
+        )
+    return float(abs(vals[smallest_magnitude(vals, 1)[0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -949,7 +951,9 @@ def minimize_peaks(
     formula) with a symmetrised forward-difference Jacobian.  A step is
     accepted when it lowers sup|grad j|, not j: near the minimiser the
     changes of j fall below its roundoff.  Steps are clipped to the trust
-    radius and halved until they stay in D_{eps,delta}.  The search
+    radius and halved until they stay in D_{eps,delta}; the search ends
+    at the boundary when an accepted halved step leaves less than
+    1e-3 delta of slack or a step is halved below a floor.  It
     converges when the Newton step solved with a Jacobian built at the
     current y falls below a floor; that Jacobian's eigenvalues are the
     certificate (all positive: a strict local minimum).  The returned
@@ -962,12 +966,17 @@ def minimize_peaks(
     delta, peaks = y0.delta, red.potential.peaks
     k, n = y0.y.shape
     floor = 1e-13
+    boundary_tol = 1e-3 * delta
     fd_h = max(1e-3 * delta, 1.6e-7)
     count = {"evaluations": 0, "newton_steps": 0, "rejected": 0}
     warm = None
 
     def admissible(y) -> bool:
         return y0.with_y(y.reshape(k, n)).admissibility(red.potential)[0]
+
+    def slack(y) -> float:
+        return float(delta - np.linalg.norm(y.reshape(k, n) - peaks,
+                                            axis=1).max())
 
     def gradient_at(y) -> np.ndarray:
         nonlocal warm
@@ -1021,10 +1030,11 @@ def minimize_peaks(
         shortened = norm > radius
         if shortened:
             step *= radius / norm
+        halved = False
         while not admissible(y + step):
             step *= 0.5
             count["rejected"] += 1
-            shortened = True
+            shortened = halved = True
             if float(np.abs(step).max()) < floor:
                 termination = "boundary"
                 break
@@ -1036,7 +1046,11 @@ def minimize_peaks(
             y, g = y + step, g_new
             count["newton_steps"] += 1
             fresh = False
-            if shortened:
+            if halved and slack(y) < boundary_tol:
+                # the minimiser lies beyond D: each further step would
+                # only halve the gap to the boundary
+                termination = "boundary"
+            elif shortened:
                 radius = min(2.0 * radius, delta)
             elif new_norm > 0.25 * gnorm:
                 jac, fresh = jacobian_at(y, g), True
@@ -1048,10 +1062,8 @@ def minimize_peaks(
             radius = 0.5 * float(np.abs(step).max())
 
     best = y0.with_y(y.reshape(k, n))
-    boundary_slack = float(
-        delta - np.linalg.norm(best.y - peaks, axis=1).max()
-    )
-    if boundary_slack < 1e-3 * delta:
+    boundary_slack = slack(y)
+    if boundary_slack < boundary_tol:
         warnings.warn(
             "reduced-energy minimiser sits on the D_eps_delta boundary "
             f"(slack {boundary_slack:.2e}); interior minimum not confirmed",

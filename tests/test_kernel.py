@@ -4,7 +4,8 @@ import pytest
 from fkpeaks import groundstate as gs
 from fkpeaks import kernel as kn
 from fkpeaks import spectral as sp
-from fkpeaks.errors import GridMismatchError, ParameterError
+from fkpeaks.errors import (EigensolverError, GridMismatchError,
+                             ParameterError)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,16 @@ def small_operator(frac_params):
     return kn.LinearizedOperator.from_kirchhoff(ground)
 
 
+@pytest.fixture(scope="module")
+def operator_2d():
+    # two-dimensional kernel: small enough for the dense oracle
+    grid = sp.GridSpec(2, 6.0, 32)
+    base = gs.solve_Q(grid, 0.75, 2.0, tol=1e-11)
+    params = sp.ProblemParams(2, 0.75, 2.0, 1.0, 0.05)
+    ground = gs.kirchhoff_scale(base, params, c=1.0)
+    return kn.LinearizedOperator.from_kirchhoff(ground)
+
+
 class TestKernelSpectrum:
     def test_kernel_dimension_and_alignment(self, small_operator):
         report = kn.kernel_report(small_operator, n=6)
@@ -80,11 +91,25 @@ class TestKernelSpectrum:
         report = kn.kernel_report(small_operator, n=6)
         assert report["negative_count"] == 1
 
-    def test_dense_agrees_with_iterative(self, small_operator):
-        it_pairs = kn.kernel_spectrum(small_operator, 4, method="iterative")
-        de_pairs = kn.kernel_spectrum(small_operator, 4, method="dense")
+    @pytest.mark.parametrize("name", ["small_operator", "operator_2d"])
+    def test_dense_agrees_with_iterative(self, name, request):
+        op = request.getfixturevalue(name)
+        it_pairs = kn.kernel_spectrum(op, 4, method="iterative")
+        de_pairs = kn.kernel_spectrum(op, 4, method="dense")
         for (li, _), (ld, _) in zip(it_pairs, de_pairs):
             assert li == pytest.approx(ld, abs=1e-8)
+        assert max(kn.kernel_report(op, n=4)["pair_residuals"]) <= 1e-8
+
+    def test_uncertified_magnitudes_raise(self):
+        # every low eigenvalue of |xi|^2s - 5 sits near -5, far from the
+        # smallest magnitudes near |xi|^2s = 5
+        grid = sp.GridSpec(1, 10.0, 128)
+        op = kn.LinearizedOperator(
+            profile=sp.Field.zeros(grid), s=0.6, p=2.0,
+            coefficient=1.0, b=0.0, c=-5.0,
+        )
+        with pytest.raises(EigensolverError):
+            kn.kernel_spectrum(op, 3)
 
     def test_gap_quantitative(self, small_operator):
         pairs = kn.kernel_spectrum(small_operator, 3, method="iterative")

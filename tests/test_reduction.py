@@ -5,8 +5,8 @@ from fkpeaks import groundstate as gs
 from fkpeaks import kernel as kn
 from fkpeaks import reduction as rd
 from fkpeaks import spectral as sp
-from fkpeaks.errors import (BoundaryMinimizerWarning, IterationError,
-                            ParameterError)
+from fkpeaks.errors import (BoundaryMinimizerWarning, EigensolverError,
+                            IterationError, ParameterError)
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +279,12 @@ class TestApplyLeps:
         rho = rd.coercivity_estimate(reducer_1d, cfg, n_eigs=2)
         assert rho > 0.0
 
+    @pytest.mark.filterwarnings("ignore:Exited")
+    def test_unconverged_coercivity_raises(self, reducer_1d):
+        cfg = rd.PeakConfig(0.05, [[0.3]], delta=0.5, theta=0.8)
+        with pytest.raises(EigensolverError):
+            rd.coercivity_estimate(reducer_1d, cfg, maxiter=2)
+
     def test_quadratic_form_matches_energy_second_difference(self, reducer_1d):
         cfg = rd.PeakConfig(0.1, [[0.3]], delta=0.5, theta=0.8)
         fr = reducer_1d.frame(cfg)
@@ -423,6 +429,7 @@ class TestMinimizePeaks:
             best, _, info = rd.minimize_peaks(reducer_1d, y0)
         assert info["rejected"] > 0
         assert info["termination"] == "boundary"
+        assert info["evaluations"] <= 14
         ok, _ = best.admissibility(reducer_1d.potential)
         assert ok
 
