@@ -91,7 +91,7 @@ def solve_profile(
     residual = np.inf
     for it in range(1, max_iter + 1):
         uhat = sp._fftn(u)
-        lu = sp._ifftn(mult * uhat).real
+        lu = sp._ifftn(mult * uhat)
         up = sp.pos_power(u, p)
         num = w_quad * float(np.vdot(lu, u).real)
         den = w_quad * float(np.vdot(up, u).real)
@@ -102,7 +102,7 @@ def solve_profile(
             )
         gamma = num / den
         gammas.append(gamma)
-        u_new = gamma**exponent * sp._ifftn(sp._fftn(up) / mult).real
+        u_new = gamma**exponent * sp._ifftn(sp._fftn(up) / mult)
         if symmetrize:
             u_new = _symmetrize(u_new)
         u = u_new
@@ -118,7 +118,7 @@ def solve_profile(
                 iterations=it,
             )
         uhat = sp._fftn(u)
-        res = sp._ifftn(mult * uhat).real - sp.pos_power(u, p)
+        res = sp._ifftn(mult * uhat) - sp.pos_power(u, p)
         residual = float(np.abs(res).max())
         if residual < tol:
             return Field(grid, u), residual, gammas, it

@@ -75,16 +75,16 @@ class LinearizedOperator:
     def apply_values(self, vals: np.ndarray) -> np.ndarray:
         """L v on grid values (2 transforms)."""
         sym = self.grid.symbol(self.s)
-        out = self.coefficient * sp._ifftn(sym * sp._fftn(vals)).real
+        out = self.coefficient * sp._ifftn(sym * sp._fftn(vals))
         return self._add_lower_order(out, vals)
 
     def apply_conjugated(self, vals: np.ndarray, m: np.ndarray) -> np.ndarray:
         """m L m v for a real Fourier multiplier m (4 transforms)."""
         vhat = sp._fftn(vals)
-        u = sp._ifftn(m * vhat).real
+        u = sp._ifftn(m * vhat)
         g = self._add_lower_order(np.zeros_like(u), u)
         diag = self.coefficient * self.grid.symbol(self.s) * m * vhat
-        return sp._ifftn(diag * m + m * sp._fftn(g)).real
+        return sp._ifftn(diag * m + m * sp._fftn(g))
 
     def _add_lower_order(self, out: np.ndarray,
                          vals: np.ndarray) -> np.ndarray:
@@ -168,9 +168,13 @@ def kernel_spectrum(op: LinearizedOperator, n: int,
 
         a_op = sla.LinearOperator((npts, npts), matvec=matvec, dtype=float)
         v0 = np.cos(np.arange(npts) * 0.37) + 0.5  # fixed deterministic start
+        # A Krylov space from one start sees a repeated eigenvalue such as
+        # the N-fold kernel only through rounding; a subspace that grows
+        # with n keeps the apply count from swinging with roundoff.
+        ncv = min(npts - 1, max(20, 5 * (n + 1)))
         try:
             vals, vecs = sla.eigsh(a_op, k=n + 1, which="SA", v0=v0,
-                                   tol=1e-10)
+                                   tol=1e-10, ncv=ncv)
         except sla.ArpackNoConvergence as exc:
             ritz = []
             if exc.eigenvalues is not None and exc.eigenvectors is not None:

@@ -533,7 +533,7 @@ class _Frame:
         self.p0_isqrt = 1.0 / np.sqrt(self.p0)
         # orthonormal basis of preconditioned constraint densities
         wmat = np.stack([
-            sp._ifftn(self.p0_isqrt * sp._fftn(d)).real.ravel() for d in dens
+            sp._ifftn(self.p0_isqrt * sp._fftn(d)).ravel() for d in dens
         ])
         q, _ = np.linalg.qr(wmat.T)
         self.Qc = q.T.copy()
@@ -543,7 +543,7 @@ class _Frame:
     def _p_apply(self, vals: np.ndarray) -> np.ndarray:
         """eps-inner-product representative density P f = eps^2s a (-D)^s f + V f."""
         sym = self.red.grid.symbol(self.red.params.s)
-        fl = sp._ifftn(sym * sp._fftn(vals)).real
+        fl = sp._ifftn(sym * sp._fftn(vals))
         return self.a_eps * fl + self.V * vals
 
     def project(self, flat: np.ndarray) -> np.ndarray:
@@ -555,10 +555,9 @@ class _Frame:
         The Krylov projector lives in preconditioned coordinates
         xi = P0^(1/2) phi, so conjugate through P0^(±1/2).
         """
-        xi = sp._ifftn(np.sqrt(self.p0) * sp._fftn(vals)).real.ravel()
+        xi = sp._ifftn(np.sqrt(self.p0) * sp._fftn(vals)).ravel()
         xi = self.project(xi)
-        return sp._ifftn(self.p0_isqrt
-                         * sp._fftn(xi.reshape(vals.shape))).real
+        return sp._ifftn(self.p0_isqrt * sp._fftn(xi.reshape(vals.shape)))
 
     def apply_hat(self, flat: np.ndarray,
                   lin: LinearizedOperator) -> np.ndarray:
@@ -643,7 +642,7 @@ class _Frame:
         lin = self.L if lin is None else lin
         op = sla.LinearOperator((npts, npts), dtype=float,
                                 matvec=lambda v: self.apply_hat(v, lin))
-        b = -sp._ifftn(self.p0_isqrt * sp._fftn(rhs_density)).real.ravel()
+        b = -sp._ifftn(self.p0_isqrt * sp._fftn(rhs_density)).ravel()
         b = self.project(b)
         bnorm = float(np.linalg.norm(b))
         if bnorm == 0.0:
@@ -656,7 +655,7 @@ class _Frame:
                 f"(rhs norm {bnorm:.3e}, info={info})"
             )
         xi = self.project(xi)
-        return sp._ifftn(self.p0_isqrt * sp._fftn(xi.reshape(shape))).real
+        return sp._ifftn(self.p0_isqrt * sp._fftn(xi.reshape(shape)))
 
     def multipliers(self, grad_density: np.ndarray) -> np.ndarray:
         """Lagrange multipliers of the constrained stationarity system."""
@@ -717,7 +716,7 @@ def ell_norm(red: Reducer, cfg: PeakConfig) -> float:
     """Dual norm of l_eps restricted to E_{eps,y} (preconditioner estimate)."""
     fr = red.frame(cfg)
     dens = fr.gradient_density(fr.U)
-    b = sp._ifftn(fr.p0_isqrt * sp._fftn(dens)).real.ravel()
+    b = sp._ifftn(fr.p0_isqrt * sp._fftn(dens)).ravel()
     return float(np.linalg.norm(fr.project(b)) * math.sqrt(fr.h))
 
 

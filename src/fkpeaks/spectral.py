@@ -3,6 +3,15 @@
 Conventions:
   - uniform grid x_m = -L + m*h, h = 2L/M, m = 0..M-1, per axis;
   - discrete wavenumbers xi = (pi/L)*k with k in {-M/2, ..., M/2-1};
+  - every field is real, so transforms are real FFTs and a spectrum is
+    the half spectrum: the full FFT layout on every axis but the last,
+    which keeps only k = 0..M/2 (`GridSpec.wavenumbers(axis)`); the
+    omitted modes are the complex conjugates of the kept ones, and every
+    grid multiplier (`xi_sq`, `symbol`, `nyquist_mask`) lives on the same
+    half-size array;
+  - Parseval sums over the half spectrum weigh each mode by the number of
+    full-spectrum modes it stands for (`GridSpec.hermitian_weights`): 1 on
+    the k = 0 and k = M/2 columns of the last axis, 2 elsewhere;
   - the fractional Laplacian acts as the Fourier multiplier |xi|^(2s),
     so plane waves at grid wavenumbers are exact eigenfunctions;
   - quadrature is the rectangle rule h^N * sum(values), spectrally
@@ -28,11 +37,13 @@ from .errors import (
 )
 
 def _fftn(a):
-    return sfft.fftn(a)
+    return sfft.rfftn(a)
 
 
 def _ifftn(a):
-    return sfft.ifftn(a)
+    # the last axis has M/2 + 1 modes with M even, so irfftn's default
+    # output length M is the grid's
+    return sfft.irfftn(a)
 
 
 @dataclass(frozen=True)
@@ -70,9 +81,28 @@ class GridSpec:
 
     @cached_property
     def wavenumbers_axis(self) -> np.ndarray:
-        """Signed wavenumbers xi = (pi/L) k along one axis, FFT layout."""
+        """Signed wavenumbers xi = (pi/L) k along one axis, full FFT layout."""
         m = self.points_per_dim
         return 2.0 * np.pi * sfft.fftfreq(m, d=self.spacing)
+
+    @cached_property
+    def wavenumbers_half(self) -> np.ndarray:
+        """Wavenumbers xi = (pi/L) k, k = 0..M/2, of the last axis."""
+        return 2.0 * np.pi * sfft.rfftfreq(self.points_per_dim, d=self.spacing)
+
+    def wavenumbers(self, axis: int) -> np.ndarray:
+        """Wavenumbers along `axis` in the half-spectrum layout."""
+        if axis == self.dim - 1:
+            return self.wavenumbers_half
+        return self.wavenumbers_axis
+
+    @cached_property
+    def hermitian_weights(self) -> np.ndarray:
+        """Parseval weights along the last axis: the number of full-spectrum
+        modes each half-spectrum column stands for."""
+        w = np.full(self.points_per_dim // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        return w
 
     @cached_property
     def coords(self) -> tuple[np.ndarray, ...]:
@@ -86,21 +116,19 @@ class GridSpec:
 
     @cached_property
     def xi_sq(self) -> np.ndarray:
-        """|xi|^2 on the tensor wavenumber grid."""
-        axes = np.meshgrid(*([self.wavenumbers_axis] * self.dim), indexing="ij")
+        """|xi|^2 on the half-spectrum wavenumber grid."""
+        axes = np.meshgrid(*(self.wavenumbers(ax) for ax in range(self.dim)),
+                           indexing="ij")
         return sum(a**2 for a in axes)
 
     @cached_property
     def nyquist_mask(self) -> np.ndarray:
         """Boolean mask of modes containing a Nyquist component."""
+        # k = M/2 sits at index M/2 in both layouts
         m = self.points_per_dim
-        one = np.zeros(m, dtype=bool)
-        one[m // 2] = True
-        masks = np.meshgrid(*([one] * self.dim), indexing="ij")
-        out = masks[0]
-        for extra in masks[1:]:
-            out = out | extra
-        return out
+        masks = np.meshgrid(*(np.arange(self.wavenumbers(ax).size) == m // 2
+                              for ax in range(self.dim)), indexing="ij")
+        return np.logical_or.reduce(masks)
 
     @cached_property
     def _symbols(self) -> dict[float, np.ndarray]:
@@ -133,13 +161,14 @@ class GridSpec:
 
 
 class Field:
-    """Real-valued grid function with a lazily cached Fourier transform.
+    """Real-valued grid function with a lazily cached half spectrum and
+    fractional Laplacian.
 
     Values are frozen after construction (shared safely across threads);
-    derived fields are new objects, so the spectral cache never goes stale.
+    derived fields are new objects, so the caches never go stale.
     """
 
-    __slots__ = ("grid", "values", "_spectral")
+    __slots__ = ("grid", "values", "_spectral", "_flap")
 
     def __init__(self, grid: GridSpec, values: np.ndarray, _spectral=None):
         values = np.asarray(values, dtype=float)
@@ -154,6 +183,7 @@ class Field:
         self.grid = grid
         self.values = values
         self._spectral = _spectral
+        self._flap = None  # (s, (-Delta)^s of this field)
 
     @classmethod
     def from_function(cls, grid: GridSpec, fn) -> "Field":
@@ -161,7 +191,7 @@ class Field:
 
     @classmethod
     def from_spectral(cls, grid: GridSpec, coeffs: np.ndarray) -> "Field":
-        vals = _ifftn(coeffs).real
+        vals = _ifftn(coeffs)
         return cls(grid, vals, _spectral=np.asarray(coeffs, dtype=complex))
 
     @classmethod
@@ -169,6 +199,7 @@ class Field:
         return cls(grid, np.zeros(grid.shape))
 
     def spectral(self) -> np.ndarray:
+        """The half spectrum rfftn(values) (see the module conventions)."""
         if self._spectral is None:
             self._spectral = _fftn(self.values)
         return self._spectral
@@ -245,18 +276,23 @@ def _same_grid(f: Field, g: Field) -> None:
 
 
 def fractional_laplacian(f: Field, s: float) -> Field:
-    """(-Delta)^s f via the |xi|^(2s) multiplier."""
+    """(-Delta)^s f via the |xi|^(2s) multiplier.  Memoised on f for the
+    last s asked, so the residual and the second variation at one field
+    share one product."""
     _check_field(f)
     _check_s(s)
-    coeffs = f.spectral() * f.grid.symbol(s)
-    return Field.from_spectral(f.grid, coeffs)
+    s = float(s)
+    if f._flap is None or f._flap[0] != s:
+        coeffs = f.spectral() * f.grid.symbol(s)
+        f._flap = (s, Field.from_spectral(f.grid, coeffs))
+    return f._flap[1]
 
 
 def half_laplacian(f: Field, s: float) -> Field:
     """(-Delta)^(s/2) f, i.e. the |xi|^s multiplier."""
     _check_field(f)
     _check_s(s)
-    coeffs = f.spectral() * f.grid.xi_sq ** (0.5 * s)
+    coeffs = f.spectral() * f.grid.symbol(0.5 * s)
     return Field.from_spectral(f.grid, coeffs)
 
 
@@ -291,12 +327,12 @@ def seminorm_sq(f: Field, s: float) -> float:
 def seminorm_inner(grid: GridSpec, s: float, uhat: np.ndarray,
                    vhat: np.ndarray | None = None) -> float:
     """int (-Delta)^(s/2) u (-Delta)^(s/2) v by Parseval from the
-    transforms uhat, vhat; vhat = None gives ||(-Delta)^(s/2) u||^2."""
-    # h^N/M^N normalisation: |fhat|^2 * (2L)^N / M^(2N)
+    half spectra uhat, vhat; vhat = None gives ||(-Delta)^(s/2) u||^2."""
+    # h^N/M^N normalisation: |fhat|^2 * (2L)^N / M^(2N); a mode and its
+    # omitted conjugate add up to twice the real part of either
     w = grid.spacing ** grid.dim / grid.points_per_dim ** grid.dim
-    if vhat is None:
-        return float(w * (grid.symbol(s) * np.abs(uhat) ** 2).sum())
-    return float(w * (grid.symbol(s) * (uhat.conj() * vhat)).sum().real)
+    prod = np.abs(uhat) ** 2 if vhat is None else (uhat.conj() * vhat).real
+    return float(w * (grid.symbol(s) * prod * grid.hermitian_weights).sum())
 
 
 def invert_shifted(g: Field, c: float, s: float) -> Field:
@@ -322,10 +358,10 @@ def derivative(f: Field, axis: int) -> Field:
     g = f.grid
     if not 0 <= axis < g.dim:
         raise ParameterError(f"axis {axis} out of range for dim {g.dim}")
-    xi = g.wavenumbers_axis.copy()
+    xi = g.wavenumbers(axis).copy()
     xi[g.points_per_dim // 2] = 0.0
     shape = [1] * g.dim
-    shape[axis] = g.points_per_dim
+    shape[axis] = xi.size
     coeffs = f.spectral() * (1j * xi.reshape(shape))
     return Field.from_spectral(g, coeffs)
 
@@ -344,11 +380,11 @@ def translate(f: Field, shift) -> Field:
     coeffs = f.spectral().copy()
     m = g.points_per_dim
     for axis in range(g.dim):
-        xi = g.wavenumbers_axis
+        xi = g.wavenumbers(axis)
         phase = np.exp(-1j * xi * shift[axis])
         phase[m // 2] = math.cos(xi[m // 2] * shift[axis])
         sh = [1] * g.dim
-        sh[axis] = m
+        sh[axis] = xi.size
         coeffs *= phase.reshape(sh)
     return Field.from_spectral(g, coeffs)
 
@@ -365,11 +401,13 @@ def interpolate(f: Field, points: np.ndarray) -> np.ndarray:
     if pts.shape[-1] != g.dim:
         raise GridMismatchError(f"points must have {g.dim} components")
     flat = pts.reshape(-1, g.dim)
-    coeffs = f.spectral() / g.points_per_dim ** g.dim
+    # the real part of the half-spectrum sum, each mode weighted by the
+    # full-spectrum modes it stands for
+    coeffs = f.spectral() * g.hermitian_weights / g.points_per_dim ** g.dim
     m = g.points_per_dim
-    xi = g.wavenumbers_axis
     out = coeffs
     for axis in range(g.dim):
+        xi = g.wavenumbers(axis)
         # FFT indices correspond to x + L, not x
         offset = flat[:, axis] + g.half_width
         basis = np.exp(1j * np.outer(offset, xi))
@@ -396,7 +434,7 @@ def random_band_limited(grid: GridSpec, cutoff: float, seed,
     mask = grid.xi_sq <= cutoff**2
     coeffs = np.where(mask, coeffs, 0.0)
     coeffs[grid.nyquist_mask] = 0.0
-    out = _ifftn(coeffs).real
+    out = _ifftn(coeffs)
     peak = np.abs(out).max()
     if peak > 0:
         out = out * (amplitude / peak)

@@ -1,12 +1,7 @@
-import warnings
-
 import pytest
 
 from fkpeaks import groundstate as gs
 from fkpeaks import spectral as sp
-from fkpeaks.errors import TailTruncationWarning
-
-warnings.simplefilter("ignore", TailTruncationWarning)
 
 
 @pytest.fixture(scope="session")

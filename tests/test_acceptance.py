@@ -15,6 +15,7 @@ from fkpeaks import kernel as kn
 from fkpeaks import reduction as rd
 from fkpeaks import spectral as sp
 from fkpeaks import verify as vf
+from tests_support import TRUNCATES_BY_DESIGN
 
 
 def announce(number: int, t0: float, detail: str) -> None:
@@ -163,6 +164,7 @@ class TestCriterion6:
                         f"(M=512, N=1)")
 
 
+@TRUNCATES_BY_DESIGN
 class TestCriterion7:
     def test_contraction_sweep(self):
         t0 = time.time()
@@ -185,6 +187,7 @@ class TestCriterion7:
                         f"{worst_orth:.1e} < 1e-8, eps in [0.02, 0.16]")
 
 
+@TRUNCATES_BY_DESIGN
 class TestCriterion8:
     def test_energy_expansion(self, sweep_2d):
         t0 = time.time()
@@ -219,6 +222,7 @@ class TestCriterion8:
                         f" < 0.15")
 
 
+@TRUNCATES_BY_DESIGN
 class TestCriterion9:
     def test_asymptotic_exponents(self, sweep_2d):
         t0 = time.time()
@@ -237,6 +241,7 @@ class TestCriterion9:
                         f"(sweep wall {sweep_2d['wall']:.0f}s < 20 min)")
 
 
+@TRUNCATES_BY_DESIGN
 class TestCriterion10:
     def test_local_uniqueness(self, sweep_2d):
         t0 = time.time()

@@ -7,6 +7,7 @@ from fkpeaks import cli
 from fkpeaks import io as fio
 from fkpeaks import spectral as sp
 from fkpeaks.errors import BoundaryMinimizerWarning, ParameterError
+from tests_support import TRUNCATES_BY_DESIGN
 
 
 def manifest_groundstate(tmp_path):
@@ -102,6 +103,7 @@ class TestSystemCommand:
         assert (run_dir / "peak_1.bin").exists()
 
 
+@TRUNCATES_BY_DESIGN
 class TestSweepCommand:
     def test_sweep_emits_records_and_asymptotics(self, tmp_path):
         m = cli.RunManifest.from_dict(manifest_sweep(tmp_path))
@@ -198,6 +200,7 @@ class TestVerifyCommand:
         assert status == 3
 
 
+@TRUNCATES_BY_DESIGN
 class TestThreadsAndVerbose:
     def test_parallel_sweep_matches_serial(self, tmp_path):
         serial = manifest_sweep(tmp_path)

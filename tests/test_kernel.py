@@ -100,6 +100,21 @@ class TestKernelSpectrum:
             assert li == pytest.approx(ld, abs=1e-8)
         assert max(kn.kernel_report(op, n=4)["pair_residuals"]) <= 1e-8
 
+    def test_largest_n_on_smallest_grid(self):
+        # n = 2N + 4 on 16 points: the Lanczos subspace is capped below the
+        # grid size; an off-centre profile keeps the eigenvalues simple
+        grid = sp.GridSpec(1, 4.0, 16)
+        profile = sp.Field.from_function(
+            grid, lambda x: 1.5 * np.exp(-(x - 0.3) ** 2))
+        op = kn.LinearizedOperator(profile=profile, s=0.4, p=2.0,
+                                   coefficient=1.2, b=0.1, c=1.0)
+        n = 2 * grid.dim + 4
+        it_pairs = kn.kernel_spectrum(op, n, method="iterative")
+        de_pairs = kn.kernel_spectrum(op, n, method="dense")
+        for (li, _), (ld, _) in zip(it_pairs, de_pairs):
+            assert li == pytest.approx(ld, abs=1e-8)
+        assert max(kn.kernel_report(op, n=n)["pair_residuals"]) <= 1e-8
+
     def test_uncertified_magnitudes_raise(self):
         # every low eigenvalue of |xi|^2s - 5 sits near -5, far from the
         # smallest magnitudes near |xi|^2s = 5

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from fkpeaks import spectral as sp
 from fkpeaks.errors import (
@@ -227,6 +228,142 @@ class TestTranslateInterpolate:
         f = sp.random_band_limited(g, 8.0, seed=1)
         out = sp.translate(f, [0.1234])
         assert np.isrealobj(out.values)
+
+
+def _full_wavenumbers(g):
+    """Signed wavenumbers of the full complex-FFT layout along one axis."""
+    return 2.0 * np.pi * sfft.fftfreq(g.points_per_dim, d=g.spacing)
+
+
+def _full_xi_sq(g):
+    axes = np.meshgrid(*([_full_wavenumbers(g)] * g.dim), indexing="ij")
+    return sum(a**2 for a in axes)
+
+
+def _axis_factor(g, axis, factor):
+    shape = [1] * g.dim
+    shape[axis] = g.points_per_dim
+    return factor.reshape(shape)
+
+
+def _ref_seminorm_inner(g, s, u, v):
+    w = g.spacing ** g.dim / g.points_per_dim ** g.dim
+    prod = sfft.fftn(u).conj() * sfft.fftn(v)
+    return float(w * (_full_xi_sq(g) ** s * prod).sum().real)
+
+
+def _ref_fractional_laplacian(g, s, u):
+    return sfft.ifftn(_full_xi_sq(g) ** s * sfft.fftn(u)).real
+
+
+def _ref_derivative(g, axis, u):
+    xi = _full_wavenumbers(g)
+    xi[g.points_per_dim // 2] = 0.0
+    return sfft.ifftn(1j * _axis_factor(g, axis, xi) * sfft.fftn(u)).real
+
+
+def _ref_translate(g, shift, u):
+    m = g.points_per_dim
+    coeffs = sfft.fftn(u)
+    xi = _full_wavenumbers(g)
+    for axis in range(g.dim):
+        phase = np.exp(-1j * xi * shift[axis])
+        phase[m // 2] = math.cos(xi[m // 2] * shift[axis])
+        coeffs = coeffs * _axis_factor(g, axis, phase)
+    return sfft.ifftn(coeffs).real
+
+
+def _ref_interpolate(g, u, pts):
+    m = g.points_per_dim
+    xi = _full_wavenumbers(g)
+    out = sfft.fftn(u) / m ** g.dim
+    for axis in range(g.dim):
+        offset = pts[:, axis] + g.half_width
+        basis = np.exp(1j * np.outer(offset, xi))
+        basis[:, m // 2] = np.cos(offset * xi[m // 2])
+        spec = "pm,m...->p..." if axis == 0 else "pm,pm...->p..."
+        out = np.einsum(spec, basis, out)
+    return out.real
+
+
+def _ref_random_band_limited(g, cutoff, seed):
+    vals = np.random.default_rng(seed).standard_normal(g.shape)
+    coeffs = np.where(_full_xi_sq(g) <= cutoff**2, sfft.fftn(vals), 0.0)
+    nyq = np.zeros(g.shape, dtype=bool)
+    for axis in range(g.dim):
+        index = [slice(None)] * g.dim
+        index[axis] = g.points_per_dim // 2
+        nyq[tuple(index)] = True
+    coeffs[nyq] = 0.0
+    out = sfft.ifftn(coeffs).real
+    return out / np.abs(out).max()
+
+
+def _rel(got, ref):
+    return np.abs(np.asarray(got) - ref).max() / np.abs(ref).max()
+
+
+HALF_SPECTRUM_GRIDS = [(1, 3.0, 32), (2, 2.5, 16), (3, 2.0, 16)]
+
+
+class TestHalfSpectrumAgainstComplexFFT:
+    """The half-spectrum calculus against a full complex-FFT reference, on
+    fields with content up to the Nyquist modes."""
+
+    @pytest.fixture(params=HALF_SPECTRUM_GRIDS,
+                    ids=[f"{d}d" for d, _, _ in HALF_SPECTRUM_GRIDS])
+    def fields(self, request):
+        g = sp.GridSpec(*request.param)
+        rng = np.random.default_rng(17)
+        u, v = rng.standard_normal((2,) + g.shape)
+        return g, u, v
+
+    @pytest.mark.parametrize("s", [0.4, 0.75, 1.0])
+    def test_seminorm_inner(self, fields, s):
+        g, u, v = fields
+        uhat, vhat = sp._fftn(u), sp._fftn(v)
+        ref_uu = _ref_seminorm_inner(g, s, u, u)
+        ref_uv = _ref_seminorm_inner(g, s, u, v)
+        assert abs(sp.seminorm_inner(g, s, uhat) - ref_uu) <= 1e-13 * ref_uu
+        assert abs(sp.seminorm_inner(g, s, uhat, vhat) - ref_uv) \
+            <= 1e-13 * ref_uu
+
+    @pytest.mark.parametrize("s", [0.4, 0.75, 1.0])
+    def test_fractional_laplacian(self, fields, s):
+        g, u, _ = fields
+        got = sp.fractional_laplacian(sp.Field(g, u), s).values
+        assert _rel(got, _ref_fractional_laplacian(g, s, u)) < 1e-13
+
+    def test_derivative_every_axis(self, fields):
+        g, u, _ = fields
+        for axis in range(g.dim):
+            got = sp.derivative(sp.Field(g, u), axis).values
+            assert _rel(got, _ref_derivative(g, axis, u)) < 1e-13
+
+    def test_translate_every_axis(self, fields):
+        g, u, _ = fields
+        for axis in range(g.dim):
+            shift = np.zeros(g.dim)
+            shift[axis] = 0.37 * g.spacing      # off the grid
+            got = sp.translate(sp.Field(g, u), shift).values
+            assert _rel(got, _ref_translate(g, shift, u)) < 1e-13
+        shift = g.spacing * np.array([0.31, -1.7, 2.45][:g.dim])
+        got = sp.translate(sp.Field(g, u), shift).values
+        assert _rel(got, _ref_translate(g, shift, u)) < 1e-13
+
+    def test_interpolate(self, fields):
+        g, u, _ = fields
+        pts = np.random.default_rng(3).uniform(
+            -g.half_width, g.half_width, (7, g.dim))
+        got = sp.interpolate(sp.Field(g, u), pts)
+        assert _rel(got, _ref_interpolate(g, u, pts)) < 1e-13
+
+    def test_random_band_limited(self, fields):
+        g = fields[0]
+        cutoff = 1.2 * float(np.pi / g.spacing)  # reaches the Nyquist modes
+        got = sp.random_band_limited(g, cutoff, seed=(4, 1)).values
+        ref = _ref_random_band_limited(g, cutoff, (4, 1))
+        assert _rel(got, ref) < 1e-13
 
 
 class TestProblemParams:
