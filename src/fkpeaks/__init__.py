@@ -10,7 +10,6 @@ from .spectral import (  # noqa: F401
     fractional_laplacian,
     half_laplacian,
     integrate,
-    invert_shifted,
 )
 from .groundstate import (  # noqa: F401
     KirchhoffGroundState,

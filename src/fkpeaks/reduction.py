@@ -347,7 +347,6 @@ class GridSystem:
     seminorms: list[float]
     peak_values: list[float]
     residuals: list[float]
-    shared_coefficient: bool
 
     def tail_fraction(self, i: int) -> float:
         """Boundary value of profile i relative to its peak."""
@@ -396,8 +395,7 @@ def solve_grid_system(
 
     if b == 0.0:
         profs, semis, resid = solve_peaks(a, warm)
-        return GridSystem(grid, eps, a, profs, semis, vals, resid,
-                          shared_coefficient)
+        return GridSystem(grid, eps, a, profs, semis, vals, resid)
 
     if not shared_coefficient:
         # independent per-peak coefficients: k decoupled scalar fixed points
@@ -411,8 +409,7 @@ def solve_grid_system(
             profs.append(sub.profiles[0])
             semis.append(sub.seminorms[0])
             resid.append(sub.residuals[0])
-        return GridSystem(grid, eps, float("nan"), profs, semis, vals, resid,
-                          shared_coefficient=False)
+        return GridSystem(grid, eps, float("nan"), profs, semis, vals, resid)
 
     coeff = coefficient_hint if coefficient_hint else a * 2.0
     profs = warm
@@ -425,8 +422,7 @@ def solve_grid_system(
         g = coeff - target
         history.append((coeff, g))
         if abs(g) <= gap_tol * max(coeff, 1.0):
-            return GridSystem(grid, eps, target, profs, semis, vals, resid,
-                              shared_coefficient=True)
+            return GridSystem(grid, eps, target, profs, semis, vals, resid)
         if len(history) >= 2 and history[-2][1] != g:
             (c0, g0), (c1, g1) = history[-2], history[-1]
             step = c1 - g1 * (c1 - c0) / (g1 - g0)
@@ -494,6 +490,16 @@ class Reducer:
                 warnings.warn(msg, TailTruncationWarning, stacklevel=3)
 
     def frame(self, cfg: PeakConfig) -> "_Frame":
+        """The public entry to the operations at one configuration (eps, y).
+
+        The frame holds U_{eps,y} (`U`), L_eps (`L`) and the constraint
+        basis of E_{eps,y}, and evaluates l_eps (`ell`, `ell_norm`), I_eps
+        (`energy`), R_eps (`remainder`) and the inversion constant
+        (`coercivity`).  Raises ParameterError for y outside D_{eps,delta}.
+        The class keeps its private name while the benchmark in perfbench/
+        rebinds `_Frame` methods to trace them, until the package records
+        its own trace.
+        """
         cfg.require_admissible(self.potential)
         return _Frame(self, cfg)
 
@@ -507,7 +513,6 @@ class _Frame:
         grid, params = red.grid, red.params
         eps, s, n = cfg.eps, params.s, params.dim
         gs = red.system(eps)
-        self.gsys = gs
 
         shifted = [sp.translate(w, cfg.y[i]) for i, w in enumerate(gs.profiles)]
         self.peak_fields = shifted
@@ -532,11 +537,10 @@ class _Frame:
         self.p0 = self.a_eps * grid.symbol(s) + vbar
         self.p0_isqrt = 1.0 / np.sqrt(self.p0)
         # orthonormal basis of preconditioned constraint densities
-        wmat = np.stack([
-            sp._ifftn(self.p0_isqrt * sp._fftn(d)).ravel() for d in dens
-        ])
+        wmat = np.stack([self.precondition(d).ravel() for d in dens])
         q, _ = np.linalg.qr(wmat.T)
         self.Qc = q.T.copy()
+        self._d2cache: dict[tuple[int, int, int], np.ndarray] = {}
 
     # -- low-level applies ---------------------------------------------------
 
@@ -545,6 +549,10 @@ class _Frame:
         sym = self.red.grid.symbol(self.red.params.s)
         fl = sp._ifftn(sym * sp._fftn(vals))
         return self.a_eps * fl + self.V * vals
+
+    def precondition(self, vals: np.ndarray) -> np.ndarray:
+        """P0^(-1/2) f, the symmetric preconditioner's half inverse."""
+        return sp._ifftn(self.p0_isqrt * sp._fftn(vals))
 
     def project(self, flat: np.ndarray) -> np.ndarray:
         return flat - self.Qc.T @ (self.Qc @ flat)
@@ -557,7 +565,7 @@ class _Frame:
         """
         xi = sp._ifftn(np.sqrt(self.p0) * sp._fftn(vals)).ravel()
         xi = self.project(xi)
-        return sp._ifftn(self.p0_isqrt * sp._fftn(xi.reshape(vals.shape)))
+        return self.precondition(xi.reshape(vals.shape))
 
     def apply_hat(self, flat: np.ndarray,
                   lin: LinearizedOperator) -> np.ndarray:
@@ -566,10 +574,6 @@ class _Frame:
         projector."""
         v = self.project(flat).reshape(self.U.values.shape)
         return self.project(lin.apply_conjugated(v, self.p0_isqrt).ravel())
-
-    def leps_density(self, vals: np.ndarray) -> np.ndarray:
-        """Density of the quadratic-form action L_eps phi."""
-        return self.L.apply_values(vals)
 
     def second_variation(self, u: Field) -> LinearizedOperator:
         """The second variation I''_eps(u); L_eps at the ansatz u = U."""
@@ -599,15 +603,21 @@ class _Frame:
               - 0.5 * p * (p + 1.0) * sp.pos_power(u, p - 1.0) * vals**2)
         return a1 - self.h * float(a2.sum()) / (p + 1.0)
 
-    def eps_norm(self, vals: np.ndarray) -> float:
-        return math.sqrt(max(self.eps_inner_vals(vals, vals), 0.0))
+    def ell(self, vals: np.ndarray) -> float:
+        """l_eps(phi) = <I'_eps(U_{eps,y}), phi>."""
+        return self.h * float((self.gradient_density(self.U) * vals).sum())
 
-    def eps_inner_vals(self, u: np.ndarray, v: np.ndarray) -> float:
-        uhat = sp._fftn(u)
-        vhat = uhat if v is u else sp._fftn(v)
-        semi = sp.seminorm_inner(self.red.grid, self.red.params.s, uhat, vhat)
-        mass = self.h * float((self.V * u * v).sum())
-        return self.a_eps * semi + mass
+    def ell_norm(self) -> float:
+        """Dual norm of l_eps on E_{eps,y} (preconditioner estimate)."""
+        b = self.precondition(self.gradient_density(self.U)).ravel()
+        return float(np.linalg.norm(self.project(b)) * math.sqrt(self.h))
+
+    def eps_norm(self, vals: np.ndarray) -> float:
+        """||phi||_eps, the norm of the eps-inner product."""
+        uhat = sp._fftn(vals)
+        semi = sp.seminorm_inner(self.red.grid, self.red.params.s, uhat, uhat)
+        mass = self.h * float((self.V * vals * vals).sum())
+        return math.sqrt(max(self.a_eps * semi + mass, 0.0))
 
     def energy(self, vals: np.ndarray) -> float:
         """I_eps evaluated at the given field values."""
@@ -620,9 +630,9 @@ class _Frame:
         pot = self.h * float(sp.pos_power(vals, p + 1.0).sum())
         return 0.5 * quad + 0.25 * self.C * s_u**2 - pot / (p + 1.0)
 
-    def orthogonality(self, vals: np.ndarray) -> np.ndarray:
-        """Relative eps-inner products against each translation mode."""
-        phi_norm = self.eps_norm(vals)
+    def orthogonality(self, vals: np.ndarray, phi_norm: float) -> np.ndarray:
+        """Relative eps-inner products against each translation mode;
+        `phi_norm` is eps_norm(vals), zeros when it is 0."""
         out = np.zeros(len(self.modes))
         for idx, (mode, dens) in enumerate(zip(self.modes, self.mode_densities)):
             raw = self.h * float((dens * vals).sum())
@@ -642,7 +652,7 @@ class _Frame:
         lin = self.L if lin is None else lin
         op = sla.LinearOperator((npts, npts), dtype=float,
                                 matvec=lambda v: self.apply_hat(v, lin))
-        b = -sp._ifftn(self.p0_isqrt * sp._fftn(rhs_density)).ravel()
+        b = -self.precondition(rhs_density).ravel()
         b = self.project(b)
         bnorm = float(np.linalg.norm(b))
         if bnorm == 0.0:
@@ -655,7 +665,7 @@ class _Frame:
                 f"(rhs norm {bnorm:.3e}, info={info})"
             )
         xi = self.project(xi)
-        return sp._ifftn(self.p0_isqrt * sp._fftn(xi.reshape(shape)))
+        return self.precondition(xi.reshape(shape))
 
     def multipliers(self, grad_density: np.ndarray) -> np.ndarray:
         """Lagrange multipliers of the constrained stationarity system."""
@@ -668,12 +678,46 @@ class _Frame:
                 gram[i, j] = self.h * float((dens * mode).sum())
         return np.linalg.solve(gram, rhs)
 
+    def coercivity(self, tol: float = 1e-7, maxiter: int = 400) -> float:
+        """Invertibility constant of the projected, preconditioned quadratic
+        form on E_{eps,y}: the smallest |eigenvalue|.
+
+        The form is indefinite on E (the profile's single negative direction
+        is not a translation mode and survives the projection), so the
+        quantitative content of the inversion lemma is min |lambda| >= rho > 0.
+        LOBPCG finds the two lowest eigenvalues on E (the constraints
+        deflate the translation directions exactly), and the magnitude
+        certificate of kernel.smallest_magnitude picks min |lambda| among
+        them.  Raises EigensolverError when the pairs miss `tol`.
+        """
+        n_eigs = 2
+
+        def apply(block):
+            out = np.empty_like(block)
+            for col in range(block.shape[1]):
+                out[:, col] = self.apply_hat(block[:, col], self.L)
+            return out
+
+        rng = np.random.default_rng(7)
+        x0 = rng.standard_normal((self.U.values.size, n_eigs))
+        for col in range(n_eigs):
+            x0[:, col] = self.project(x0[:, col])
+        vals, _, history = sla.lobpcg(apply, x0, Y=self.Qc.T, largest=False,
+                                      tol=tol, maxiter=maxiter,
+                                      retResidualNormsHistory=True)
+        residuals = np.atleast_1d(history[-1])
+        if np.max(residuals) > tol:
+            raise EigensolverError(
+                f"LOBPCG missed tol {tol:.1e} on E_eps_y: residuals "
+                f"{residuals.tolist()}",
+                ritz_residuals=residuals.tolist(),
+            )
+        return float(abs(vals[smallest_magnitude(vals, 1)[0]]))
+
     def constraint_y_derivative(self, a: int, b: int, j: int) -> np.ndarray:
         """d w_(a,j) / d y_(a,b): eps-representative density of the second
         shift derivative of peak a (zero across peaks)."""
         key = (a, min(b, j), max(b, j))
-        if not hasattr(self, "_d2cache"):
-            self._d2cache = {}
         if key not in self._d2cache:
             f = sp.derivative(sp.derivative(self.peak_fields[a], j), b)
             self._d2cache[key] = self._p_apply(f.values)
@@ -699,31 +743,6 @@ def eps_inner(u: Field, v: Field, eps: float, V, params: ProblemParams) -> float
 
 def eps_norm(u: Field, eps: float, V, params: ProblemParams) -> float:
     return math.sqrt(max(eps_inner(u, u, eps, V, params), 0.0))
-
-
-def build_ansatz(red: Reducer, cfg: PeakConfig) -> Field:
-    """Superposition of eps-rescaled peak profiles shifted to cfg.y."""
-    return red.frame(cfg).U
-
-
-def ell(red: Reducer, cfg: PeakConfig, phi: Field) -> float:
-    """l_eps(phi) = <I'_eps(U_{eps,y}), phi>."""
-    fr = red.frame(cfg)
-    return fr.h * float((fr.gradient_density(fr.U) * phi.values).sum())
-
-
-def ell_norm(red: Reducer, cfg: PeakConfig) -> float:
-    """Dual norm of l_eps restricted to E_{eps,y} (preconditioner estimate)."""
-    fr = red.frame(cfg)
-    dens = fr.gradient_density(fr.U)
-    b = sp._ifftn(fr.p0_isqrt * sp._fftn(dens)).ravel()
-    return float(np.linalg.norm(fr.project(b)) * math.sqrt(fr.h))
-
-
-def apply_Leps(red: Reducer, cfg: PeakConfig, phi: Field) -> Field:
-    """Density of the second-variation action L_eps phi."""
-    fr = red.frame(cfg)
-    return Field(red.grid, fr.leps_density(phi.values))
 
 
 def solve_correction(
@@ -800,7 +819,7 @@ def solve_correction(
             f"(last increment {inc:.3e}, tol {tol:.3e})", ratios=ratios,
         )
 
-    phi_field = Field(red.grid, phi)
+    phi_norm = fr.eps_norm(phi)
     u_full = Field(red.grid, fr.U.values + phi)
     sup_res, _, grad = pde_residual(u_full, red.params, fr.V, cfg.eps,
                                     return_density=True)
@@ -808,36 +827,17 @@ def solve_correction(
     energy = fr.energy(u_full.values)
     return ReducedSolution(
         config=cfg,
-        correction=phi_field,
-        correction_norm=fr.eps_norm(phi),
+        correction=Field(red.grid, phi),
+        correction_norm=phi_norm,
         iterations=it,
         contraction_ratios=ratios,
         reduced_energy=energy,
         full_residual=sup_res,
-        orthogonality=fr.orthogonality(phi) if fr.eps_norm(phi) > 0
-        else np.zeros(len(fr.modes)),
+        orthogonality=fr.orthogonality(phi, phi_norm),
         multipliers=lam,
         ansatz=fr.U,
         increments=increments,
     )
-
-
-def reduced_energy(red: Reducer, cfg: PeakConfig, phi: Field | None = None) -> float:
-    """I_eps(U_{eps,y} + phi) by quadrature."""
-    fr = red.frame(cfg)
-    vals = fr.U.values if phi is None else fr.U.values + phi.values
-    return fr.energy(vals)
-
-
-def reduced_energy_gradient(red: Reducer, cfg: PeakConfig,
-                            phi: Field | None = None) -> np.ndarray:
-    """d I_eps(U_y + phi)/dy at frozen phi: <I'_eps(u), dU/dy_ij>."""
-    fr = red.frame(cfg)
-    u = fr.U if phi is None else Field(red.grid, fr.U.values + phi.values)
-    grad_dens = fr.gradient_density(u)
-    return np.array([
-        fr.h * float((grad_dens * mode).sum()) for mode in fr.modes
-    ])
 
 
 def reduced_gradient_total(red: Reducer, cfg: PeakConfig,
@@ -890,45 +890,6 @@ def energy_constants(sys: SystemSolution) -> tuple[float, list[float]]:
         bs.append(0.5 * sp.integrate(Field(u.grid, u.values**2)))
     a_const = (0.5 - 1.0 / (p + 1.0)) * pots - 0.25 * b * semis**2
     return a_const, bs
-
-
-def coercivity_estimate(red: Reducer, cfg: PeakConfig, n_eigs: int = 2,
-                        tol: float = 1e-7, maxiter: int = 400) -> float:
-    """Invertibility constant of the projected, preconditioned quadratic
-    form on E_{eps,y}: the smallest |eigenvalue|.
-
-    The form is indefinite on E (the profile's single negative direction
-    is not a translation mode and survives the projection), so the
-    quantitative content of the inversion lemma is min |lambda| >= rho > 0.
-    LOBPCG finds the n_eigs lowest eigenvalues on E (the constraints
-    deflate the translation directions exactly), and the magnitude
-    certificate of kernel.smallest_magnitude picks min |lambda| among
-    them.  Raises EigensolverError when the pairs miss `tol`.
-    """
-    fr = red.frame(cfg)
-    npts = red.grid.points_per_dim**red.grid.dim
-
-    def apply(block):
-        out = np.empty_like(block)
-        for col in range(block.shape[1]):
-            out[:, col] = fr.apply_hat(block[:, col], fr.L)
-        return out
-
-    rng = np.random.default_rng(7)
-    x0 = rng.standard_normal((npts, n_eigs))
-    for col in range(n_eigs):
-        x0[:, col] = fr.project(x0[:, col])
-    vals, _, history = sla.lobpcg(apply, x0, Y=fr.Qc.T, largest=False,
-                                  tol=tol, maxiter=maxiter,
-                                  retResidualNormsHistory=True)
-    residuals = np.atleast_1d(history[-1])
-    if np.max(residuals) > tol:
-        raise EigensolverError(
-            f"LOBPCG missed tol {tol:.1e} on E_eps_y: residuals "
-            f"{residuals.tolist()}",
-            ritz_residuals=residuals.tolist(),
-        )
-    return float(abs(vals[smallest_magnitude(vals, 1)[0]]))
 
 
 # ---------------------------------------------------------------------------

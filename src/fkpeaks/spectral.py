@@ -308,10 +308,6 @@ def inner(f: Field, g: Field) -> float:
     return float(f.grid.spacing ** f.grid.dim * np.vdot(f.values, g.values).real)
 
 
-def l2_norm(f: Field) -> float:
-    return math.sqrt(max(inner(f, f), 0.0))
-
-
 def lq_norm(f: Field, q: float) -> float:
     """L^q norm by rectangle rule."""
     h = f.grid.spacing ** f.grid.dim
@@ -333,23 +329,6 @@ def seminorm_inner(grid: GridSpec, s: float, uhat: np.ndarray,
     w = grid.spacing ** grid.dim / grid.points_per_dim ** grid.dim
     prod = np.abs(uhat) ** 2 if vhat is None else (uhat.conj() * vhat).real
     return float(w * (grid.symbol(s) * prod * grid.hermitian_weights).sum())
-
-
-def invert_shifted(g: Field, c: float, s: float) -> Field:
-    """Solve (c (-Delta)^s + 1) u = g spectrally."""
-    if c <= 0:
-        raise ParameterError(f"c must be positive, got {c}")
-    return invert_operator(g, c, 1.0, s)
-
-
-def invert_operator(g: Field, c1: float, c0: float, s: float) -> Field:
-    """Solve (c1 (-Delta)^s + c0) u = g spectrally; needs c1 >= 0, c0 > 0."""
-    _check_field(g)
-    _check_s(s)
-    if c0 <= 0 or c1 < 0:
-        raise ParameterError(f"need c1 >= 0 and c0 > 0, got c1={c1}, c0={c0}")
-    coeffs = g.spectral() / (c1 * g.grid.symbol(s) + c0)
-    return Field.from_spectral(g.grid, coeffs)
 
 
 def derivative(f: Field, axis: int) -> Field:

@@ -116,6 +116,13 @@ class TestPeakConfig:
         with pytest.raises(ParameterError):
             rd.PeakConfig(0.1, [[0.0]], delta=0.5, theta=1.2)
 
+    def test_frame_rejects_configuration_outside_domain(self, reducer_1d):
+        far = rd.PeakConfig(0.1, [[0.95]], delta=0.5, theta=0.8)
+        with pytest.raises(ParameterError, match="outside D_eps_delta"):
+            reducer_1d.frame(far)
+        with pytest.raises(ParameterError, match="outside D_eps_delta"):
+            rd.solve_correction(reducer_1d, far)
+
 
 class TestEpsInner:
     def test_matches_hs_norm(self, params_1d):
@@ -163,7 +170,7 @@ class TestBuildAnsatz:
         pot = rd.Potential.single_well([shift], 1.0, [1.0], m=2.0)
         red = rd.Reducer(grid_1d, reducer_1d.params, pot)
         cfg = rd.PeakConfig(0.1, [[shift]], delta=0.5, theta=0.8)
-        ansatz = rd.build_ansatz(red, cfg)
+        ansatz = red.frame(cfg).U
         centered = red.system(0.1).profiles[0].values
         rolled = np.roll(centered, 64)
         assert np.abs(ansatz.values - rolled).max() < 1e-11 * centered.max()
@@ -192,7 +199,7 @@ class TestBuildAnsatz:
         ratios = []
         for eps in (0.06, 0.03):
             cfg = rd.PeakConfig(eps, [[0.3]], delta=0.5, theta=0.8)
-            u = rd.build_ansatz(reducer_1d, cfg)
+            u = reducer_1d.frame(cfg).U
             nrm = rd.eps_inner(u, u, eps, well_1d, params_1d)
             ratios.append(nrm / eps)
         assert abs(ratios[1] - ratios[0]) < 0.05 * ratios[0]
@@ -203,14 +210,14 @@ class TestEll:
     def test_zero_phi(self, reducer_1d):
         cfg = rd.PeakConfig(0.1, [[0.3]], delta=0.5, theta=0.8)
         z = sp.Field.zeros(reducer_1d.grid)
-        assert rd.ell(reducer_1d, cfg, z) == 0.0
+        assert reducer_1d.frame(cfg).ell(z.values) == 0.0
 
     def test_frozen_potential_critical_point(self, params_1d, grid_1d):
         pot = rd.Potential.constant(1.0, dim=1)
         red = rd.Reducer(grid_1d, params_1d, pot, profile_tol=1e-12)
         cfg = rd.PeakConfig(0.05, [[0.0]], delta=0.5, theta=0.8)
         phi = sp.random_band_limited(grid_1d, 40.0, seed=3)
-        val = rd.ell(red, cfg, phi)
+        val = red.frame(cfg).ell(phi.values)
         norm = rd.eps_norm(phi, 0.05, pot, params_1d)
         assert abs(val) / norm < 1e-11
 
@@ -223,7 +230,7 @@ class TestEll:
         norms = []
         for eps in eps_list:
             cfg = rd.PeakConfig(eps, [[0.3]], delta=0.5, theta=0.8)
-            norms.append(rd.ell_norm(red, cfg))
+            norms.append(red.frame(cfg).ell_norm())
         slope = np.polyfit(np.log(eps_list), np.log(norms), 1)[0]
         predicted = 0.5 + 1.2
         assert abs(slope - predicted) < 0.15 * predicted
@@ -235,8 +242,9 @@ class TestApplyLeps:
         cfg = rd.PeakConfig(0.1, [[0.3]], delta=0.5, theta=0.8)
         f = sp.random_band_limited(reducer_1d.grid, 10.0, seed=51)
         g = sp.random_band_limited(reducer_1d.grid, 10.0, seed=52)
-        lf = rd.apply_Leps(reducer_1d, cfg, f)
-        lg = rd.apply_Leps(reducer_1d, cfg, g)
+        fr = reducer_1d.frame(cfg)
+        lf = sp.Field(reducer_1d.grid, fr.L.apply_values(f.values))
+        lg = sp.Field(reducer_1d.grid, fr.L.apply_values(g.values))
         lhs = sp.inner(lf, g)
         rhs = sp.inner(lg, f)
         assert abs(lhs - rhs) < 1e-9 * abs(lhs)
@@ -254,9 +262,9 @@ class TestApplyLeps:
             profile=fr.U, s=0.4, p=2.0, coefficient=1.0, b=0.0, c=1.3,
         )
         phi = sp.random_band_limited(grid, 3.0, seed=61)
-        via_reduction = rd.apply_Leps(red, cfg, phi)
+        via_reduction = fr.L.apply_values(phi.values)
         via_kernel = kn.apply_Lplus(op, phi)
-        diff = np.abs(via_reduction.values - via_kernel.values).max()
+        diff = np.abs(via_reduction - via_kernel.values).max()
         assert diff < 1e-12 * np.abs(via_kernel.values).max()
 
     def test_conjugated_apply_matches_plain_apply(self):
@@ -280,14 +288,14 @@ class TestApplyLeps:
 
     def test_coercive_on_constraint_complement(self, reducer_1d):
         cfg = rd.PeakConfig(0.05, [[0.3]], delta=0.5, theta=0.8)
-        rho = rd.coercivity_estimate(reducer_1d, cfg, n_eigs=2)
+        rho = reducer_1d.frame(cfg).coercivity()
         assert rho > 0.0
 
     @pytest.mark.filterwarnings("ignore:Exited")
     def test_unconverged_coercivity_raises(self, reducer_1d):
         cfg = rd.PeakConfig(0.05, [[0.3]], delta=0.5, theta=0.8)
         with pytest.raises(EigensolverError):
-            rd.coercivity_estimate(reducer_1d, cfg, maxiter=2)
+            reducer_1d.frame(cfg).coercivity(maxiter=2)
 
     def test_quadratic_form_matches_energy_second_difference(self, reducer_1d):
         cfg = rd.PeakConfig(0.1, [[0.3]], delta=0.5, theta=0.8)
@@ -300,7 +308,7 @@ class TestApplyLeps:
         um = fr.energy(fr.U.values - t * phi.values)
         fd = (up - 2 * u0 + um) / t**2
         quad = fr.h * float(
-            (fr.leps_density(phi.values) * phi.values).sum()
+            (fr.L.apply_values(phi.values) * phi.values).sum()
         )
         assert fd == pytest.approx(quad, rel=1e-4)
 
@@ -365,19 +373,6 @@ class TestSolveCorrection:
 
 @TRUNCATES_BY_DESIGN
 class TestGradients:
-    def test_frozen_phi_gradient_matches_fd(self, reducer_1d, well_1d,
-                                            params_1d):
-        cfg = rd.PeakConfig(0.08, [[0.36]], delta=0.5, theta=0.8)
-        sol = rd.solve_correction(reducer_1d, cfg)
-        g = rd.reduced_energy_gradient(reducer_1d, cfg, sol.correction)
-        h = 1e-4 * cfg.delta
-        jp = rd.reduced_energy(reducer_1d, cfg.with_y([[0.36 + h]]),
-                               sol.correction)
-        jm = rd.reduced_energy(reducer_1d, cfg.with_y([[0.36 - h]]),
-                               sol.correction)
-        fd = (jp - jm) / (2 * h)
-        assert g[0] == pytest.approx(fd, rel=1e-5)
-
     def test_total_gradient_matches_fd(self, reducer_1d):
         cfg = rd.PeakConfig(0.08, [[0.36]], delta=0.5, theta=0.8)
         sol = rd.solve_correction(reducer_1d, cfg, outer_tol_factor=1e-12)
@@ -390,6 +385,14 @@ class TestGradients:
             js[dy] = s2.reduced_energy
         fd = (js[h] - js[-h]) / (2 * h)
         assert g[0] == pytest.approx(fd, rel=1e-6)
+        # the search passes one frame to both calls: bitwise the same
+        fr = reducer_1d.frame(cfg)
+        sol_fr = rd.solve_correction(reducer_1d, cfg, outer_tol_factor=1e-12,
+                                     frame=fr)
+        assert np.array_equal(sol_fr.correction.values, sol.correction.values)
+        assert sol_fr.reduced_energy == sol.reduced_energy
+        assert np.array_equal(
+            rd.reduced_gradient_total(reducer_1d, cfg, sol_fr, frame=fr), g)
 
 
 @TRUNCATES_BY_DESIGN

@@ -155,34 +155,6 @@ class TestIntegrate:
         assert abs(sp.integrate(f)) < 1e-12
 
 
-class TestInvertShifted:
-    def test_plane_wave_formula(self):
-        g = sp.GridSpec(1, 10.0, 128)
-        xi0 = g.wavenumbers_axis[4]
-        f = sp.Field.from_function(g, lambda x: np.cos(xi0 * x))
-        out = sp.invert_shifted(f, 0.7, 0.4)
-        expected = f.values / (0.7 * abs(xi0) ** 0.8 + 1.0)
-        assert np.abs(out.values - expected).max() < 1e-13
-
-    def test_zero(self):
-        g = sp.GridSpec(1, 10.0, 128)
-        out = sp.invert_shifted(sp.Field.zeros(g), 1.0, 0.5)
-        assert np.abs(out.values).max() == 0.0
-
-    def test_round_trip(self):
-        g = sp.GridSpec(1, 10.0, 128)
-        f = sp.random_band_limited(g, 4.0, seed=9)
-        u = sp.invert_shifted(f, 0.7, 0.4)
-        back = 0.7 * sp.fractional_laplacian(u, 0.4).values + u.values
-        rel = np.abs(back - f.values).max() / np.abs(f.values).max()
-        assert rel < 1e-12
-
-    def test_bad_coefficient(self):
-        g = sp.GridSpec(1, 10.0, 128)
-        with pytest.raises(ParameterError):
-            sp.invert_shifted(sp.Field.zeros(g), -1.0, 0.5)
-
-
 class TestScalingLaw:
     def test_integer_rescale(self):
         # ||(-D)^{s/2} f(lam .)||^2 = lam^(2s-N) ||(-D)^{s/2} f||^2
