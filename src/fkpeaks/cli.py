@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent import futures
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -63,7 +62,6 @@ class RunManifest:
     seeds: dict = field(default_factory=lambda: {"master": 1234})
     tolerances: dict = field(default_factory=dict)
     output_dir: str = ""
-    threads: int = 1
     strict: bool = False
     options: dict = field(default_factory=dict)
 
@@ -106,9 +104,16 @@ class RunManifest:
                 raise ParameterError(f"eps values must be positive, got {e}")
         if self.delta <= 0 or not (0.0 < self.theta < 1.0):
             raise ParameterError("need delta > 0 and theta in (0, 1)")
-        if self.threads < 1:
-            raise ParameterError("threads must be >= 1")
+        if self.command == "sweep" and _fits_asymptotics(self):
+            vf.require_decade_span(self.eps)
         return params, grid, potential
+
+
+def _fits_asymptotics(manifest: RunManifest) -> bool:
+    """A sweep fits the asymptotic exponents when it searches four or more
+    eps."""
+    return (len(manifest.eps) >= 4
+            and bool(manifest.options.get("minimize", True)))
 
 
 def build_potential(spec: dict, dim: int) -> rd.Potential:
@@ -246,16 +251,6 @@ def _search_options(manifest, potential) -> tuple[np.ndarray, float]:
             float(manifest.tolerances.get("correction", 1e-10)))
 
 
-def _sweep(manifest, params, grid, potential, eps_list,
-           minimize) -> list[dict]:
-    red = _reducer_for(manifest, params, grid, potential)
-    offset, outer = _search_options(manifest, potential)
-    return rd.sweep_reduction(
-        red, eps_list, manifest.delta, manifest.theta, y0_offset=offset,
-        minimize=minimize, outer_tol_factor=outer,
-    )
-
-
 def _stage_reduce(manifest, params, grid, potential, run_dir) -> dict:
     if not manifest.eps:
         raise ParameterError("reduce requires a nonempty eps list")
@@ -308,16 +303,13 @@ def _stage_sweep(manifest, params, grid, potential, run_dir) -> dict:
     if len(manifest.eps) < 1:
         raise ParameterError("sweep requires a nonempty eps list")
     minimize = bool(manifest.options.get("minimize", True))
-    eps_list = sorted((float(e) for e in manifest.eps), reverse=True)
-    if manifest.threads > 1:
-        with futures.ThreadPoolExecutor(max_workers=manifest.threads) as pool:
-            records = list(pool.map(
-                lambda e: _sweep(manifest, params, grid, potential, [e],
-                                 minimize)[0],
-                eps_list))
-    else:
-        records = _sweep(manifest, params, grid, potential, eps_list,
-                         minimize)
+    red = _reducer_for(manifest, params, grid, potential)
+    offset, outer = _search_options(manifest, potential)
+    records = rd.sweep_reduction(
+        red, [float(e) for e in manifest.eps], manifest.delta,
+        manifest.theta, y0_offset=offset, minimize=minimize,
+        outer_tol_factor=outer,
+    )
     with open(run_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eps", "phi_norm", "energy_over_epsN", "max_drift",
@@ -333,7 +325,7 @@ def _stage_sweep(manifest, params, grid, potential, run_dir) -> dict:
             ])
     report = {"records": records, "passed": not minimize or all(
         _certified(r["search"]) for r in records)}
-    if len(records) >= 4 and minimize:
+    if _fits_asymptotics(manifest):
         fit = vf.asymptotics_fit(records, m=potential.m, dim=params.dim)
         _write_json(run_dir / "asymptotics.json", fit.as_dict())
         report["asymptotics"] = fit.as_dict()
@@ -464,7 +456,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None,
                        help=f"output directory (default: manifest value or "
                             f"${ENV_OUTPUT_ROOT})")
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--strict", action="store_true",
                        help="escalate tail-truncation warnings to errors")
         if name == "verify":
@@ -480,8 +471,6 @@ def main(argv=None) -> int:
         return 2
     if manifest.command != args.command:
         manifest.command = args.command
-    if args.threads is not None:
-        manifest.threads = args.threads
     if args.strict:
         manifest.strict = True
     if args.command == "verify" and getattr(args, "check", None):

@@ -58,16 +58,16 @@ def solve_profile(
     c1: float = 1.0,
     c0: float = 1.0,
     tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITER,
     u0: Field | None = None,
     init_width: float = 1.0,
-    symmetrize: bool = True,
 ) -> tuple[Field, float, list[float], int]:
     """Petviashvili iteration for (c1 (-Delta)^s + c0) u = u^p.
 
     u <- gamma^(p/(p-1)) (c1 (-Delta)^s + c0)^(-1) u^p with the
     normalisation factor gamma = <L u, u> / <u^p, u>; gamma -> 1 at the
-    fixed point.  Returns (profile, sup-residual, gamma log, iterations).
+    fixed point.  Each iterate is symmetrised under x -> -x.  Returns
+    (profile, sup-residual, gamma log, iterations); raises IterationError
+    after MAX_ITER iterations.
     """
     if not (0.0 < s <= 1.0):
         raise ParameterError(f"s must lie in (0, 1], got {s}")
@@ -89,7 +89,7 @@ def solve_profile(
     gammas: list[float] = []
     exponent = p / (p - 1.0)
     residual = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         uhat = sp._fftn(u)
         lu = sp._ifftn(mult * uhat)
         up = sp.pos_power(u, p)
@@ -102,10 +102,7 @@ def solve_profile(
             )
         gamma = num / den
         gammas.append(gamma)
-        u_new = gamma**exponent * sp._ifftn(sp._fftn(up) / mult)
-        if symmetrize:
-            u_new = _symmetrize(u_new)
-        u = u_new
+        u = _symmetrize(gamma**exponent * sp._ifftn(sp._fftn(up) / mult))
         peak = np.abs(u).max()
         if not np.isfinite(peak) or peak > 1e12:
             raise IterationError(
@@ -123,10 +120,10 @@ def solve_profile(
         if residual < tol:
             return Field(grid, u), residual, gammas, it
     raise IterationError(
-        f"no convergence after {max_iter} iterations "
+        f"no convergence after {MAX_ITER} iterations "
         f"(last residual {residual:.3e})",
         residual=residual,
-        iterations=max_iter,
+        iterations=MAX_ITER,
     )
 
 
@@ -148,12 +145,10 @@ class SchrodingerGroundState:
 
 
 def solve_Q(grid: GridSpec, s: float, p: float, tol: float = DEFAULT_TOL,
-            max_iter: int = MAX_ITER, init_width: float = 1.0,
-            u0: Field | None = None) -> SchrodingerGroundState:
+            init_width: float = 1.0) -> SchrodingerGroundState:
     """Ground state of the base equation (-Delta)^s Q + Q = Q^p."""
     prof, residual, gammas, its = solve_profile(
-        grid, s, p, 1.0, 1.0, tol=tol, max_iter=max_iter,
-        init_width=init_width, u0=u0,
+        grid, s, p, 1.0, 1.0, tol=tol, init_width=init_width,
     )
     if prof.values.min() <= 0:
         # tiny negative ripples can appear at truncation level; fail only
@@ -407,30 +402,20 @@ def residual_density(u: Field, s: float, p: float, a_eps: float,
             + V * u.values - sp.pos_power(u.values, p))
 
 
-def pde_residual(u: Field, params: ProblemParams, V, eps: float = 1.0,
-                 return_density: bool = False):
+def pde_residual(u: Field, params: ProblemParams, V, eps: float = 1.0):
     """Residual of the eps-scaled Kirchhoff equation.
 
     (eps^2s a + eps^(4s-N) b ||(-Delta)^(s/2) u||^2) (-Delta)^s u
         + V u - u_+^p,   reduced to (sup, L2) norms.
 
-    eps = 1 covers the unscaled equations; V may be a scalar, an ndarray
-    over the grid, a Field, or a callable on coordinate arrays.
+    eps = 1 covers the unscaled equations; V is a scalar or grid values.
     """
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
     s, p, n = params.s, params.p, params.dim
-    if callable(V):
-        v_vals = V(*u.grid.coords)
-    elif isinstance(V, Field):
-        v_vals = V.values
-    else:
-        v_vals = np.asarray(V, dtype=float)
     density = residual_density(u, s, p, eps ** (2.0 * s) * params.a,
-                               eps ** (4.0 * s - n) * params.b, v_vals)
+                               eps ** (4.0 * s - n) * params.b, V)
     h = u.grid.spacing ** n
     sup = float(np.abs(density).max())
     l2 = float(np.sqrt(h * (density**2).sum()))
-    if return_density:
-        return sup, l2, Field(u.grid, density)
     return sup, l2

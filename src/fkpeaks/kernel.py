@@ -210,22 +210,20 @@ def subspace_cosines(op: LinearizedOperator,
     return out
 
 
-def kernel_report(op: LinearizedOperator, n: int,
-                  threshold: float = KERNEL_THRESHOLD,
-                  method: str = "iterative") -> dict:
+def kernel_report(op: LinearizedOperator, n: int) -> dict:
     """Spectrum summary: kernel count/alignment, gap, Morse-index count,
     and the residual ||L v - lambda v|| / ||v|| of every returned pair.
 
     The negative-eigenvalue count is a diagnostic only.
     """
-    pairs = kernel_spectrum(op, n, method=method)
+    pairs = kernel_spectrum(op, n)
     vals = [lam for lam, _ in pairs]
     residuals = [
         float(np.linalg.norm(op.apply_values(f.values) - lam * f.values)
               / np.linalg.norm(f.values))
         for lam, f in pairs
     ]
-    kernel_pairs = [(lam, f) for lam, f in pairs if abs(lam) < threshold]
+    kernel_pairs = [(lam, f) for lam, f in pairs if abs(lam) < KERNEL_THRESHOLD]
     cosines = subspace_cosines(op, [f for _, f in kernel_pairs])
     absvals = sorted(abs(v) for v in vals)
     kdim = len(kernel_pairs)
@@ -233,10 +231,10 @@ def kernel_report(op: LinearizedOperator, n: int,
                  if 0 < kdim < len(absvals) else float("inf"))
     return {
         "eigenvalues": vals,
-        "threshold": threshold,
+        "threshold": KERNEL_THRESHOLD,
         "kernel_dim": kdim,
         "kernel_cosines": cosines,
         "gap_ratio": gap_ratio,
-        "negative_count": sum(1 for v in vals if v < -threshold),
+        "negative_count": sum(1 for v in vals if v < -KERNEL_THRESHOLD),
         "pair_residuals": residuals,
     }

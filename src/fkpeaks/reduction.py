@@ -41,12 +41,7 @@ from .errors import (
     TailTruncationWarning,
     TruncationError,
 )
-from .groundstate import (
-    SystemSolution,
-    pde_residual,
-    residual_density,
-    solve_profile,
-)
+from .groundstate import SystemSolution, residual_density, solve_profile
 from .kernel import LinearizedOperator, smallest_magnitude
 from .spectral import Field, GridSpec, ProblemParams
 
@@ -240,16 +235,6 @@ class Potential:
         return worst
 
 
-def _potential_values(V, grid: GridSpec) -> np.ndarray:
-    if isinstance(V, Potential):
-        return V.on_grid(grid)
-    if isinstance(V, Field):
-        return V.values
-    if callable(V):
-        return V(*grid.coords)
-    return np.broadcast_to(np.asarray(V, dtype=float), grid.shape)
-
-
 # ---------------------------------------------------------------------------
 # peak configurations
 # ---------------------------------------------------------------------------
@@ -363,7 +348,6 @@ def solve_grid_system(
     coefficient_hint: float | None = None,
     shared_coefficient: bool = True,
     tol: float = 1e-11,
-    warm: list[Field] | None = None,
 ) -> GridSystem:
     """Solve the eps-scaled limiting-system profiles on `grid`.
 
@@ -394,7 +378,7 @@ def solve_grid_system(
         return profs, semis, resid
 
     if b == 0.0:
-        profs, semis, resid = solve_peaks(a, warm)
+        profs, semis, resid = solve_peaks(a, None)
         return GridSystem(grid, eps, a, profs, semis, vals, resid)
 
     if not shared_coefficient:
@@ -404,7 +388,7 @@ def solve_grid_system(
             sub = solve_grid_system(
                 grid, params, [v], eps,
                 coefficient_hint=coefficient_hint, shared_coefficient=True,
-                tol=tol, warm=[warm[i]] if warm else None,
+                tol=tol,
             )
             profs.append(sub.profiles[0])
             semis.append(sub.seminorms[0])
@@ -412,7 +396,7 @@ def solve_grid_system(
         return GridSystem(grid, eps, float("nan"), profs, semis, vals, resid)
 
     coeff = coefficient_hint if coefficient_hint else a * 2.0
-    profs = warm
+    profs = None
     history: list[tuple[float, float]] = []
     # the coefficient gap cannot resolve below the profile-solver noise
     gap_tol = max(1e-13, 5.0 * tol)
@@ -438,26 +422,26 @@ def solve_grid_system(
 # reducer: caches bound to one (grid, params, potential)
 # ---------------------------------------------------------------------------
 
+# a profile whose boundary value exceeds this fraction of its peak is
+# cut by the box
+TAIL_THRESHOLD = 1e-8
+
+
 class Reducer:
     """Binds the computational grid, equation parameters, and potential.
 
     Holds per-eps profile caches so peak searches re-solve nothing but
-    the correction.  `reference` optionally carries the whole-space
-    SystemSolution whose constants feed the energy expansion checks.
+    the correction.
     """
 
     def __init__(self, grid: GridSpec, params: ProblemParams,
-                 potential: Potential,
-                 reference: SystemSolution | None = None,
-                 tail_threshold: float = 1e-8, strict: bool = False,
+                 potential: Potential, strict: bool = False,
                  profile_tol: float = 1e-11):
         if potential.dim != grid.dim:
             raise GridMismatchError("potential dimension does not match grid")
         self.grid = grid
         self.params = params
         self.potential = potential
-        self.reference = reference
-        self.tail_threshold = tail_threshold
         self.strict = strict
         self.profile_tol = profile_tol
         self.V = potential.on_grid(grid)
@@ -469,8 +453,6 @@ class Reducer:
             if self._systems:
                 nearest = min(self._systems, key=lambda e: abs(e - eps))
                 hint = self._systems[nearest].coefficient
-            elif self.reference is not None:
-                hint = self.reference.kirchhoff_coefficient
             gs = solve_grid_system(
                 self.grid, self.params, self.potential.peak_values, eps,
                 coefficient_hint=hint, tol=self.profile_tol,
@@ -482,9 +464,9 @@ class Reducer:
     def _check_tails(self, gs: GridSystem) -> None:
         for i in range(len(gs.profiles)):
             frac = gs.tail_fraction(i)
-            if frac > self.tail_threshold:
+            if frac > TAIL_THRESHOLD:
                 msg = (f"peak {i} tail at the box boundary is {frac:.2e} of "
-                       f"its maximum (threshold {self.tail_threshold:.1e})")
+                       f"its maximum (threshold {TAIL_THRESHOLD:.1e})")
                 if self.strict:
                     raise TruncationError(msg)
                 warnings.warn(msg, TailTruncationWarning, stacklevel=3)
@@ -728,21 +710,8 @@ class _Frame:
 # public operations
 # ---------------------------------------------------------------------------
 
-def eps_inner(u: Field, v: Field, eps: float, V, params: ProblemParams) -> float:
-    """<u, v>_eps = int (eps^2s a (-D)^(s/2)u (-D)^(s/2)v + V u v)."""
-    if u.grid != v.grid:
-        raise GridMismatchError("fields live on different grids")
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
-    grid, s = u.grid, params.s
-    vvals = _potential_values(V, grid)
-    semi = sp.seminorm_inner(grid, s, u.spectral(), v.spectral())
-    mass = grid.spacing**grid.dim * float((vvals * u.values * v.values).sum())
-    return eps ** (2.0 * s) * params.a * semi + mass
-
-
-def eps_norm(u: Field, eps: float, V, params: ProblemParams) -> float:
-    return math.sqrt(max(eps_inner(u, u, eps, V, params), 0.0))
+MAX_CORRECTION_STEPS = 40
+CORRECTION_INNER_RTOL = 1e-11     # MINRES rtol of each correction step
 
 
 def solve_correction(
@@ -750,8 +719,6 @@ def solve_correction(
     cfg: PeakConfig,
     phi0: Field | None = None,
     outer_tol_factor: float = 1e-10,
-    max_outer: int = 40,
-    inner_rtol: float = 1e-11,
     picard_steps: int = 3,
     frame: "_Frame" = None,
 ) -> ReducedSolution:
@@ -761,10 +728,9 @@ def solve_correction(
     increment ratios are the reported contraction diagnostics), then
     switches the increment operator to the second variation at the
     current iterate, which drives the same fixed point quadratically.
-    Stops when ||phi_{n+1} - phi_n||_eps < outer_tol_factor * eps^(N/2).
+    Stops when ||phi_{n+1} - phi_n||_eps < outer_tol_factor * eps^(N/2);
+    raises NoContractionError after MAX_CORRECTION_STEPS steps.
     """
-    if max_outer < 1:
-        raise ParameterError(f"max_outer must be at least 1, got {max_outer}")
     fr = frame if frame is not None else red.frame(cfg)
     n = red.params.dim
     tol = outer_tol_factor * cfg.eps ** (0.5 * n)
@@ -776,12 +742,12 @@ def solve_correction(
     ratios: list[float] = []
     increments: list[float] = []
     bad_streak = 0
-    for it in range(1, max_outer + 1):
+    for it in range(1, MAX_CORRECTION_STEPS + 1):
         u = Field(red.grid, fr.U.values + phi)
         lin = None if it <= picard_steps else fr.second_variation(u)
         try:
             delta = fr.solve_constrained(fr.gradient_density(u),
-                                         rtol=inner_rtol,
+                                         rtol=CORRECTION_INNER_RTOL,
                                          atol=0.01 * tol, maxiter=maxiter,
                                          lin=lin)
         except LinearSolveError:
@@ -815,15 +781,15 @@ def solve_correction(
             break
     else:
         raise NoContractionError(
-            f"correction loop hit max_outer={max_outer} "
-            f"(last increment {inc:.3e}, tol {tol:.3e})", ratios=ratios,
+            "correction loop hit its step cap "
+            f"MAX_CORRECTION_STEPS={MAX_CORRECTION_STEPS} (last increment "
+            f"{inc:.3e}, tol {tol:.3e})", ratios=ratios,
         )
 
     phi_norm = fr.eps_norm(phi)
     u_full = Field(red.grid, fr.U.values + phi)
-    sup_res, _, grad = pde_residual(u_full, red.params, fr.V, cfg.eps,
-                                    return_density=True)
-    lam = fr.multipliers(grad.values)
+    grad = fr.gradient_density(u_full)
+    lam = fr.multipliers(grad)
     energy = fr.energy(u_full.values)
     return ReducedSolution(
         config=cfg,
@@ -832,7 +798,7 @@ def solve_correction(
         iterations=it,
         contraction_ratios=ratios,
         reduced_energy=energy,
-        full_residual=sup_res,
+        full_residual=float(np.abs(grad).max()),
         orthogonality=fr.orthogonality(phi, phi_norm),
         multipliers=lam,
         ansatz=fr.U,

@@ -64,10 +64,11 @@ class TestSolveQFractional:
         with pytest.raises(ParameterError):
             gs.solve_Q(grid, 0.4, 2.0, tol=1e-3)
 
-    def test_iteration_cap_reports_residual(self):
+    def test_iteration_cap_reports_residual(self, monkeypatch):
+        monkeypatch.setattr(gs, "MAX_ITER", 3)
         grid = sp.GridSpec(1, 20.0, 256)
         with pytest.raises(IterationError) as err:
-            gs.solve_Q(grid, 0.4, 2.0, tol=1e-12, max_iter=3)
+            gs.solve_Q(grid, 0.4, 2.0, tol=1e-12)
         assert err.value.residual is not None
         assert err.value.iterations == 3
 
@@ -223,13 +224,14 @@ class TestPdeResidual:
         xi0 = grid.wavenumbers_axis[6]
         u = sp.Field.from_function(grid, lambda x: np.cos(xi0 * x))
         params = sp.ProblemParams(1, 0.4, 2.0, 1.0, 1.0)
-        sup, l2, dens = gs.pde_residual(u, params, 1.0, eps=1.0,
-                                        return_density=True)
+        dens = gs.residual_density(u, 0.4, 2.0, 1.0, 1.0, 1.0)
+        sup, _ = gs.pde_residual(u, params, 1.0, eps=1.0)
         s_val = sp.seminorm_sq(u, 0.4)
         coef = 1.0 + s_val
         expected = (coef * abs(xi0) ** 0.8 * u.values + u.values
                     - sp.pos_power(u.values, 2.0))
-        assert np.abs(dens.values - expected).max() < 1e-11
+        assert np.abs(dens - expected).max() < 1e-11
+        assert sup == np.abs(dens).max()
 
     def test_zero_field(self):
         grid = sp.GridSpec(1, 10.0, 64)

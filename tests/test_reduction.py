@@ -6,7 +6,8 @@ from fkpeaks import kernel as kn
 from fkpeaks import reduction as rd
 from fkpeaks import spectral as sp
 from fkpeaks.errors import (BoundaryMinimizerWarning, EigensolverError,
-                            IterationError, ParameterError)
+                            IterationError, NoContractionError,
+                            ParameterError)
 from tests_support import TRUNCATES_BY_DESIGN
 
 
@@ -124,13 +125,21 @@ class TestPeakConfig:
             rd.solve_correction(reducer_1d, far)
 
 
+def eps_frame(grid, params, potential, eps):
+    """The frame at the wells; its eps-norm depends only on eps and V."""
+    red = rd.Reducer(grid, params, potential)
+    return red.frame(rd.PeakConfig(eps, potential.peaks, delta=0.5,
+                                   theta=0.8))
+
+
+@TRUNCATES_BY_DESIGN
 class TestEpsInner:
     def test_matches_hs_norm(self, params_1d):
         grid = sp.GridSpec(1, 10.0, 256)
         f = sp.random_band_limited(grid, 4.0, seed=31)
         # eps chosen so eps^2s a = 1
-        eps = 1.0
-        val = rd.eps_inner(f, f, eps, 1.0, params_1d)
+        fr = eps_frame(grid, params_1d, rd.Potential.constant(1.0), 1.0)
+        val = fr.eps_norm(f.values) ** 2
         expected = (params_1d.a * sp.seminorm_sq(f, params_1d.s)
                     + sp.integrate(sp.Field(grid, f.values**2)))
         assert val == pytest.approx(expected, rel=1e-12)
@@ -141,20 +150,17 @@ class TestEpsInner:
         x2 = grid.wavenumbers_axis[7]
         f = sp.Field.from_function(grid, lambda x: np.cos(x1 * x))
         g = sp.Field.from_function(grid, lambda x: np.cos(x2 * x))
-        assert abs(rd.eps_inner(f, g, 0.3, 1.0, params_1d)) < 1e-12
-
-    def test_symmetric(self, params_1d):
-        grid = sp.GridSpec(1, 10.0, 128)
-        f = sp.random_band_limited(grid, 4.0, seed=41)
-        g = sp.random_band_limited(grid, 4.0, seed=42)
-        a = rd.eps_inner(f, g, 0.2, 1.3, params_1d)
-        b = rd.eps_inner(g, f, 0.2, 1.3, params_1d)
-        assert a == b
+        fr = eps_frame(grid, params_1d, rd.Potential.constant(1.0), 0.3)
+        # polarization: <f, g> = (||f + g||^2 - ||f - g||^2) / 4
+        inner = 0.25 * (fr.eps_norm(f.values + g.values) ** 2
+                        - fr.eps_norm(f.values - g.values) ** 2)
+        assert abs(inner) < 1e-12
 
     def test_mass_lower_bound(self, params_1d, well_1d):
         grid = sp.GridSpec(1, 4.0, 256)
         f = sp.random_band_limited(grid, 6.0, seed=5)
-        norm_sq = rd.eps_inner(f, f, 0.1, well_1d, params_1d)
+        norm_sq = eps_frame(grid, params_1d, well_1d, 0.1).eps_norm(
+            f.values) ** 2
         mass = sp.integrate(sp.Field(grid, f.values**2))
         inf_v = well_1d.on_grid(grid).min()
         assert norm_sq >= inf_v * mass - 1e-12
@@ -194,13 +200,13 @@ class TestBuildAnsatz:
         assert total_sq == pytest.approx(parts_sq + 2 * cross, rel=1e-12)
         assert abs(cross) < 0.01 * parts_sq
 
-    def test_eps_norm_scaling(self, reducer_1d, params_1d, well_1d):
+    def test_eps_norm_scaling(self, reducer_1d):
         # ||ansatz||_eps^2 = O(eps^N): ratio stable under halving within 5%
         ratios = []
         for eps in (0.06, 0.03):
             cfg = rd.PeakConfig(eps, [[0.3]], delta=0.5, theta=0.8)
-            u = reducer_1d.frame(cfg).U
-            nrm = rd.eps_inner(u, u, eps, well_1d, params_1d)
+            fr = reducer_1d.frame(cfg)
+            nrm = fr.eps_norm(fr.U.values) ** 2
             ratios.append(nrm / eps)
         assert abs(ratios[1] - ratios[0]) < 0.05 * ratios[0]
 
@@ -217,8 +223,9 @@ class TestEll:
         red = rd.Reducer(grid_1d, params_1d, pot, profile_tol=1e-12)
         cfg = rd.PeakConfig(0.05, [[0.0]], delta=0.5, theta=0.8)
         phi = sp.random_band_limited(grid_1d, 40.0, seed=3)
-        val = red.frame(cfg).ell(phi.values)
-        norm = rd.eps_norm(phi, 0.05, pot, params_1d)
+        fr = red.frame(cfg)
+        val = fr.ell(phi.values)
+        norm = fr.eps_norm(phi.values)
         assert abs(val) / norm < 1e-11
 
     def test_smallness_exponent(self, grid_1d):
@@ -355,10 +362,12 @@ class TestSolveCorrection:
         slope = np.polyfit(np.log(e), np.log(v), 1)[0]
         assert slope >= 1.0 - 0.2
 
-    def test_max_outer_below_one_rejected(self, reducer_1d):
+    def test_max_outer_below_one_rejected(self, reducer_1d, monkeypatch):
+        # one step cannot meet the increment tolerance: the cap is hit
+        monkeypatch.setattr(rd, "MAX_CORRECTION_STEPS", 1)
         cfg = rd.PeakConfig(0.1, [[0.3]], delta=0.5, theta=0.8)
-        with pytest.raises(ParameterError):
-            rd.solve_correction(reducer_1d, cfg, max_outer=0)
+        with pytest.raises(NoContractionError, match="MAX_CORRECTION_STEPS=1"):
+            rd.solve_correction(reducer_1d, cfg)
 
     def test_warm_start_converges_to_same_fixed_point(self, reducer_1d):
         cfg = rd.PeakConfig(0.08, [[0.35]], delta=0.5, theta=0.8)

@@ -10,7 +10,7 @@ from fkpeaks.errors import (GeometryError, IterationError,
                             NoContractionError, ParameterError)
 
 
-from tests_support import manufactured_classical
+from tests_support import TRUNCATES_BY_DESIGN, manufactured_classical
 
 
 CLASSICAL = sp.ProblemParams(1, 1.0, 3.0, 1.0, 0.0, validation_mode=True)
@@ -89,13 +89,17 @@ class TestSobolevScaling:
         vals = [r["max_ratio"] for r in series]
         assert max(vals) / min(vals) < 2.0
 
+    @TRUNCATES_BY_DESIGN
     def test_constant_field_matches_direct_computation(self):
         grid = sp.GridSpec(1, 6.0, 256)
         params = sp.ProblemParams(1, 0.4, 2.0, 1.0, 0.0)
         phi = sp.Field(grid, np.ones(grid.shape))
         eps, q = 0.2, 4.0
         lq = sp.lq_norm(phi, q)
-        ne = rd.eps_norm(phi, eps, 1.0, params)
+        pot = rd.Potential.constant(1.0)
+        fr = rd.Reducer(grid, params, pot).frame(
+            rd.PeakConfig(eps, pot.peaks, delta=0.5, theta=0.8))
+        ne = fr.eps_norm(phi.values)
         direct = lq / (eps ** (1 / q - 0.5) * ne)
         assert np.isfinite(direct) and direct > 0
 
