@@ -49,6 +49,7 @@ class LinearizedOperator:
         self._local = self.c - self.p * sp.pos_power(self.profile.values,
                                                      self.p - 1.0)
         self._h = grid.spacing**grid.dim
+        self._conjugation = None   # (m, multipliers) of apply_conjugated
 
     @property
     def grid(self) -> GridSpec:
@@ -78,13 +79,31 @@ class LinearizedOperator:
         out = self.coefficient * sp._ifftn(sym * sp._fftn(vals))
         return self._add_lower_order(out, vals)
 
-    def apply_conjugated(self, vals: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """m L m v for a real Fourier multiplier m (4 transforms)."""
-        vhat = sp._fftn(vals)
-        u = sp._ifftn(m * vhat)
+    def apply_conjugated(self, z: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """m L m v for a real Fourier multiplier m on packed spectra
+        (`spectral.pack`): z packs v, the result packs m L m v (2
+        transforms; only m v visits the grid, for the local and rank-one
+        terms).
+
+        The result is projected onto the spectra of real fields, so the
+        apply is symmetric and vanishes off them.  The multipliers built
+        from m are kept for the next call with the same array, which must
+        not change in place.
+        """
+        grid = self.grid
+        if self._conjugation is None or self._conjugation[0] is not m:
+            scale = grid.packing_scale
+            self._conjugation = (
+                m, m / scale,
+                self.coefficient * grid.symbol(self.s) * m * m, scale * m,
+            )
+        _, m_in, bulk, m_out = self._conjugation
+        zhat = sp.packed_spectrum(grid, z)
+        u = sp._ifftn(m_in * zhat)
         g = self._add_lower_order(np.zeros_like(u), u)
-        diag = self.coefficient * self.grid.symbol(self.s) * m * vhat
-        return sp._ifftn(diag * m + m * sp._fftn(g))
+        out = bulk * zhat + m_out * sp._fftn(g)
+        sp.make_hermitian(grid, out)
+        return out.view(float).ravel()
 
     def _add_lower_order(self, out: np.ndarray,
                          vals: np.ndarray) -> np.ndarray:

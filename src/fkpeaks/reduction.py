@@ -17,7 +17,13 @@ residual at U + phi (groundstate.residual_density); L_eps is the
 kernel module's LinearizedOperator at U.  The system is solved by
 projected MINRES after symmetric preconditioning with
 P0 = eps^2s a (-Delta)^s + Vbar (a Fourier multiplier), which keeps the
-iteration matrix O(1)-conditioned uniformly in eps.
+iteration matrix O(1)-conditioned uniformly in eps.  The Krylov vectors
+are the preconditioned coordinates xi = P0^(1/2) phi as packed half
+spectra (spectral.pack), an isometry of grid fields: P0^(-1/2) and the
+bulk term act there as multipliers, so a matvec moves only P0^(-1/2) xi
+to the grid and back (2 transforms).  Each matvec projects its result
+onto the spectra of real fields (spectral.make_hermitian), which keeps
+roundoff from feeding the packed components no real field has.
 """
 
 from __future__ import annotations
@@ -309,6 +315,9 @@ class ReducedSolution:
     multipliers: np.ndarray
     ansatz: Field = field(repr=False, default=None)
     increments: list[float] = field(repr=False, default_factory=list)
+    # density of I'_eps(U + phi), which `multipliers` and
+    # `full_residual` come from
+    gradient_density: np.ndarray = field(repr=False, default=None)
 
     @property
     def solution(self) -> Field:
@@ -518,8 +527,9 @@ class _Frame:
         vbar = float(np.min(self.V))
         self.p0 = self.a_eps * grid.symbol(s) + vbar
         self.p0_isqrt = 1.0 / np.sqrt(self.p0)
+        self.p0_isqrt.setflags(write=False)     # apply_conjugated keeps it
         # orthonormal basis of preconditioned constraint densities
-        wmat = np.stack([self.precondition(d).ravel() for d in dens])
+        wmat = np.stack([self.precondition(d) for d in dens])
         q, _ = np.linalg.qr(wmat.T)
         self.Qc = q.T.copy()
         self._d2cache: dict[tuple[int, int, int], np.ndarray] = {}
@@ -533,29 +543,33 @@ class _Frame:
         return self.a_eps * fl + self.V * vals
 
     def precondition(self, vals: np.ndarray) -> np.ndarray:
-        """P0^(-1/2) f, the symmetric preconditioner's half inverse."""
-        return sp._ifftn(self.p0_isqrt * sp._fftn(vals))
+        """The packed spectrum of P0^(-1/2) f, a density in preconditioned
+        coordinates (1 transform)."""
+        return sp.pack(self.red.grid, self.p0_isqrt * sp._fftn(vals))
 
-    def project(self, flat: np.ndarray) -> np.ndarray:
-        return flat - self.Qc.T @ (self.Qc @ flat)
+    def to_field(self, z: np.ndarray) -> np.ndarray:
+        """The grid values phi = P0^(-1/2) xi of z, the packed spectrum
+        of xi (1 transform)."""
+        return sp._ifftn(self.p0_isqrt * sp.unpack(self.red.grid, z))
+
+    def project(self, z: np.ndarray) -> np.ndarray:
+        return z - self.Qc.T @ (self.Qc @ z)
 
     def project_field(self, vals: np.ndarray) -> np.ndarray:
         """Project grid values onto E_{eps,y} = {phi : <w_ij, phi> = 0}.
 
-        The Krylov projector lives in preconditioned coordinates
-        xi = P0^(1/2) phi, so conjugate through P0^(±1/2).
+        The Krylov projector acts on the packed spectrum of the
+        preconditioned coordinates xi = P0^(1/2) phi (2 transforms).
         """
-        xi = sp._ifftn(np.sqrt(self.p0) * sp._fftn(vals)).ravel()
-        xi = self.project(xi)
-        return self.precondition(xi.reshape(vals.shape))
+        z = sp.pack(self.red.grid, np.sqrt(self.p0) * sp._fftn(vals))
+        return self.to_field(self.project(z))
 
-    def apply_hat(self, flat: np.ndarray,
+    def apply_hat(self, z: np.ndarray,
                   lin: LinearizedOperator) -> np.ndarray:
-        """Projected, preconditioned action Q m L m Q in the coordinates
-        xi = P0^(1/2) phi, with m = P0^(-1/2) and Q the constraint
-        projector."""
-        v = self.project(flat).reshape(self.U.values.shape)
-        return self.project(lin.apply_conjugated(v, self.p0_isqrt).ravel())
+        """Projected, preconditioned action Q m L m Q on packed spectra,
+        with m = P0^(-1/2) and Q the constraint projector."""
+        return self.project(lin.apply_conjugated(self.project(z),
+                                                 self.p0_isqrt))
 
     def second_variation(self, u: Field) -> LinearizedOperator:
         """The second variation I''_eps(u); L_eps at the ansatz u = U."""
@@ -591,7 +605,7 @@ class _Frame:
 
     def ell_norm(self) -> float:
         """Dual norm of l_eps on E_{eps,y} (preconditioner estimate)."""
-        b = self.precondition(self.gradient_density(self.U)).ravel()
+        b = self.precondition(self.gradient_density(self.U))
         return float(np.linalg.norm(self.project(b)) * math.sqrt(self.h))
 
     def eps_norm(self, vals: np.ndarray) -> float:
@@ -628,17 +642,20 @@ class _Frame:
                           atol: float, maxiter: int,
                           lin: LinearizedOperator | None = None) -> np.ndarray:
         """Solve the constrained symmetric system A phi = -rhs on E_{eps,y};
-        A is L_eps by default, or the second variation `lin`."""
-        npts = self.U.values.size
-        shape = self.U.values.shape
+        A is L_eps by default, or the second variation `lin`.
+
+        Projected MINRES on Q m A m Q, m = P0^(-1/2), over the packed
+        spectra of xi = P0^(1/2) phi; packing is an isometry, so norms and
+        `rtol` are those of xi on the grid.  The matvec projects onto the
+        spectra of real fields, where the right-hand side lies.
+        """
         lin = self.L if lin is None else lin
-        op = sla.LinearOperator((npts, npts), dtype=float,
-                                matvec=lambda v: self.apply_hat(v, lin))
-        b = -self.precondition(rhs_density).ravel()
-        b = self.project(b)
+        b = self.project(-self.precondition(rhs_density))
         bnorm = float(np.linalg.norm(b))
         if bnorm == 0.0:
-            return np.zeros(shape)
+            return np.zeros(self.U.values.shape)
+        op = sla.LinearOperator((b.size, b.size), dtype=float,
+                                matvec=lambda v: self.apply_hat(v, lin))
         xi, info = sla.minres(op, b, rtol=rtol, maxiter=maxiter)
         resid = float(np.linalg.norm(b - op.matvec(xi)))
         if resid > max(1e-7 * bnorm, atol):
@@ -646,8 +663,7 @@ class _Frame:
                 f"projected MINRES stalled: residual {resid:.3e} "
                 f"(rhs norm {bnorm:.3e}, info={info})"
             )
-        xi = self.project(xi)
-        return self.precondition(xi.reshape(shape))
+        return self.to_field(self.project(xi))
 
     def multipliers(self, grad_density: np.ndarray) -> np.ndarray:
         """Lagrange multipliers of the constrained stationarity system."""
@@ -671,8 +687,13 @@ class _Frame:
         deflate the translation directions exactly), and the magnitude
         certificate of kernel.smallest_magnitude picks min |lambda| among
         them.  Raises EigensolverError when the pairs miss `tol`.
+
+        The form vanishes off the packed spectra of real fields, so
+        LOBPCG starts from real fields: a start with components there
+        converges to that spurious zero eigenvalue.
         """
         n_eigs = 2
+        grid = self.red.grid
 
         def apply(block):
             out = np.empty_like(block)
@@ -681,9 +702,10 @@ class _Frame:
             return out
 
         rng = np.random.default_rng(7)
-        x0 = rng.standard_normal((self.U.values.size, n_eigs))
-        for col in range(n_eigs):
-            x0[:, col] = self.project(x0[:, col])
+        draw = rng.standard_normal((self.U.values.size, n_eigs))
+        x0 = self.project(np.stack(
+            [sp.pack(grid, sp._fftn(col.reshape(grid.shape)))
+             for col in draw.T], axis=1))
         vals, _, history = sla.lobpcg(apply, x0, Y=self.Qc.T, largest=False,
                                       tol=tol, maxiter=maxiter,
                                       retResidualNormsHistory=True)
@@ -803,6 +825,7 @@ def solve_correction(
         multipliers=lam,
         ansatz=fr.U,
         increments=increments,
+        gradient_density=grad,
     )
 
 
@@ -811,11 +834,11 @@ def reduced_gradient_total(red: Reducer, cfg: PeakConfig,
                            frame: "_Frame" = None) -> np.ndarray:
     """Exact total derivative of the reduced energy j_eps at a solved
     correction: envelope term plus the multiplier correction from the
-    y-dependence of the orthogonality constraints."""
+    y-dependence of the orthogonality constraints; reuses the gradient
+    density and multipliers the correction ended with."""
     fr = frame if frame is not None else red.frame(cfg)
     phi = sol.correction.values
-    grad_dens = fr.gradient_density(Field(red.grid, fr.U.values + phi))
-    lam = fr.multipliers(grad_dens)
+    grad_dens, lam = sol.gradient_density, sol.multipliers
     k, n = cfg.y.shape
     out = np.zeros(k * n)
     # I'(u) = -sum lam_ij w_ij on span{w}; differentiating the constraints

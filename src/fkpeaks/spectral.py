@@ -12,6 +12,11 @@ Conventions:
   - Parseval sums over the half spectrum weigh each mode by the number of
     full-spectrum modes it stands for (`GridSpec.hermitian_weights`): 1 on
     the k = 0 and k = M/2 columns of the last axis, 2 elsewhere;
+  - packed coordinates (`pack`) scale a half spectrum by
+    S = sqrt(hermitian_weights / M^N) and view it as a float64 vector, so
+    f -> pack(_fftn(f)) preserves the Euclidean norm of grid values; its
+    image, the Hermitian-consistent vectors, is the spectra of real fields
+    (`make_hermitian` projects onto it);
   - the fractional Laplacian acts as the Fourier multiplier |xi|^(2s),
     so plane waves at grid wavenumbers are exact eigenfunctions;
   - quadrature is the rectangle rule h^N * sum(values), spectrally
@@ -103,6 +108,13 @@ class GridSpec:
         w = np.full(self.points_per_dim // 2 + 1, 2.0)
         w[0] = w[-1] = 1.0
         return w
+
+    @cached_property
+    def packing_scale(self) -> np.ndarray:
+        """S = sqrt(hermitian_weights / M^N) along the last axis: the
+        scale under which a half spectrum's Euclidean norm is its field's."""
+        return np.sqrt(self.hermitian_weights
+                       / self.points_per_dim ** self.dim)
 
     @cached_property
     def coords(self) -> tuple[np.ndarray, ...]:
@@ -329,6 +341,42 @@ def seminorm_inner(grid: GridSpec, s: float, uhat: np.ndarray,
     w = grid.spacing ** grid.dim / grid.points_per_dim ** grid.dim
     prod = np.abs(uhat) ** 2 if vhat is None else (uhat.conj() * vhat).real
     return float(w * (grid.symbol(s) * prod * grid.hermitian_weights).sum())
+
+
+def pack(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Packed coordinates of a half spectrum: S * coeffs viewed as one
+    flat float64 vector (see the module conventions)."""
+    return (coeffs * grid.packing_scale).view(float).ravel()
+
+
+def packed_spectrum(grid: GridSpec, flat: np.ndarray) -> np.ndarray:
+    """The scaled half spectrum S * coeffs that packed coordinates hold,
+    as a complex view (a copy when `flat` is not contiguous);
+    `.view(float).ravel()` packs it back."""
+    flat = np.ascontiguousarray(flat)
+    return flat.view(complex).reshape(grid.shape[:-1] + (-1,))
+
+
+def unpack(grid: GridSpec, flat: np.ndarray) -> np.ndarray:
+    """The half spectrum of packed coordinates (inverse of `pack`);
+    _ifftn of it drops the part off the real-field spectra."""
+    return packed_spectrum(grid, flat) / grid.packing_scale
+
+
+def make_hermitian(grid: GridSpec, coeffs: np.ndarray) -> None:
+    """Project a half spectrum, in place, onto the spectra of real fields
+    (orthogonally, also for the packed coordinates).
+
+    Only the k = 0 and k = M/2 columns of the last axis hold both a mode
+    and its conjugate, paired across the flipped leading axes; each pair
+    is replaced by its mean, so the result is Hermitian-consistent
+    exactly, not to roundoff.
+    """
+    m = grid.points_per_dim
+    flip = (-np.arange(m)) % m
+    cols = coeffs[..., ::m // 2]
+    mirrored = cols[np.ix_(*([flip] * (grid.dim - 1)))]
+    coeffs[..., ::m // 2] = 0.5 * (cols + mirrored.conj())
 
 
 def derivative(f: Field, axis: int) -> Field:

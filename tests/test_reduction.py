@@ -274,29 +274,51 @@ class TestApplyLeps:
         diff = np.abs(via_reduction - via_kernel.values).max()
         assert diff < 1e-12 * np.abs(via_kernel.values).max()
 
-    def test_conjugated_apply_matches_plain_apply(self):
-        # the fused 4-transform m L m against m (L (m v)) on E_{eps,y}, 2D
+    @pytest.fixture(scope="class")
+    def frame_2d(self):
         params = sp.ProblemParams(2, 0.75, 2.0, 1.0, 0.05)
         grid = sp.GridSpec(2, 2.5, 64)
         pot = rd.Potential.single_well([0.1, -0.1], 1.0, [1.0, 1.5], m=2.0)
         red = rd.Reducer(grid, params, pot)
-        fr = red.frame(rd.PeakConfig(0.25, [[0.1, -0.1]], delta=0.4,
-                                     theta=0.8))
+        return red.frame(rd.PeakConfig(0.25, [[0.1, -0.1]], delta=0.4,
+                                       theta=0.8))
+
+    def test_packed_apply_matches_plain_apply(self, frame_2d):
+        # the 2-transform apply on packed half spectra against m (L (m v))
+        # on E_{eps,y}, composed through the packing, 2D
+        fr = frame_2d
+        grid = fr.red.grid
         v = sp.random_band_limited(grid, 8.0, seed=5).values
-        v = fr.project(v.ravel()).reshape(grid.shape)
+        z = fr.project(sp.pack(grid, sp._fftn(v)))
+        v = sp._ifftn(sp.unpack(grid, z))
         m = fr.p0_isqrt
 
         def mult(x):
             return sp._ifftn(m * sp._fftn(x))
 
-        fused = fr.L.apply_conjugated(v, m)
+        packed = sp._ifftn(sp.unpack(grid, fr.L.apply_conjugated(z, m)))
         plain = mult(fr.L.apply_values(mult(v)))
-        assert np.abs(fused - plain).max() < 1e-12 * np.abs(plain).max()
+        assert np.abs(packed - plain).max() < 1e-12 * np.abs(plain).max()
+
+    def test_packed_apply_is_hermitian_consistent(self, frame_2d):
+        # even from a packed vector off the real-field spectra, the apply
+        # returns one on them exactly: each mode of the k = 0 and M/2
+        # columns is the conjugate of its mirror across the leading axis
+        fr = frame_2d
+        grid = fr.red.grid
+        z = np.random.default_rng(11).standard_normal(2 * fr.p0.size)
+        out = fr.L.apply_conjugated(z, fr.p0_isqrt).view(complex)
+        out = out.reshape(grid.shape[:-1] + (-1,))
+        flip = (-np.arange(grid.points_per_dim)) % grid.points_per_dim
+        for col in (0, grid.points_per_dim // 2):
+            assert np.array_equal(out[:, col], out[flip, col].conj())
 
     def test_coercive_on_constraint_complement(self, reducer_1d):
+        # min |lambda| on E_{eps,y}; a start off the real-field spectra
+        # would find a spurious ~1e-15 here
         cfg = rd.PeakConfig(0.05, [[0.3]], delta=0.5, theta=0.8)
         rho = reducer_1d.frame(cfg).coercivity()
-        assert rho > 0.0
+        assert rho == pytest.approx(0.44200529882960, rel=1e-6)
 
     @pytest.mark.filterwarnings("ignore:Exited")
     def test_unconverged_coercivity_raises(self, reducer_1d):

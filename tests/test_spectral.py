@@ -337,6 +337,39 @@ class TestHalfSpectrumAgainstComplexFFT:
         ref = _ref_random_band_limited(g, cutoff, (4, 1))
         assert _rel(got, ref) < 1e-13
 
+    def test_packing_is_an_isometry(self, fields):
+        # T+ T u = u, and T keeps Euclidean norms and inner products
+        g, u, v = fields
+        zu, zv = sp.pack(g, sp._fftn(u)), sp.pack(g, sp._fftn(v))
+        assert zu.dtype == float and zu.size == 2 * sp._fftn(u).size
+        assert _rel(sp._ifftn(sp.unpack(g, zu)), u) < 1e-14
+        assert abs(np.linalg.norm(zu) - np.linalg.norm(u)) \
+            <= 1e-14 * np.linalg.norm(u)
+        assert abs(zu @ zv - (u * v).sum()) <= 1e-13 * np.linalg.norm(u) \
+            * np.linalg.norm(v)
+
+    def test_make_hermitian_projects_onto_real_spectra(self, fields):
+        # an arbitrary half spectrum: the projection keeps the real field
+        # it stands for, is idempotent, and removes a part orthogonal to
+        # every real field's packed spectrum
+        g, u, v = fields
+        rng = np.random.default_rng(5)
+        shape = sp._fftn(u).shape
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        px = x.copy()
+        sp.make_hermitian(g, px)
+        assert _rel(sp._ifftn(px), sp._ifftn(x)) < 1e-14
+        ppx = px.copy()
+        sp.make_hermitian(g, ppx)
+        assert np.array_equal(ppx, px)
+        off = sp.pack(g, x) - sp.pack(g, px)
+        assert abs(off @ sp.pack(g, sp._fftn(v))) \
+            <= 1e-13 * np.linalg.norm(off) * np.linalg.norm(v)
+        vhat = sp._fftn(v)
+        pv = vhat.copy()
+        sp.make_hermitian(g, pv)
+        assert _rel(pv, vhat) < 1e-14
+
 
 class TestProblemParams:
     def test_admissible_window(self):
