@@ -89,10 +89,11 @@ def solve_profile(
     gammas: list[float] = []
     exponent = p / (p - 1.0)
     residual = np.inf
+    # L u and u^p of the current iterate; the residual check of each new
+    # iterate computes them for the next step
+    lu = sp._ifftn(mult * sp._fftn(u))
+    up = sp.pos_power(u, p)
     for it in range(1, MAX_ITER + 1):
-        uhat = sp._fftn(u)
-        lu = sp._ifftn(mult * uhat)
-        up = sp.pos_power(u, p)
         num = w_quad * float(np.vdot(lu, u).real)
         den = w_quad * float(np.vdot(up, u).real)
         if den <= 0 or not np.isfinite(den) or not np.isfinite(num):
@@ -114,9 +115,9 @@ def solve_profile(
                 "fixed point collapsed to the zero field", residual=residual,
                 iterations=it,
             )
-        uhat = sp._fftn(u)
-        res = sp._ifftn(mult * uhat) - sp.pos_power(u, p)
-        residual = float(np.abs(res).max())
+        lu = sp._ifftn(mult * sp._fftn(u))
+        up = sp.pos_power(u, p)
+        residual = float(np.abs(lu - up).max())
         if residual < tol:
             return Field(grid, u), residual, gammas, it
     raise IterationError(

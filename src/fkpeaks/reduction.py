@@ -24,6 +24,11 @@ bulk term act there as multipliers, so a matvec moves only P0^(-1/2) xi
 to the grid and back (2 transforms).  Each matvec projects its result
 onto the spectra of real fields (spectral.make_hermitian), which keeps
 roundoff from feeding the packed components no real field has.
+
+Each frame builds the kN x kN constraint algebra once: the stacked
+translation modes w_ij, their representatives P w_ij (P = eps^2s a
+(-Delta)^s + V) and the Gram matrix <w_ij, w_kl>_eps, from which the
+multipliers, the orthogonality and the reduced gradient are products.
 """
 
 from __future__ import annotations
@@ -484,9 +489,11 @@ class Reducer:
         """The public entry to the operations at one configuration (eps, y).
 
         The frame holds U_{eps,y} (`U`), L_eps (`L`) and the constraint
-        basis of E_{eps,y}, and evaluates l_eps (`ell`, `ell_norm`), I_eps
-        (`energy`), R_eps (`remainder`) and the inversion constant
-        (`coercivity`).  Raises ParameterError for y outside D_{eps,delta}.
+        algebra of E_{eps,y} (`modes`, `mode_densities`, `gram`), and
+        evaluates l_eps (`ell`, `ell_norm`), I_eps (`energy`), R_eps
+        (`remainder`), the multipliers, the orthogonality and the
+        inversion constant (`coercivity`).  Raises ParameterError for y
+        outside D_{eps,delta}.
         The class keeps its private name while the benchmark in perfbench/
         rebinds `_Frame` methods to trace them, until the package records
         its own trace.
@@ -517,11 +524,14 @@ class _Frame:
         self.h = grid.spacing**n
         self.L = self.second_variation(self.U)              # L_eps
 
-        # translation modes dU/dy_ij and their eps-inner representatives
-        self.modes = [-sp.derivative(f, j).values
-                      for f in shifted for j in range(n)]
-        dens = [self._p_apply(m) for m in self.modes]
-        self.mode_densities = dens
+        # translation modes w_ij = dU/dy_ij, their eps-inner representatives
+        # P w_ij, stacked (kN, *grid), and their Gram matrix <w, w>_eps
+        self.modes = np.stack([-sp.derivative(f, j).values
+                               for f in shifted for j in range(n)])
+        self.mode_densities = dens = np.stack([self._p_apply(m)
+                                               for m in self.modes])
+        self.gram = self.h * (self.modes.reshape(len(dens), -1)
+                              @ dens.reshape(len(dens), -1).T)
 
         # symmetric preconditioner: P0 = eps^2s a |xi|^2s + Vbar
         vbar = float(np.min(self.V))
@@ -532,7 +542,6 @@ class _Frame:
         wmat = np.stack([self.precondition(d) for d in dens])
         q, _ = np.linalg.qr(wmat.T)
         self.Qc = q.T.copy()
-        self._d2cache: dict[tuple[int, int, int], np.ndarray] = {}
 
     # -- low-level applies ---------------------------------------------------
 
@@ -626,15 +635,17 @@ class _Frame:
         pot = self.h * float(sp.pos_power(vals, p + 1.0).sum())
         return 0.5 * quad + 0.25 * self.C * s_u**2 - pot / (p + 1.0)
 
+    def _pairings(self, stack: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """h sum(stack_i * vals) for each row of a stacked (K, *grid) array."""
+        return self.h * (stack.reshape(len(stack), -1) @ vals.ravel())
+
     def orthogonality(self, vals: np.ndarray, phi_norm: float) -> np.ndarray:
         """Relative eps-inner products against each translation mode;
         `phi_norm` is eps_norm(vals), zeros when it is 0."""
-        out = np.zeros(len(self.modes))
-        for idx, (mode, dens) in enumerate(zip(self.modes, self.mode_densities)):
-            raw = self.h * float((dens * vals).sum())
-            scale = self.eps_norm(mode) * phi_norm
-            out[idx] = raw / scale if scale > 0 else 0.0
-        return out
+        if phi_norm == 0.0:
+            return np.zeros(len(self.modes))
+        return (self._pairings(self.mode_densities, vals)
+                / (np.sqrt(np.diag(self.gram)) * phi_norm))
 
     # -- constrained solve ----------------------------------------------------
 
@@ -667,14 +678,8 @@ class _Frame:
 
     def multipliers(self, grad_density: np.ndarray) -> np.ndarray:
         """Lagrange multipliers of the constrained stationarity system."""
-        nmodes = len(self.modes)
-        gram = np.empty((nmodes, nmodes))
-        rhs = np.empty(nmodes)
-        for i, mode in enumerate(self.modes):
-            rhs[i] = -self.h * float((grad_density * mode).sum())
-            for j, dens in enumerate(self.mode_densities):
-                gram[i, j] = self.h * float((dens * mode).sum())
-        return np.linalg.solve(gram, rhs)
+        return np.linalg.solve(self.gram,
+                               -self._pairings(self.modes, grad_density))
 
     def coercivity(self, tol: float = 1e-7, maxiter: int = 400) -> float:
         """Invertibility constant of the projected, preconditioned quadratic
@@ -717,15 +722,6 @@ class _Frame:
                 ritz_residuals=residuals.tolist(),
             )
         return float(abs(vals[smallest_magnitude(vals, 1)[0]]))
-
-    def constraint_y_derivative(self, a: int, b: int, j: int) -> np.ndarray:
-        """d w_(a,j) / d y_(a,b): eps-representative density of the second
-        shift derivative of peak a (zero across peaks)."""
-        key = (a, min(b, j), max(b, j))
-        if key not in self._d2cache:
-            f = sp.derivative(sp.derivative(self.peak_fields[a], j), b)
-            self._d2cache[key] = self._p_apply(f.values)
-        return self._d2cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -829,30 +825,27 @@ def solve_correction(
     )
 
 
-def reduced_gradient_total(red: Reducer, cfg: PeakConfig,
-                           sol: ReducedSolution,
-                           frame: "_Frame" = None) -> np.ndarray:
-    """Exact total derivative of the reduced energy j_eps at a solved
-    correction: envelope term plus the multiplier correction from the
-    y-dependence of the orthogonality constraints; reuses the gradient
+def reduced_gradient_total(frame: "_Frame",
+                           sol: ReducedSolution) -> np.ndarray:
+    """Exact total derivative of the reduced energy j_eps at a correction
+    solved on `frame`: envelope term plus the multiplier correction from
+    the y-dependence of the orthogonality constraints; reuses the gradient
     density and multipliers the correction ended with."""
-    fr = frame if frame is not None else red.frame(cfg)
-    phi = sol.correction.values
-    grad_dens, lam = sol.gradient_density, sol.multipliers
-    k, n = cfg.y.shape
-    out = np.zeros(k * n)
+    k, n = sol.config.y.shape
+    lam = sol.multipliers.reshape(k, n)
+    out = frame._pairings(frame.modes, sol.gradient_density).reshape(k, n)
     # I'(u) = -sum lam_ij w_ij on span{w}; differentiating the constraints
     # <w_aj(y), phi_y> = 0 turns the phi-variation term into
-    # +sum_j lam_aj <d w_aj / d y_ab, phi>.
-    for a in range(k):
-        for b in range(n):
-            idx = a * n + b
-            val = fr.h * float((grad_dens * fr.modes[idx]).sum())
-            for j in range(n):
-                dw = fr.constraint_y_derivative(a, b, j)
-                val += lam[a * n + j] * fr.h * float((dw * phi).sum())
-            out[idx] = val
-    return out
+    # +sum_j lam_aj <d w_aj / d y_ab, phi> with d w_aj / d y_ab =
+    # P d_b d_j W_a, and P is symmetric on the grid
+    p_phi = frame._p_apply(sol.correction.values)
+    for a, peak in enumerate(frame.peak_fields):
+        for j in range(n):
+            dj = sp.derivative(peak, j)
+            for b in range(n):
+                d2 = sp.derivative(dj, b).values
+                out[a, b] += lam[a, j] * frame.h * float((d2 * p_phi).sum())
+    return out.ravel()
 
 
 def energy_constants(sys: SystemSolution) -> tuple[float, list[float]]:
@@ -936,7 +929,7 @@ def minimize_peaks(
                                picard_steps=1, frame=fr)
         warm = sol.correction
         count["evaluations"] += 1
-        return reduced_gradient_total(red, cfg, sol, frame=fr)
+        return reduced_gradient_total(fr, sol)
 
     def jacobian_at(y, g) -> np.ndarray:
         jac = np.empty((y.size, y.size))

@@ -272,11 +272,6 @@ class ProblemParams:
         return 2.0 * self.dim / (self.dim - 2.0 * self.s) - 1.0
 
 
-def _check_field(f: Field) -> None:
-    if not np.all(np.isfinite(f.values)):
-        raise NonFiniteFieldError("field values contain NaN or Inf")
-
-
 def _check_s(s: float) -> None:
     if not (0.0 < s <= 1.0):
         raise ParameterError(f"s must lie in (0, 1], got {s}")
@@ -291,7 +286,6 @@ def fractional_laplacian(f: Field, s: float) -> Field:
     """(-Delta)^s f via the |xi|^(2s) multiplier.  Memoised on f for the
     last s asked, so the residual and the second variation at one field
     share one product."""
-    _check_field(f)
     _check_s(s)
     s = float(s)
     if f._flap is None or f._flap[0] != s:
@@ -302,7 +296,6 @@ def fractional_laplacian(f: Field, s: float) -> Field:
 
 def half_laplacian(f: Field, s: float) -> Field:
     """(-Delta)^(s/2) f, i.e. the |xi|^s multiplier."""
-    _check_field(f)
     _check_s(s)
     coeffs = f.spectral() * f.grid.symbol(0.5 * s)
     return Field.from_spectral(f.grid, coeffs)
@@ -310,7 +303,6 @@ def half_laplacian(f: Field, s: float) -> Field:
 
 def integrate(f: Field) -> float:
     """Rectangle-rule integral h^N * sum(values)."""
-    _check_field(f)
     return float(f.grid.spacing ** f.grid.dim * f.values.sum())
 
 
@@ -381,7 +373,6 @@ def make_hermitian(grid: GridSpec, coeffs: np.ndarray) -> None:
 
 def derivative(f: Field, axis: int) -> Field:
     """Spectral partial derivative; the Nyquist mode is zeroed."""
-    _check_field(f)
     g = f.grid
     if not 0 <= axis < g.dim:
         raise ParameterError(f"axis {axis} out of range for dim {g.dim}")
@@ -399,7 +390,6 @@ def translate(f: Field, shift) -> Field:
     Exact for band-limited fields; the Nyquist mode gets the symmetric
     real factor cos(xi_N * shift).
     """
-    _check_field(f)
     g = f.grid
     shift = np.atleast_1d(np.asarray(shift, dtype=float))
     if shift.shape != (g.dim,):
@@ -422,7 +412,6 @@ def interpolate(f: Field, points: np.ndarray) -> np.ndarray:
     points: (..., dim) array.  Cost O(P * M * dim); fine for boundary
     quadrature, not meant for full-grid resampling.
     """
-    _check_field(f)
     g = f.grid
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != g.dim:

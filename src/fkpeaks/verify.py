@@ -75,6 +75,11 @@ def write_csv(reports: list[CheckReport], path) -> None:
 # local Pohozaev identity
 # ---------------------------------------------------------------------------
 
+# radii between 0.6 and 1.3 times the requested one that
+# pohozaev_residual also evaluates
+POHOZAEV_SCAN = 8
+
+
 def _sphere_nodes(grid: GridSpec, center, radius: float):
     """Boundary quadrature nodes, outward normals, and weights."""
     n = grid.dim
@@ -173,13 +178,14 @@ def _pohozaev_terms(u: Field, eps: float, params: ProblemParams, V,
 
 def pohozaev_residual(u: Field, eps: float, params: ProblemParams,
                       V: Potential, center, radius: float, axis: int = 0,
-                      tol: float = 1e-3, scan: int = 8) -> CheckReport:
+                      tol: float = 1e-3) -> CheckReport:
     """Volume term against the three boundary groups of the local identity.
 
     Gates pass/fail on |residual|/eps^N only in the classical mode s = 1;
     fractional runs report the residual as a diagnostic (see the package
-    notes on the validity of the boundary form for s < 1).  `scan` extra
-    radii around the requested one are evaluated and the best reported.
+    notes on the validity of the boundary form for s < 1).  POHOZAEV_SCAN
+    extra radii around the requested one are evaluated and the best
+    reported.
     """
     grid = u.grid
     center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -194,15 +200,14 @@ def pohozaev_residual(u: Field, eps: float, params: ProblemParams,
 
     series = []
     best = (radius, abs(main["residual"]))
-    if scan > 0:
-        for fac in np.linspace(0.6, 1.3, scan):
-            r2 = radius * fac
-            if np.any(np.abs(center) + r2 >= grid.half_width - 2 * grid.spacing):
-                continue
-            t = _pohozaev_terms(u, eps, params, V, center, axis=axis, radius=r2)
-            series.append({"radius": r2, "residual": t["residual"]})
-            if abs(t["residual"]) < best[1]:
-                best = (r2, abs(t["residual"]))
+    for fac in np.linspace(0.6, 1.3, POHOZAEV_SCAN):
+        r2 = radius * fac
+        if np.any(np.abs(center) + r2 >= grid.half_width - 2 * grid.spacing):
+            continue
+        t = _pohozaev_terms(u, eps, params, V, center, axis=axis, radius=r2)
+        series.append({"radius": r2, "residual": t["residual"]})
+        if abs(t["residual"]) < best[1]:
+            best = (r2, abs(t["residual"]))
 
     classical = params.s == 1.0
     rel = abs(main["residual_over_epsN"])
@@ -252,7 +257,7 @@ def sobolev_scaling_check(grid: GridSpec, params: ProblemParams, V,
     ratios = np.empty((samples, eps_arr.size))
     for i in range(samples):
         phi = sp.random_band_limited(grid, cutoff, seed=(seed, i))
-        lq = float((h * np.abs(phi.values) ** q).sum() ** (1.0 / q))
+        lq = sp.lq_norm(phi, q)
         semi = sp.seminorm_sq(phi, params.s)
         mass = float(h * (v_vals * phi.values**2).sum())
         for j, eps in enumerate(eps_arr):
@@ -359,8 +364,7 @@ def interaction_inequality_check(x_i, x_j, alpha: float, beta: float,
 
 def wrong_ansatz_gap(grid: GridSpec, params: ProblemParams,
                      potential: Potential, eps_list, tol: float = 0.2,
-                     contrast_tol: float = 0.05,
-                     profile_tol: float = 1e-11) -> CheckReport:
+                     contrast_tol: float = 0.05) -> CheckReport:
     """Projected equation residual of the naive per-peak superposition.
 
     The projection onto peak j, divided by eps^N, converges to
@@ -376,9 +380,9 @@ def wrong_ansatz_gap(grid: GridSpec, params: ProblemParams,
     records = []
     for eps in sorted(eps_list, reverse=True):
         naive = solve_grid_system(grid, params, vals, eps,
-                                  shared_coefficient=False, tol=profile_tol)
+                                  shared_coefficient=False)
         system = solve_grid_system(grid, params, vals, eps,
-                                   shared_coefficient=True, tol=profile_tol)
+                                   shared_coefficient=True)
         rec = {"eps": eps, "naive": [], "system": [], "expected": []}
         a_eps = eps ** (2.0 * s) * params.a
         b_eps = eps ** (4.0 * s - n) * b
@@ -416,14 +420,12 @@ def wrong_ansatz_gap(grid: GridSpec, params: ProblemParams,
     else:
         # k = 1 or b = 0: the obstruction is absent and both projections
         # must vanish at o(eps^N); compare against the nonlinear-term
-        # quadrature scale of the smallest-eps profiles
-        eps_min = min(eps_list)
-        small = solve_grid_system(grid, params, vals, eps_min,
-                                  shared_coefficient=False, tol=profile_tol)
+        # quadrature scale of the smallest-eps (last) naive profiles
+        eps_min = last["eps"]
         h = grid.spacing**n
         ref = max(
             h * float(sp.pos_power(w.values, p + 1.0).sum()) / eps_min**n
-            for w in small.profiles
+            for w in naive.profiles
         )
         rel_gap = max(abs(m) for m in last["naive"]) / ref
         contrast = max(abs(m) for m in last["system"]) / ref
@@ -451,6 +453,10 @@ def wrong_ansatz_gap(grid: GridSpec, params: ProblemParams,
 # asymptotic exponents
 # ---------------------------------------------------------------------------
 
+# the fitted correction exponent must reach N/2 + EXPONENT_MARGIN * m
+EXPONENT_MARGIN = 0.8
+
+
 def require_decade_span(eps_values) -> None:
     """The exponent fit needs eps values spanning at least one decade."""
     eps = [float(e) for e in eps_values]
@@ -458,13 +464,11 @@ def require_decade_span(eps_values) -> None:
         raise ParameterError("eps values must span at least one decade")
 
 
-def asymptotics_fit(records: list[dict], m: float, dim: int,
-                    exponent_margin: float = 0.8,
-                    p: float | None = None) -> CheckReport:
+def asymptotics_fit(records: list[dict], m: float, dim: int) -> CheckReport:
     """Fit the correction exponent and test the peak-drift ratio decay.
 
     Pass requires the fitted exponent of ||phi||_eps to reach
-    N/2 + exponent_margin * m and |y_eps - a| / eps to decrease strictly
+    N/2 + EXPONENT_MARGIN * m and |y_eps - a| / eps to decrease strictly
     across the sweep.  A frozen-potential run (vanishing correction)
     skips the exponent clause with a note.
     """
@@ -487,7 +491,7 @@ def asymptotics_fit(records: list[dict], m: float, dim: int,
         notes.append("correction identically ~0; exponent fit skipped")
     else:
         exponent = float(np.polyfit(np.log(eps), np.log(phi), 1)[0])
-        exp_ok = exponent >= dim / 2.0 + exponent_margin * m
+        exp_ok = exponent >= dim / 2.0 + EXPONENT_MARGIN * m
     ratio = drift / eps
     if np.any(np.isnan(ratio)):
         ratio_ok = None
@@ -500,10 +504,6 @@ def asymptotics_fit(records: list[dict], m: float, dim: int,
     monotone_phi = bool(np.all(np.diff(phi) < 0.0))
     if not monotone_phi:
         notes.append("fit-quality warning: ||phi|| series not monotone")
-    if p is not None and p <= 2:
-        notes.append(
-            "separation-term branch candidates: (p/2)(N+2s-k) for 1<p<=2"
-        )
 
     passed = bool(exp_ok and (ratio_ok is not False))
     return CheckReport(
@@ -515,9 +515,9 @@ def asymptotics_fit(records: list[dict], m: float, dim: int,
                                for r in ratio],
             "phi_norms": phi.tolist(),
         },
-        expected={"min_exponent": dim / 2.0 + exponent_margin * m,
+        expected={"min_exponent": dim / 2.0 + EXPONENT_MARGIN * m,
                   "drift_ratio": "strictly decreasing"},
-        tolerance=exponent_margin,
+        tolerance=EXPONENT_MARGIN,
         passed=passed,
         provenance="log-log least squares over the sweep",
         notes="; ".join(notes),

@@ -313,6 +313,27 @@ class TestApplyLeps:
         for col in (0, grid.points_per_dim // 2):
             assert np.array_equal(out[:, col], out[flip, col].conj())
 
+    def test_constraint_algebra_matches_loop_reference(self, frame_2d):
+        # the stacked products against per-mode loops, with the mode
+        # norms by Parseval (eps_norm) rather than through P
+        fr = frame_2d
+        v = sp.random_band_limited(fr.red.grid, 8.0, seed=3).values
+
+        def close(new, ref):
+            ref = np.asarray(ref)
+            return np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+
+        gram = [[fr.h * float((d * m).sum()) for d in fr.mode_densities]
+                for m in fr.modes]
+        assert close(fr.gram, gram)
+        rhs = [-fr.h * float((v * m).sum()) for m in fr.modes]
+        assert close(fr.multipliers(v), np.linalg.solve(gram, rhs))
+        norm = fr.eps_norm(v)
+        orth = [fr.h * float((d * v).sum()) / (fr.eps_norm(m) * norm)
+                for m, d in zip(fr.modes, fr.mode_densities)]
+        assert close(fr.orthogonality(v, norm), orth)
+        assert not fr.orthogonality(v, 0.0).any()
+
     def test_coercive_on_constraint_complement(self, reducer_1d):
         # min |lambda| on E_{eps,y}; a start off the real-field spectra
         # would find a spurious ~1e-15 here
@@ -407,7 +428,7 @@ class TestGradients:
     def test_total_gradient_matches_fd(self, reducer_1d):
         cfg = rd.PeakConfig(0.08, [[0.36]], delta=0.5, theta=0.8)
         sol = rd.solve_correction(reducer_1d, cfg, outer_tol_factor=1e-12)
-        g = rd.reduced_gradient_total(reducer_1d, cfg, sol)
+        g = rd.reduced_gradient_total(reducer_1d.frame(cfg), sol)
         h = 1e-5
         js = {}
         for dy in (h, -h):
@@ -422,8 +443,32 @@ class TestGradients:
                                      frame=fr)
         assert np.array_equal(sol_fr.correction.values, sol.correction.values)
         assert sol_fr.reduced_energy == sol.reduced_energy
-        assert np.array_equal(
-            rd.reduced_gradient_total(reducer_1d, cfg, sol_fr, frame=fr), g)
+        assert np.array_equal(rd.reduced_gradient_total(fr, sol_fr), g)
+
+    def test_total_gradient_matches_fd_2d(self):
+        # the constraint term carries the mixed b != j second derivatives
+        # here (a third of the gradient); the 1D test sees only (0, 0, 0)
+        params = sp.ProblemParams(2, 0.75, 2.0, 1.0, 0.05)
+        grid = sp.GridSpec(2, 2.5, 64)
+        pot = rd.Potential.single_well([0.1, -0.1], 1.0, [1.0, 1.5], m=2.0,
+                                       asym=0.2, asym_power=3.0)
+        red = rd.Reducer(grid, params, pot)
+        y = np.array([[0.16, -0.05]])
+        cfg = rd.PeakConfig(0.25, y, delta=0.4, theta=0.8)
+        fr = red.frame(cfg)
+        g = rd.reduced_gradient_total(fr, rd.solve_correction(red, cfg,
+                                                              frame=fr))
+        h = 1e-5
+        fd = np.empty(2)
+        for b in range(2):
+            js = []
+            for dy in (h, -h):
+                yb = y.copy()
+                yb[0, b] += dy
+                js.append(rd.solve_correction(red, cfg.with_y(yb))
+                          .reduced_energy)
+            fd[b] = (js[0] - js[1]) / (2 * h)
+        assert np.abs(g - fd).max() < 1e-8 * np.abs(fd).max()
 
 
 @TRUNCATES_BY_DESIGN

@@ -62,7 +62,7 @@ class TestPohozaev:
     def test_radius_scan_reports_best(self):
         _, u, pot = manufactured_classical(256)
         rep = vf.pohozaev_residual(u, 0.1, CLASSICAL, pot,
-                                   center=[0.15], radius=0.5, scan=8)
+                                   center=[0.15], radius=0.5)
         assert rep.measured["best_abs_residual"] <= abs(
             rep.measured["residual"]) * (1 + 1e-12)
 
