@@ -24,13 +24,16 @@ class GeometryError(ValueError):
 class IterationError(RuntimeError):
     """An iterative solver ran out of iterations.
 
-    Carries the last residual and the iteration count.
+    Carries the last residual and the iteration count; a Petviashvili
+    loop that re-reads its Kirchhoff coefficient also gives the last
+    coefficient gap.
     """
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual=None, iterations=None, gap=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+        self.gap = gap
 
 
 class DegenerateFixedPointError(IterationError):

@@ -16,6 +16,12 @@ The limiting system for k peaks shares a single coefficient
     A = a + b * sum_i ||(-Delta)^(s/2) U^i||^2,
 
 found by bracketed root-finding on a strictly monotone scalar function.
+
+On the computational grid the reduction re-solves these profiles with
+solve_profile: one Petviashvili loop over the (k, *grid) stack of peak
+profiles, whose multiplier c1 = eps^2s A follows the coefficient re-read
+from each iterate's seminorms, so the profiles and A converge together
+without an outer root-finding loop.
 """
 
 from __future__ import annotations
@@ -45,8 +51,10 @@ def _reflect(values: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _symmetrize(values: np.ndarray) -> np.ndarray:
+    """Average a (k, *grid) stack over x -> -x on every grid axis; the
+    leading stack axis is not reflected."""
     out = values
-    for axis in range(values.ndim):
+    for axis in range(1, values.ndim):
         out = 0.5 * (out + _reflect(out, axis))
     return out
 
@@ -55,76 +63,118 @@ def solve_profile(
     grid: GridSpec,
     s: float,
     p: float,
-    c1: float = 1.0,
-    c0: float = 1.0,
+    c1=1.0,
+    c0=1.0,
     tol: float = DEFAULT_TOL,
-    u0: Field | None = None,
-    init_width: float = 1.0,
-) -> tuple[Field, float, list[float], int]:
-    """Petviashvili iteration for (c1 (-Delta)^s + c0) u = u^p.
+    init_width=1.0,
+    coefficient=None,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], int, np.ndarray]:
+    """Petviashvili iteration for the stack of k profile equations
 
-    u <- gamma^(p/(p-1)) (c1 (-Delta)^s + c0)^(-1) u^p with the
-    normalisation factor gamma = <L u, u> / <u^p, u>; gamma -> 1 at the
-    fixed point.  Each iterate is symmetrised under x -> -x.  Returns
-    (profile, sup-residual, gamma log, iterations); raises IterationError
-    after MAX_ITER iterations.
+        (c1_i (-Delta)^s + c0_i) u_i = u_i^p,
+
+    one per value c0_i (one value or k values); c1 and init_width are one
+    value or one per profile.  Each profile iterates
+    u <- gamma^(p/(p-1)) (c1 (-Delta)^s + c0)^(-1) u^p from a Gaussian of
+    width init_width, with the normalisation factor
+    gamma = <L u, u> / <u^p, u> -> 1 at the fixed point.  Each iterate is
+    symmetrised under x -> -x, and every transform acts on the whole
+    (k, *grid) stack.
+
+    With coefficient = (scale, rule) the multipliers c1 = scale A follow
+    the Kirchhoff coefficients A = rule(S), re-read from each iterate's
+    seminorms S_i = ||(-Delta)^(s/2) u_i||^2; the given c1 starts them.
+    The loop stops when every profile's sup residual at the c1 it was
+    built with is below tol and |A - rule(S)| <= max(1e-13, 5 tol)
+    max(A, 1), the gap the profile-solver noise can resolve.  Returns
+    (profiles (k, *grid), sup residuals (k,), gamma log, iterations,
+    seminorms S (k,)); raises IterationError after MAX_ITER iterations.
     """
+    c0 = np.atleast_1d(np.asarray(c0, dtype=float))
+    c1 = np.broadcast_to(np.asarray(c1, dtype=float), c0.shape)
+    width = np.broadcast_to(np.asarray(init_width, dtype=float), c0.shape)
     if not (0.0 < s <= 1.0):
         raise ParameterError(f"s must lie in (0, 1], got {s}")
     if p <= 1.0:
         raise ParameterError(f"p must exceed 1, got {p}")
-    if c1 <= 0 or c0 <= 0:
+    if np.any(c1 <= 0) or np.any(c0 <= 0):
         raise ParameterError(f"need positive multiplier, got c1={c1}, c0={c0}")
     if not (1e-12 <= tol <= 1e-6):
         raise ParameterError(f"tol must lie in [1e-12, 1e-6], got {tol}")
 
-    mult = c1 * grid.symbol(s) + c0
+    k = len(c0)
+    axes = tuple(range(1, grid.dim + 1))
+    col = (slice(None),) + (None,) * grid.dim     # one value per profile
+    sym = grid.symbol(s)
+    mult = c1[col] * sym + c0[col]
     w_quad = grid.spacing**grid.dim
-    if u0 is None:
-        r2 = sum(c**2 for c in grid.coords)
-        u = np.exp(-r2 / init_width**2)
-    else:
-        u = u0.values.copy()
+    r2 = sum(x**2 for x in grid.coords)
+    u = np.exp(-r2 / width[col] ** 2)
+    if coefficient is not None:
+        scale, rule = coefficient
+        coeff, gap_tol = c1 / scale, max(1e-13, 5.0 * tol)
 
-    gammas: list[float] = []
+    gammas: list[np.ndarray] = []
     exponent = p / (p - 1.0)
-    residual = np.inf
+    residual, gap = np.inf, None
     # L u and u^p of the current iterate; the residual check of each new
-    # iterate computes them for the next step
-    lu = sp._ifftn(mult * sp._fftn(u))
+    # iterate computes them for the next step.  After a coefficient
+    # update, <L u, u> moves by (new c1 - old c1) S.
+    uhat = sp._fftn(u, axes=axes)
+    lu = sp._ifftn(mult * uhat, axes=axes)
     up = sp.pos_power(u, p)
+    shift = 0.0
     for it in range(1, MAX_ITER + 1):
-        num = w_quad * float(np.vdot(lu, u).real)
-        den = w_quad * float(np.vdot(up, u).real)
-        if den <= 0 or not np.isfinite(den) or not np.isfinite(num):
+        num = w_quad * np.array([np.vdot(lu[i], u[i]).real
+                                 for i in range(k)]) + shift
+        den = w_quad * np.array([np.vdot(up[i], u[i]).real
+                                 for i in range(k)])
+        if not np.all((den > 0) & np.isfinite(den) & np.isfinite(num)):
             raise DegenerateFixedPointError(
                 "normalisation denominator collapsed", residual=residual,
                 iterations=it,
             )
         gamma = num / den
         gammas.append(gamma)
-        u = _symmetrize(gamma**exponent * sp._ifftn(sp._fftn(up) / mult))
-        peak = np.abs(u).max()
-        if not np.isfinite(peak) or peak > 1e12:
+        factor = np.array([g ** exponent for g in gamma.tolist()])
+        u = _symmetrize(factor[col] * sp._ifftn(sp._fftn(up, axes=axes)
+                                                / mult, axes=axes))
+        peak = np.abs(u).reshape(k, -1).max(axis=1)
+        if not np.all(np.isfinite(peak)) or peak.max() > 1e12:
             raise IterationError(
                 "fixed-point iteration diverged", residual=residual,
                 iterations=it,
             )
-        if peak < 1e-12:
+        if peak.min() < 1e-12:
             raise DegenerateFixedPointError(
                 "fixed point collapsed to the zero field", residual=residual,
                 iterations=it,
             )
-        lu = sp._ifftn(mult * sp._fftn(u))
+        uhat = sp._fftn(u, axes=axes)
+        lu = sp._ifftn(mult * uhat, axes=axes)
         up = sp.pos_power(u, p)
-        residual = float(np.abs(lu - up).max())
-        if residual < tol:
-            return Field(grid, u), residual, gammas, it
+        residuals = np.abs(lu - up).reshape(k, -1).max(axis=1)
+        residual = float(residuals.max())
+        if coefficient is None and residual >= tol:
+            continue
+        semis = np.array([sp.seminorm_inner(grid, s, h) for h in uhat])
+        if coefficient is None:
+            return u, residuals, gammas, it, semis
+        target = np.broadcast_to(rule(semis), c0.shape)
+        gaps = np.abs(coeff - target)
+        gap = float(gaps.max())
+        if residual < tol and np.all(gaps <= gap_tol
+                                     * np.maximum(coeff, 1.0)):
+            return u, residuals, gammas, it, semis
+        coeff, c1_new = target, scale * target
+        shift = (c1_new - c1) * semis
+        c1 = c1_new
+        mult = c1[col] * sym + c0[col]
+    detail = "" if gap is None else f", coefficient gap {gap:.3e}"
     raise IterationError(
         f"no convergence after {MAX_ITER} iterations "
-        f"(last residual {residual:.3e})",
-        residual=residual,
-        iterations=MAX_ITER,
+        f"(last residual {residual:.3e}{detail})",
+        residual=residual, iterations=MAX_ITER, gap=gap,
     )
 
 
@@ -148,9 +198,10 @@ class SchrodingerGroundState:
 def solve_Q(grid: GridSpec, s: float, p: float, tol: float = DEFAULT_TOL,
             init_width: float = 1.0) -> SchrodingerGroundState:
     """Ground state of the base equation (-Delta)^s Q + Q = Q^p."""
-    prof, residual, gammas, its = solve_profile(
+    values, residuals, gammas, its, semis = solve_profile(
         grid, s, p, 1.0, 1.0, tol=tol, init_width=init_width,
     )
+    prof, residual = Field(grid, values[0]), float(residuals[0])
     if prof.values.min() <= 0:
         # tiny negative ripples can appear at truncation level; fail only
         # when they are structural
@@ -162,8 +213,8 @@ def solve_Q(grid: GridSpec, s: float, p: float, tol: float = DEFAULT_TOL,
             )
     return SchrodingerGroundState(
         profile=prof, s=s, p=p,
-        seminorm_sq=sp.seminorm_sq(prof, s),
-        residual=residual, iterations=its, gammas=gammas,
+        seminorm_sq=float(semis[0]),
+        residual=residual, iterations=its, gammas=[g[0] for g in gammas],
     )
 
 

@@ -41,14 +41,16 @@ from .errors import (
     ParameterError,
 )
 
-def _fftn(a):
-    return sfft.rfftn(a)
+def _fftn(a, axes=None):
+    # axes=None transforms every axis; a stack of fields (k, *grid) passes
+    # its grid axes and is transformed slice by slice in one call
+    return sfft.rfftn(a, axes=axes)
 
 
-def _ifftn(a):
+def _ifftn(a, axes=None):
     # the last axis has M/2 + 1 modes with M even, so irfftn's default
     # output length M is the grid's
-    return sfft.irfftn(a)
+    return sfft.irfftn(a, axes=axes)
 
 
 @dataclass(frozen=True)

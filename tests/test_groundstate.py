@@ -73,6 +73,63 @@ class TestSolveQFractional:
         assert err.value.iterations == 3
 
 
+def _single_field_petviashvili(grid, s, p, tol):
+    """The unstacked Petviashvili loop for one field at c1 = c0 = 1, the
+    reference solve_Q's stacked loop must reproduce to the bit."""
+    mult = 1.0 * grid.symbol(s) + 1.0
+    w_quad = grid.spacing**grid.dim
+    u = np.exp(-sum(c**2 for c in grid.coords) / 1.0**2)
+    lu = sp._ifftn(mult * sp._fftn(u))
+    up = sp.pos_power(u, p)
+    for it in range(1, gs.MAX_ITER + 1):
+        gamma = (w_quad * float(np.vdot(lu, u).real)) / (
+            w_quad * float(np.vdot(up, u).real))
+        u = gamma ** (p / (p - 1.0)) * sp._ifftn(sp._fftn(up) / mult)
+        for axis in range(u.ndim):
+            u = 0.5 * (u + np.roll(np.flip(u, axis=axis), 1, axis=axis))
+        lu = sp._ifftn(mult * sp._fftn(u))
+        up = sp.pos_power(u, p)
+        if float(np.abs(lu - up).max()) < tol:
+            return u, it
+    raise AssertionError("reference loop did not converge")
+
+
+class TestStackedLoop:
+    def test_symmetrize_reflects_grid_axes_only(self):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((3, 16, 8))
+        out = gs._symmetrize(stack)
+        for i in range(3):
+            # each slice is the even part of itself, never of another slice
+            assert np.array_equal(out[i], gs._symmetrize(stack[i:i + 1])[0])
+            reflected = np.roll(np.flip(out[i]), 1, axis=(0, 1))
+            assert np.abs(out[i] - reflected).max() < 1e-15
+        assert not np.allclose(out[0], out[2])
+
+    @pytest.mark.parametrize("dim,half_width,points,s,p", [
+        (1, 30.0, 1024, 0.4, 2.0), (1, 20.0, 512, 1.0, 3.0),
+        (2, 8.0, 64, 0.75, 2.0)])
+    def test_solve_q_matches_single_field_loop(self, dim, half_width,
+                                               points, s, p):
+        grid = sp.GridSpec(dim, half_width, points)
+        state = gs.solve_Q(grid, s, p, tol=1e-10)
+        ref, its = _single_field_petviashvili(grid, s, p, 1e-10)
+        assert state.iterations == its
+        assert np.array_equal(state.profile.values, ref)
+        assert state.seminorm_sq == sp.seminorm_sq(sp.Field(grid, ref), s)
+
+    def test_stack_matches_separate_solves(self):
+        grid = sp.GridSpec(1, 20.0, 512)
+        values, res, _, _, semis = gs.solve_profile(
+            grid, 0.5, 2.0, c1=[1.0, 0.5], c0=[1.0, 2.0], tol=1e-11)
+        assert values.shape == (2, 512) and np.all(res < 1e-11)
+        for i, (c1, c0) in enumerate(((1.0, 1.0), (0.5, 2.0))):
+            one, _, _, _, semi = gs.solve_profile(grid, 0.5, 2.0, c1=c1,
+                                                  c0=c0, tol=1e-11)
+            assert np.abs(one[0] - values[i]).max() < 1e-10 * one.max()
+            assert semi[0] == pytest.approx(semis[i], rel=1e-10)
+
+
 class TestDecayFit:
     def test_synthetic_power_law(self):
         grid = sp.GridSpec(1, 40.0, 2048)

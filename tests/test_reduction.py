@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from fkpeaks import kernel as kn
 from fkpeaks import reduction as rd
 from fkpeaks import spectral as sp
 from fkpeaks.errors import (BoundaryMinimizerWarning, EigensolverError,
-                            IterationError, NoContractionError,
-                            ParameterError)
+                            IterationError, LinearSolveError,
+                            NoContractionError, ParameterError)
 from tests_support import TRUNCATES_BY_DESIGN
 
 
@@ -373,6 +375,100 @@ class TestApplyLeps:
             for t in (1e-1, 1e-2, 1e-3)
         ]
         assert max(ratios) < 10.0 * min(r for r in ratios if r > 0) + 1e-8
+
+
+# the criterion-11 limiting system: two peaks, N = 1, s = 0.4, b = 1
+C11_PARAMS = sp.ProblemParams(1, 0.4, 2.0, 1.0, 1.0)
+C11_GRID = sp.GridSpec(1, 8.0, 2048)
+C11_VALUES = [1.0, 1.5]
+
+
+class TestGridSystem:
+    EPS, TOL = 0.004, 1e-11
+
+    def solve(self, params=C11_PARAMS, values=C11_VALUES, **kwargs):
+        return rd.solve_grid_system(C11_GRID, params, values, self.EPS,
+                                    tol=self.TOL, **kwargs)
+
+    def test_shared_profiles_solve_at_returned_coefficient(self):
+        s, p = C11_PARAMS.s, C11_PARAMS.p
+        g = self.solve()
+        c1 = self.EPS ** (2 * s) * g.coefficient
+        for w, v in zip(g.profiles, C11_VALUES):
+            res = gs.residual_density(w, s, p, c1, 0.0, v)
+            assert np.abs(res).max() <= self.TOL
+        semis = [sp.seminorm_sq(w, s) for w in g.profiles]
+        want = (C11_PARAMS.a
+                + C11_PARAMS.b * self.EPS ** (2 * s - 1) * sum(semis))
+        gap_tol = max(1e-13, 5 * self.TOL)
+        assert abs(g.coefficient - want) <= gap_tol * max(want, 1.0)
+
+    def test_naive_profiles_match_one_peak_systems(self):
+        naive = self.solve(shared_coefficient=False)
+        assert math.isnan(naive.coefficient)
+        for w, v in zip(naive.profiles, C11_VALUES):
+            ref = self.solve(values=[v]).profiles[0].values
+            assert np.abs(w.values - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_b_zero_coefficient_is_a(self):
+        params = sp.ProblemParams(1, 0.4, 2.0, 1.3, 0.0)
+        g = self.solve(params=params)
+        assert g.coefficient == 1.3
+        assert max(g.residuals) < self.TOL
+
+    def test_coupled_loop_costs_at_most_twice_a_fixed_solve(self,
+                                                            monkeypatch):
+        iterations = []
+
+        def counted(*args, **kwargs):
+            out = gs.solve_profile(*args, **kwargs)
+            iterations.append(out[3])
+            return out
+
+        monkeypatch.setattr(rd, "solve_profile", counted)
+        g = self.solve()
+        s = C11_PARAMS.s
+        c1 = self.EPS ** (2 * s) * g.coefficient
+        width = (c1 / np.array(C11_VALUES)) ** (1 / (2 * s))
+        fixed = gs.solve_profile(C11_GRID, s, C11_PARAMS.p, c1=c1,
+                                 c0=C11_VALUES, tol=self.TOL,
+                                 init_width=width)
+        assert sum(iterations) <= 2 * fixed[3]
+
+    def test_unconverged_loop_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(gs, "MAX_ITER", 5)
+        with pytest.raises(IterationError) as err:
+            self.solve()
+        assert err.value.iterations == 5
+        assert err.value.residual > self.TOL
+        assert err.value.gap is not None and err.value.gap > 0.0
+
+
+@TRUNCATES_BY_DESIGN
+class TestSolveConstrained:
+    @pytest.fixture(scope="class")
+    def reducer_2d(self):
+        params = sp.ProblemParams(2, 0.75, 2.0, 1.0, 0.05)
+        grid = sp.GridSpec(2, 2.5, 64)
+        pot = rd.Potential.single_well([0.1, -0.1], 1.0, [1.0, 1.5], m=2.0,
+                                       asym=0.2, asym_power=3.0)
+        return rd.Reducer(grid, params, pot)
+
+    CFG = rd.PeakConfig(0.25, [[0.16, -0.05]], delta=0.4, theta=0.8)
+
+    def test_converged_minres_at_roundoff_floor_accepted(self, reducer_2d):
+        # the tight outer tolerance asks for residuals below MINRES's
+        # attainable floor, which scales with the solution norm
+        sol = rd.solve_correction(reducer_2d, self.CFG,
+                                  outer_tol_factor=1e-12)
+        assert sol.correction_norm > 0.0
+        assert np.all(np.abs(sol.orthogonality) < 1e-8)
+
+    def test_real_stall_raises(self, reducer_2d):
+        fr = reducer_2d.frame(self.CFG)
+        with pytest.raises(LinearSolveError, match="stalled"):
+            fr.solve_constrained(fr.gradient_density(fr.U), rtol=1e-12,
+                                 atol=0.0, maxiter=2)
 
 
 @TRUNCATES_BY_DESIGN

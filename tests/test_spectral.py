@@ -371,6 +371,23 @@ class TestHalfSpectrumAgainstComplexFFT:
         assert _rel(pv, vhat) < 1e-14
 
 
+class TestStackedTransforms:
+    """A (k, *grid) stack transformed over its grid axes in one call
+    equals the transforms of its slices, to the bit."""
+
+    @pytest.mark.parametrize("dim,points", [(1, 256), (2, 32)])
+    def test_stack_matches_slices(self, dim, points):
+        g = sp.GridSpec(dim, 4.0, points)
+        stack = np.random.default_rng(3).standard_normal((3,) + g.shape)
+        axes = tuple(range(1, dim + 1))
+        spectra = sp._fftn(stack, axes=axes)
+        back = sp._ifftn(spectra, axes=axes)
+        for i in range(3):
+            assert np.array_equal(spectra[i], sp._fftn(stack[i]))
+            assert np.array_equal(back[i], sp._ifftn(sp._fftn(stack[i])))
+        assert back.shape == stack.shape
+
+
 class TestProblemParams:
     def test_admissible_window(self):
         sp.ProblemParams(1, 0.4, 2.0, 1.0, 1.0)   # 2s < N < 4s holds
