@@ -29,6 +29,8 @@ from .groundstate import decay_fit, kirchhoff_scale, solve_Q, solve_system
 
 ENV_OUTPUT_ROOT = "FKPEAKS_OUT"
 COMMANDS = ("groundstate", "system", "reduce", "sweep", "verify")
+# verify checks that run at the manifest's eps values
+EPS_CHECKS = ("wrong_ansatz", "uniqueness", "pohozaev")
 
 RUN_README = """\
 Run directory layout
@@ -104,6 +106,10 @@ class RunManifest:
                 raise ParameterError(f"eps values must be positive, got {e}")
         if self.delta <= 0 or not (0.0 < self.theta < 1.0):
             raise ParameterError("need delta > 0 and theta in (0, 1)")
+        if not self.eps and (self.command in ("reduce", "sweep") or (
+                self.command == "verify"
+                and self.options.get("check") in EPS_CHECKS)):
+            raise ParameterError(f"{self.command} requires a nonempty eps list")
         if self.command == "sweep" and _fits_asymptotics(self):
             vf.require_decade_span(self.eps)
         return params, grid, potential
@@ -252,8 +258,6 @@ def _search_options(manifest, potential) -> tuple[np.ndarray, float]:
 
 
 def _stage_reduce(manifest, params, grid, potential, run_dir) -> dict:
-    if not manifest.eps:
-        raise ParameterError("reduce requires a nonempty eps list")
     eps = float(manifest.eps[0])
     minimize = bool(manifest.options.get("minimize", True))
     red = _reducer_for(manifest, params, grid, potential)
@@ -300,8 +304,6 @@ def _certified(search: dict) -> bool:
 
 
 def _stage_sweep(manifest, params, grid, potential, run_dir) -> dict:
-    if len(manifest.eps) < 1:
-        raise ParameterError("sweep requires a nonempty eps list")
     minimize = bool(manifest.options.get("minimize", True))
     red = _reducer_for(manifest, params, grid, potential)
     offset, outer = _search_options(manifest, potential)

@@ -1,21 +1,24 @@
 """Ground states of the base soliton equation and their Kirchhoff rescalings.
 
-The base profile Q solves (-Delta)^s Q + Q = Q^p.  Ground states of the
-Kirchhoff equation with constant potential value c,
+The base profile Q solves (-Delta)^s Q + Q = Q^p.  Every ground state of
+the Kirchhoff equation with constant potential value c,
 
     (a + b ||(-Delta)^(s/2) U||^2) (-Delta)^s U + c U = U^p,
 
-are obtained as U = alpha Q(beta .) with alpha = c^(1/(p-1)) and beta the
-unique positive root of  a b^(2s) + b c^(2/(p-1)) K beta^(4s-N) = c.
+is, up to translation, U = alpha Q(beta .) with alpha = c^(1/(p-1)) and
+beta^(2s) = c / A, where A = a + b ||(-Delta)^(s/2) U||^2 is its
+Kirchhoff coefficient.
 Numerically the rescaled profile lives on a grid with half-width L/beta
 and the same point count, which keeps every scaling identity exact in
 the discrete calculus (values are reused, only coordinates change).
 
-The limiting system for k peaks shares a single coefficient
+The limiting system for k peaks with potential values v_i shares a
+single coefficient; with K = ||(-Delta)^(s/2) Q||^2 it is the root of
 
-    A = a + b * sum_i ||(-Delta)^(s/2) U^i||^2,
+    A = a + b K sum_i v_i^(2/(p-1)) (v_i / A)^((2s-N)/(2s)),
 
-found by bracketed root-finding on a strictly monotone scalar function.
+which has exactly one root A > a.  The scaling map kirchhoff_scale is
+its k = 1 case.
 
 On the computational grid the reduction re-solves these profiles with
 solve_profile: one Petviashvili loop over the (k, *grid) stack of peak
@@ -36,6 +39,7 @@ from .errors import (
     BracketError,
     DegenerateFixedPointError,
     GeometryError,
+    GridMismatchError,
     IterationError,
     ParameterError,
 )
@@ -264,92 +268,17 @@ class KirchhoffGroundState:
     def seminorm_sq(self) -> float:
         return sp.seminorm_sq(self.profile, self.params.s)
 
-    @property
-    def kirchhoff_coefficient(self) -> float:
-        return self.params.a + self.params.b * self.seminorm_sq
-
-
-def _bisect(fn, lo: float, hi: float, rtol: float = 1e-13,
-            max_iter: int = 200) -> float:
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise BracketError(
-            f"no sign change on [{lo}, {hi}] (f(lo)={flo:.3e}, f(hi)={fhi:.3e})",
-            bracket=(lo, hi),
-        )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0 or (hi - lo) < rtol * max(abs(mid), 1.0):
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def _expand_bracket(fn, start: float = 1.0):
-    """Bracket the root of an increasing-through-zero scalar function."""
-    hi = start
-    for _ in range(200):
-        if fn(hi) > 0:
-            break
-        hi *= 2.0
-    else:
-        raise BracketError("could not bracket root from above", bracket=(start, hi))
-    lo = hi / 2.0
-    for _ in range(200):
-        if fn(lo) < 0:
-            break
-        lo /= 2.0
-    else:
-        raise BracketError("could not bracket root from below", bracket=(lo, hi))
-    return lo, hi
-
-
-def rescaled_profile(base: SchrodingerGroundState, alpha: float,
-                     beta: float) -> Field:
-    """alpha Q(beta .) represented exactly on the grid with half-width
-    L/beta and unchanged point count (values are reused; coordinates move)."""
-    g = base.grid
-    new_grid = GridSpec(g.dim, g.half_width / beta, g.points_per_dim)
-    return Field(new_grid, alpha * base.profile.values)
-
 
 def kirchhoff_scale(base: SchrodingerGroundState, params: ProblemParams,
                     c: float) -> KirchhoffGroundState:
-    """Map the base ground state to the c-potential Kirchhoff ground state."""
-    if c <= 0:
-        raise ParameterError(f"potential value c must be positive, got {c}")
-    if base.s != params.s:
-        raise ParameterError("base profile and params disagree on s")
-    a, b, s, p, n = params.a, params.b, params.s, params.p, params.dim
-    if b > 0 and 4.0 * s <= n:
-        raise AdmissibilityError(
-            f"b > 0 requires 4s > N for the scaling map; got N={n}, s={s}"
-        )
-    k_sq = base.seminorm_sq
-    alpha = c ** (1.0 / (p - 1.0))
-    if b == 0.0:
-        beta = (c / a) ** (1.0 / (2.0 * s))
-    else:
-        coef = b * c ** (2.0 / (p - 1.0)) * k_sq
-
-        def g(beta):
-            return a * beta ** (2.0 * s) + coef * beta ** (4.0 * s - n) - c
-
-        lo, hi = _expand_bracket(g)
-        beta = _bisect(g, lo, hi)
-    profile = rescaled_profile(base, alpha, beta)
+    """Map the base ground state to the c-potential Kirchhoff ground state:
+    the one-peak limiting system, with the residual of the full equation."""
+    system = solve_system(base, params, [c])
+    profile = system.profiles[0]
     sup_res, _ = pde_residual(profile, params, c, 1.0)
     return KirchhoffGroundState(
-        alpha=alpha, beta=beta, base=base, params=params, c=c,
-        profile=profile, residual=sup_res,
+        alpha=system.alphas[0], beta=system.betas[0], base=base,
+        params=params, c=c, profile=profile, residual=sup_res,
     )
 
 
@@ -388,18 +317,27 @@ def solve_system(base: SchrodingerGroundState, params: ProblemParams,
 
         A = a + b K sum_i v_i^(2/(p-1)) (v_i / A)^((2s-N)/(2s)),
 
-    strictly monotone in A; each peak then rescales the base profile with
-    alpha_i = v_i^(1/(p-1)) and beta_i = (v_i / A)^(1/(2s)).
+    unique since g(A) = A - a - b K sum(...) is negative at a and either
+    increasing (2s >= N) or convex (2s < N).  Each peak then rescales the
+    base profile with alpha_i = v_i^(1/(p-1)) and
+    beta_i = (v_i / A)^(1/(2s)).
     """
     vals = [float(v) for v in np.atleast_1d(peak_values)]
     if len(vals) == 0:
         raise ParameterError("peak_values must contain at least one peak")
     if any(v <= 0 for v in vals):
         raise ParameterError(f"peak values must be positive, got {vals}")
-    if base.s != params.s:
-        raise ParameterError("base profile and params disagree on s")
+    if (base.s, base.p) != (params.s, params.p):
+        raise ParameterError(
+            f"base profile (s={base.s}, p={base.p}) and params "
+            f"(s={params.s}, p={params.p}) disagree"
+        )
+    if base.grid.dim != params.dim:
+        raise GridMismatchError(
+            f"base profile is {base.grid.dim}D, params have N={params.dim}"
+        )
     a, b, s, p, n = params.a, params.b, params.s, params.p, params.dim
-    if b > 0 and s < 1.0 and 4.0 * s <= n:
+    if b > 0 and 4.0 * s <= n:
         raise AdmissibilityError(
             f"b > 0 requires 4s > N; got N={n}, s={s}"
         )
@@ -415,21 +353,28 @@ def solve_system(base: SchrodingerGroundState, params: ProblemParams,
             )
             return A - a - b * k_sq * total
 
-        hi = a + 1.0
+        lo, hi = a, a + 1.0
         for _ in range(200):
             if g(hi) > 0:
                 break
-            hi = a + 2.0 * (hi - a)
+            lo, hi = hi, a + 2.0 * (hi - a)
         else:
             raise BracketError("could not bracket the system coefficient",
                                bracket=(a, hi))
-        coeff = _bisect(g, a * (1 + 1e-15), hi)
+        # g(lo) < 0 < g(hi) (g(a) = -b K sum(...)): bisect down to
+        # adjacent floats
+        while lo < (coeff := 0.5 * (lo + hi)) < hi:
+            lo, hi = (coeff, hi) if g(coeff) < 0 else (lo, coeff)
 
+    grid = base.grid
     alphas, betas, profiles, residuals = [], [], [], []
     for v in vals:
         alpha = v ** (1.0 / (p - 1.0))
         beta = (v / coeff) ** (1.0 / (2.0 * s))
-        prof = rescaled_profile(base, alpha, beta)
+        # alpha Q(beta .): Q's values on the grid of half-width L / beta
+        prof = Field(GridSpec(n, grid.half_width / beta,
+                              grid.points_per_dim),
+                     alpha * base.profile.values)
         res = float(np.abs(residual_density(prof, s, p, coeff, 0.0, v)).max())
         alphas.append(alpha)
         betas.append(beta)

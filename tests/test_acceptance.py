@@ -15,7 +15,7 @@ from fkpeaks import kernel as kn
 from fkpeaks import reduction as rd
 from fkpeaks import spectral as sp
 from fkpeaks import verify as vf
-from tests_support import TRUNCATES_BY_DESIGN
+from tests_support import TRUNCATES_BY_DESIGN, scaling_beta
 
 
 def announce(number: int, t0: float, detail: str) -> None:
@@ -136,13 +136,15 @@ class TestCriterion5:
             rel = abs(coeff - system.measured_coefficient()) / coeff
             worst = max(worst, rel)
             assert rel < 1e-8
+        # k = 1 against the scaling map: alpha = c^(1/(p-1)) and the
+        # root of its equation in beta
         single = gs.solve_system(frac_base_fine, params, [1.0])
-        ground = gs.kirchhoff_scale(frac_base_fine, params, c=1.0)
-        assert abs(single.alphas[0] - ground.alpha) < 1e-10
-        assert abs(single.betas[0] - ground.beta) < 1e-10
+        assert abs(single.alphas[0] - 1.0) < 1e-10
+        beta = scaling_beta(frac_base_fine, params, 1.0)
+        assert abs(single.betas[0] - beta) < 1e-10
         announce(5, t0, f"coefficient self-consistency {worst:.1e} < 1e-8 "
                         f"for k in {{1,2,3}}; k=1 path matches the scaling "
-                        f"map to 1e-10")
+                        f"map's beta equation to 1e-10")
 
 
 class TestCriterion6:

@@ -66,6 +66,21 @@ class TestManifest:
         assert run_dir is None
         assert "span at least one decade" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, check", [
+        ("reduce", None), ("sweep", None), ("verify", "wrong_ansatz"),
+        ("verify", "uniqueness"), ("verify", "pohozaev"),
+    ])
+    def test_empty_eps_rejected_before_compute(self, tmp_path, capsys,
+                                               command, check):
+        spec = manifest_sweep(tmp_path)
+        spec["command"], spec["eps"] = command, []
+        if check:
+            spec["options"] = {"check": check}
+        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        assert status == 2
+        assert run_dir is None
+        assert "nonempty eps" in capsys.readouterr().err
+
     def test_readme_manifest_example_validates(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme.split("### Manifest example", 1)[1]

@@ -5,9 +5,11 @@ from fkpeaks import groundstate as gs
 from fkpeaks import spectral as sp
 from fkpeaks.errors import (
     GeometryError,
+    GridMismatchError,
     IterationError,
     ParameterError,
 )
+from tests_support import scaling_beta
 
 
 def classical_soliton_p3(x):
@@ -191,20 +193,8 @@ class TestKirchhoffScale:
     def test_bisection_against_independent_oracle(self, frac_q, frac_params):
         # a=1, b=1, c=1: the scalar equation is beta^0.8 + K beta^0.6 = 1
         ground = gs.kirchhoff_scale(frac_q, frac_params, c=1.0)
-        k_sq = frac_q.seminorm_sq
-
-        def fn(beta):
-            return beta**0.8 + k_sq * beta**0.6 - 1.0
-
-        lo, hi = 1e-8, 1.0
-        assert fn(lo) < 0 < fn(hi)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if fn(mid) <= 0:
-                lo = mid
-            else:
-                hi = mid
-        assert ground.beta == pytest.approx(0.5 * (lo + hi), abs=1e-12)
+        assert ground.beta == pytest.approx(
+            scaling_beta(frac_q, frac_params, 1.0), abs=1e-12)
 
     def test_root_equation_invariant(self, frac_q, frac_params):
         ground = gs.kirchhoff_scale(frac_q, frac_params, c=1.4)
@@ -240,6 +230,13 @@ class TestKirchhoffScale:
         with pytest.raises(ParameterError):
             gs.kirchhoff_scale(frac_q, frac_params, c=-1.0)
 
+    def test_p_mismatch_rejected(self, frac_q):
+        # frac_q solves the p = 2 equation; rescaled as a p = 3 state its
+        # residual would be O(1)
+        params = sp.ProblemParams(1, 0.4, 3.0, 1.0, 0.0)
+        with pytest.raises(ParameterError, match="disagree"):
+            gs.kirchhoff_scale(frac_q, params, c=1.3)
+
 
 class TestSolveSystem:
     def test_b_zero_reduces_to_a(self, frac_q):
@@ -248,10 +245,22 @@ class TestSolveSystem:
         assert system.kirchhoff_coefficient == 1.3
 
     def test_single_peak_matches_kirchhoff_scale(self, frac_q, frac_params):
+        # the scaling map's alpha = c^(1/(p-1)) and its equation in beta
         system = gs.solve_system(frac_q, frac_params, [1.2])
-        ground = gs.kirchhoff_scale(frac_q, frac_params, c=1.2)
-        assert system.alphas[0] == pytest.approx(ground.alpha, abs=1e-12)
-        assert system.betas[0] == pytest.approx(ground.beta, rel=1e-10)
+        alpha = 1.2 ** (1.0 / (frac_params.p - 1.0))
+        assert system.alphas[0] == pytest.approx(alpha, abs=1e-12)
+        assert system.betas[0] == pytest.approx(
+            scaling_beta(frac_q, frac_params, 1.2), rel=1e-10)
+
+    @pytest.mark.parametrize("peaks", [[1.2], [1.0, 1.4], [1.0, 1.5, 0.8]])
+    def test_coefficient_solves_its_equation(self, frac_q, frac_params,
+                                             peaks):
+        pr = frac_params
+        coeff = gs.solve_system(frac_q, pr, peaks).kirchhoff_coefficient
+        expo = (2.0 * pr.s - pr.dim) / (2.0 * pr.s)
+        rhs = pr.a + pr.b * frac_q.seminorm_sq * sum(
+            v ** (2.0 / (pr.p - 1.0)) * (v / coeff) ** expo for v in peaks)
+        assert abs(coeff - rhs) <= 1e-14 * coeff
 
     def test_self_consistency_2d(self):
         # spec example: k=2, V = {1, 2}, a=b=1, s=0.75, N=2, p=2
@@ -273,6 +282,14 @@ class TestSolveSystem:
             gs.solve_system(frac_q, frac_params, [])
         with pytest.raises(ParameterError):
             gs.solve_system(frac_q, frac_params, [1.0, -2.0])
+
+    def test_dim_mismatch_rejected(self):
+        # a 1D profile under N = 2 exponents: the residuals, which freeze
+        # the coefficient, would not show it
+        base = gs.solve_Q(sp.GridSpec(1, 20.0, 512), 0.75, 2.0)
+        params = sp.ProblemParams(2, 0.75, 2.0, 1.0, 0.5)
+        with pytest.raises(GridMismatchError):
+            gs.solve_system(base, params, [1.0, 1.3])
 
 
 class TestPdeResidual:

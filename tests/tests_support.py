@@ -34,3 +34,27 @@ def manufactured_classical(M, L=2.0, eps=0.1, y=0.15, amp=2.0):
 
     pot = rd.Potential(fn, [[y]], [[1.0]], 2.0, 1.0, grad_fn)
     return grid, u, pot
+
+
+def scaling_beta(base, params, c):
+    """beta of the c-potential Kirchhoff ground state alpha Q(beta .): the
+    root of a beta^(2s) + b c^(2/(p-1)) K beta^(4s-N) = c, K the base
+    seminorm ||(-Delta)^(s/2) Q||^2, by bisection down to the last bit
+    (the left side increases in beta when 4s > N)."""
+    a, b, s, p, n = params.a, params.b, params.s, params.p, params.dim
+    coef = b * c ** (2.0 / (p - 1.0)) * base.seminorm_sq
+
+    def fn(beta):
+        return a * beta ** (2.0 * s) + coef * beta ** (4.0 * s - n) - c
+
+    lo, hi = 0.0, 1.0
+    while fn(hi) <= 0:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if fn(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
