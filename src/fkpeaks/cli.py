@@ -29,8 +29,10 @@ from .groundstate import decay_fit, kirchhoff_scale, solve_Q, solve_system
 
 ENV_OUTPUT_ROOT = "FKPEAKS_OUT"
 COMMANDS = ("groundstate", "system", "reduce", "sweep", "verify")
+VERIFY_CHECKS = ("sobolev", "interaction", "wrong_ansatz", "uniqueness",
+                 "pohozaev")
 # verify checks that run at the manifest's eps values
-EPS_CHECKS = ("wrong_ansatz", "uniqueness", "pohozaev")
+EPS_CHECKS = VERIFY_CHECKS[2:]
 
 RUN_README = """\
 Run directory layout
@@ -106,9 +108,13 @@ class RunManifest:
                 raise ParameterError(f"eps values must be positive, got {e}")
         if self.delta <= 0 or not (0.0 < self.theta < 1.0):
             raise ParameterError("need delta > 0 and theta in (0, 1)")
+        check = self.options.get("check")
+        if self.command == "verify" and check not in VERIFY_CHECKS:
+            raise ParameterError(
+                f"verify needs options.check in {VERIFY_CHECKS}, got {check!r}"
+            )
         if not self.eps and (self.command in ("reduce", "sweep") or (
-                self.command == "verify"
-                and self.options.get("check") in EPS_CHECKS)):
+                self.command == "verify" and check in EPS_CHECKS)):
             raise ParameterError(f"{self.command} requires a nonempty eps list")
         if self.command == "sweep" and _fits_asymptotics(self):
             vf.require_decade_span(self.eps)
@@ -264,11 +270,7 @@ def _stage_reduce(manifest, params, grid, potential, run_dir) -> dict:
     offset, outer = _search_options(manifest, potential)
     cfg0 = rd.PeakConfig(eps, potential.peaks + offset, manifest.delta,
                          manifest.theta)
-    if minimize:
-        best, sol, info = rd.minimize_peaks(red, cfg0, outer_tol_factor=outer)
-    else:
-        best, info = cfg0, {}
-        sol = rd.solve_correction(red, cfg0, outer_tol_factor=outer)
+    report, sol = rd.reduce_at(red, cfg0, minimize, outer)
     if manifest.options.get("verbose"):
         _log_iterations(run_dir, (
             {"iteration": i + 1, "increment_eps_norm": inc}
@@ -277,23 +279,11 @@ def _stage_reduce(manifest, params, grid, potential, run_dir) -> dict:
     fio.save_field(sol.correction, run_dir / "correction",
                    meta={"eps": eps, "norm": sol.correction_norm})
     fio.save_field(sol.solution, run_dir / "solution", meta={"eps": eps})
-    orth = float(np.abs(sol.orthogonality).max()) if sol.orthogonality.size else 0.0
-    report = {
-        "eps": eps,
-        "y": best.y.tolist(),
-        "correction_norm": sol.correction_norm,
-        "iterations": sol.iterations,
-        "contraction_ratios": sol.contraction_ratios,
-        "orthogonality": orth,
-        "reduced_energy": sol.reduced_energy,
-        "full_residual": sol.full_residual,
-        "search": info,
-        "passed": bool(
-            orth < 1e-8
-            and all(r < 1.0 for r in sol.contraction_ratios)
-            and (not minimize or _certified(info))
-        ),
-    }
+    report["passed"] = bool(
+        report["orthogonality"] < 1e-8
+        and all(r < 1.0 for r in report["contraction_ratios"])
+        and (not minimize or _certified(report["search"]))
+    )
     return report
 
 
@@ -319,10 +309,9 @@ def _stage_sweep(manifest, params, grid, potential, run_dir) -> dict:
                          "iterations"])
         for r in records:
             writer.writerow([
-                r["eps"], r["phi_norm"], r["energy_over_epsN"],
+                r["eps"], r["correction_norm"], r["energy_over_epsN"],
                 max(r["drift"]), max(r["drift_over_eps"]),
-                r["orthogonality"],
-                max(r["ratios"]) if r["ratios"] else 0.0,
+                r["orthogonality"], max(r["contraction_ratios"], default=0.0),
                 r["iterations"],
             ])
     report = {"records": records, "passed": not minimize or all(
@@ -373,8 +362,9 @@ def _stage_verify(manifest, params, grid, potential, run_dir) -> dict:
         ]
         rep = vf.uniqueness_probe(red, eps, starts,
                                   tol=float(manifest.options.get("tol", 1e-6)))
-    elif check == "pohozaev":
-        # solution from a snapshot if given, else the reduce pipeline
+    else:
+        # pohozaev: solution from a snapshot if given, else the reduce
+        # pipeline
         eps = float(manifest.eps[0])
         if "solution" in manifest.options:
             u, _ = fio.load_field(manifest.options["solution"])
@@ -391,12 +381,6 @@ def _stage_verify(manifest, params, grid, potential, run_dir) -> dict:
                                               grid.half_width / 4)),
             axis=int(manifest.options.get("axis", 0)),
             tol=float(manifest.options.get("tol", 1e-3)),
-        )
-    else:
-        raise ParameterError(
-            "verify needs options.check in "
-            "{sobolev, interaction, wrong_ansatz, uniqueness, pohozaev}; "
-            f"got {check!r}"
         )
     vf.append_jsonl(rep, run_dir / "checks.jsonl")
     vf.write_csv([rep], run_dir / "checks.csv")

@@ -353,13 +353,20 @@ class GridSystem:
         edge = np.abs(vals[(0,) * vals.ndim])
         return float(edge / np.abs(vals).max())
 
+    def ansatz(self, y) -> tuple[list[Field], Field]:
+        """The peaks W_i(. - y_i) and their sum U_{eps,y}."""
+        peaks = [sp.translate(w, y[i]) for i, w in enumerate(self.profiles)]
+        u = np.zeros(self.grid.shape)
+        for f in peaks:
+            u += f.values
+        return peaks, Field(self.grid, u)
+
 
 def solve_grid_system(
     grid: GridSpec,
     params: ProblemParams,
     peak_values,
     eps: float,
-    coefficient_hint: float | None = None,
     shared_coefficient: bool = True,
     tol: float = 1e-11,
 ) -> GridSystem:
@@ -388,7 +395,7 @@ def solve_grid_system(
     def rule(semis):
         return a + weight * (semis.sum() if shared_coefficient else semis)
 
-    coeff = a if b == 0.0 else (coefficient_hint or a * 2.0)
+    coeff = a if b == 0.0 else a * 2.0
     width = (scale * coeff / np.array(vals)) ** (1.0 / (2.0 * s))
     profs, resid, _, _, semis = solve_profile(
         grid, s, p, c1=scale * coeff, c0=vals, tol=tol, init_width=width,
@@ -431,13 +438,9 @@ class Reducer:
 
     def system(self, eps: float) -> GridSystem:
         if eps not in self._systems:
-            hint = None
-            if self._systems:
-                nearest = min(self._systems, key=lambda e: abs(e - eps))
-                hint = self._systems[nearest].coefficient
             gs = solve_grid_system(
                 self.grid, self.params, self.potential.peak_values, eps,
-                coefficient_hint=hint, tol=self.profile_tol,
+                tol=self.profile_tol,
             )
             self._check_tails(gs)
             self._systems[eps] = gs
@@ -478,14 +481,7 @@ class _Frame:
         self.cfg = cfg
         grid, params = red.grid, red.params
         eps, s, n = cfg.eps, params.s, params.dim
-        gs = red.system(eps)
-
-        shifted = [sp.translate(w, cfg.y[i]) for i, w in enumerate(gs.profiles)]
-        self.peak_fields = shifted
-        u = np.zeros(grid.shape)
-        for f in shifted:
-            u += f.values
-        self.U = Field(grid, u)
+        self.peak_fields, self.U = red.system(eps).ansatz(cfg.y)
         self.V = red.V
         self.a_eps = eps ** (2.0 * s) * params.a
         self.C = params.b * eps ** (4.0 * s - n)            # Kirchhoff weight
@@ -495,7 +491,7 @@ class _Frame:
         # translation modes w_ij = dU/dy_ij, their eps-inner representatives
         # P w_ij, stacked (kN, *grid), and their Gram matrix <w, w>_eps
         self.modes = np.stack([-sp.derivative(f, j).values
-                               for f in shifted for j in range(n)])
+                               for f in self.peak_fields for j in range(n)])
         self.mode_densities = dens = np.stack([self._p_apply(m)
                                                for m in self.modes])
         self.gram = self.h * (self.modes.reshape(len(dens), -1)
@@ -1001,6 +997,43 @@ def minimize_peaks(
 # sweeps
 # ---------------------------------------------------------------------------
 
+def reduce_at(
+    red: Reducer,
+    cfg0: PeakConfig,
+    minimize: bool = True,
+    outer_tol_factor: float = 1e-10,
+) -> tuple[dict, ReducedSolution]:
+    """One step of the reduction at cfg0.eps: the peak search from cfg0
+    (or the correction at the fixed y of cfg0 when `minimize` is off).
+
+    Returns the per-eps record and the solution it describes.  The
+    record's `search` block is the search's info dict, empty without a
+    search.
+    """
+    if minimize:
+        best, sol, info = minimize_peaks(red, cfg0,
+                                         outer_tol_factor=outer_tol_factor)
+    else:
+        best, info = cfg0, {}
+        sol = solve_correction(red, cfg0, outer_tol_factor=outer_tol_factor)
+    eps = cfg0.eps
+    drift = np.linalg.norm(best.y - red.potential.peaks, axis=1)
+    return {
+        "eps": eps,
+        "y": best.y.tolist(),
+        "drift": drift.tolist(),
+        "drift_over_eps": (drift / eps).tolist(),
+        "correction_norm": sol.correction_norm,
+        "reduced_energy": sol.reduced_energy,
+        "energy_over_epsN": sol.reduced_energy / eps**red.params.dim,
+        "orthogonality": float(np.abs(sol.orthogonality).max()),
+        "contraction_ratios": sol.contraction_ratios,
+        "iterations": sol.iterations,
+        "full_residual": sol.full_residual,
+        "search": info,
+    }, sol
+
+
 def sweep_reduction(
     red: Reducer,
     eps_list,
@@ -1010,38 +1043,12 @@ def sweep_reduction(
     minimize: bool = True,
     outer_tol_factor: float = 1e-10,
 ) -> list[dict]:
-    """Run the correction (and optionally the peak search) over an eps list.
-
-    Returns one record per eps with the quantities the asymptotic
-    checkers consume.
-    """
-    records = []
+    """reduce_at over an eps list, largest eps first, each eps started at
+    the wells plus `y0_offset`; returns the records."""
     peaks = red.potential.peaks
     offset = np.zeros_like(peaks) if y0_offset is None else np.asarray(y0_offset)
-    for eps in sorted(eps_list, reverse=True):
-        cfg0 = PeakConfig(eps, peaks + offset, delta, theta)
-        if minimize:
-            best, sol, info = minimize_peaks(
-                red, cfg0, outer_tol_factor=outer_tol_factor,
-            )
-        else:
-            best = cfg0
-            sol = solve_correction(red, cfg0,
-                                   outer_tol_factor=outer_tol_factor)
-            info = {}
-        drift = np.linalg.norm(best.y - peaks, axis=1)
-        records.append({
-            "eps": eps,
-            "y": best.y.tolist(),
-            "drift": drift.tolist(),
-            "drift_over_eps": (drift / eps).tolist(),
-            "phi_norm": sol.correction_norm,
-            "reduced_energy": sol.reduced_energy,
-            "energy_over_epsN": sol.reduced_energy / eps**red.params.dim,
-            "orthogonality": float(np.abs(sol.orthogonality).max()),
-            "ratios": sol.contraction_ratios,
-            "iterations": sol.iterations,
-            "full_residual": sol.full_residual,
-            "search": info,
-        })
-    return records
+    return [
+        reduce_at(red, PeakConfig(eps, peaks + offset, delta, theta),
+                  minimize, outer_tol_factor)[0]
+        for eps in sorted(eps_list, reverse=True)
+    ]

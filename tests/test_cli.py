@@ -228,8 +228,10 @@ class TestVerifyCommand:
             "options": {"check": "nope"},
             "output_dir": str(tmp_path / "verify2"),
         })
-        status, _ = cli.run(m)
-        assert status == 3
+        status, run_dir = cli.run(m)
+        assert status == 2
+        assert run_dir is None
+        assert not (tmp_path / "verify2").exists()
 
 
 @TRUNCATES_BY_DESIGN

@@ -508,6 +508,30 @@ class TestSolveCorrection:
         with pytest.raises(NoContractionError, match="MAX_CORRECTION_STEPS=1"):
             rd.solve_correction(reducer_1d, cfg)
 
+    @pytest.mark.parametrize("growth, fail_at, match, ratios", [
+        (1.0, None, "three consecutive", [1.0, 1.0, 1.0]),
+        (2.0, 3, "diverged before the linear solve", [2.0]),
+        (1e12, None, "blew up", []),
+    ])
+    def test_non_contracting_increments_raise(self, reducer_1d, monkeypatch,
+                                              growth, fail_at, match, ratios):
+        # step n returns the first increment times growth^(n-1); step
+        # fail_at breaks the linear solve
+        orig = rd._Frame.solve_constrained
+        steps = []
+
+        def solve(self, *args, **kwargs):
+            if len(steps) + 1 == fail_at:
+                raise LinearSolveError("projected MINRES stalled")
+            steps.append(steps[0] if steps else orig(self, *args, **kwargs))
+            return growth ** (len(steps) - 1) * steps[0]
+
+        monkeypatch.setattr(rd._Frame, "solve_constrained", solve)
+        cfg = rd.PeakConfig(0.1, [[0.3]], delta=0.5, theta=0.8)
+        with pytest.raises(NoContractionError, match=match) as err:
+            rd.solve_correction(reducer_1d, cfg)
+        assert err.value.ratios == pytest.approx(ratios, rel=1e-12)
+
     def test_warm_start_converges_to_same_fixed_point(self, reducer_1d):
         cfg = rd.PeakConfig(0.08, [[0.35]], delta=0.5, theta=0.8)
         cold = rd.solve_correction(reducer_1d, cfg, outer_tol_factor=1e-12)
@@ -615,6 +639,27 @@ class TestMinimizePeaks:
         ok, _ = best.admissibility(reducer_1d.potential)
         assert ok
 
+    def test_rejected_trial_steps_reach_the_same_minimizer(self, reducer_1d,
+                                                           monkeypatch):
+        # from this start, evaluation 3 is the first trial step (with the
+        # Jacobian just built) and evaluation 5 the trial after an accepted
+        # step (with a stale one); inflating their gradients rejects both
+        y0 = rd.PeakConfig(0.05, [[0.36]], delta=0.5, theta=0.8)
+        plain, _, _ = rd.minimize_peaks(reducer_1d, y0)
+        orig = rd.reduced_gradient_total
+        calls = []
+
+        def inflated(frame, sol):
+            calls.append(None)
+            g = orig(frame, sol)
+            return 10.0 * g if len(calls) in (3, 5) else g
+
+        monkeypatch.setattr(rd, "reduced_gradient_total", inflated)
+        best, _, info = rd.minimize_peaks(reducer_1d, y0)
+        assert info["termination"] == "converged"
+        assert len(calls) > 5
+        assert np.abs(best.y - plain.y).max() < 1e-12
+
     def test_evaluation_bound_raises(self, reducer_1d, monkeypatch):
         monkeypatch.setattr(rd, "MAX_SEARCH_EVALUATIONS", 3)
         y0 = rd.PeakConfig(0.05, [[0.36]], delta=0.5, theta=0.8)
@@ -627,6 +672,27 @@ class TestMinimizePeaks:
         with pytest.raises(ParameterError):
             bad = rd.PeakConfig(0.05, [[0.95]], delta=0.5, theta=0.8)
             rd.minimize_peaks(reducer_1d, bad)
+
+
+@TRUNCATES_BY_DESIGN
+class TestSweep:
+    def test_fixed_y_records_are_reduce_records(self, reducer_1d):
+        offset = np.array([[0.05]])
+        records = rd.sweep_reduction(reducer_1d, [0.08, 0.16], delta=0.5,
+                                     theta=0.8, y0_offset=offset,
+                                     minimize=False)
+        assert [r["eps"] for r in records] == [0.16, 0.08]
+        y = reducer_1d.potential.peaks + offset
+        for rec in records:
+            cfg = rd.PeakConfig(rec["eps"], y, delta=0.5, theta=0.8)
+            sol = rd.solve_correction(reducer_1d, cfg)
+            assert rec["search"] == {}
+            assert rec["y"] == y.tolist()
+            assert rec["drift"] == pytest.approx([0.05], abs=1e-15)
+            assert rec["correction_norm"] == sol.correction_norm
+            assert rec["reduced_energy"] == sol.reduced_energy
+            assert rec["contraction_ratios"] == sol.contraction_ratios
+            assert rec["iterations"] == sol.iterations
 
 
 class TestStrictMode:

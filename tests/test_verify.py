@@ -164,6 +164,13 @@ class TestWrongAnsatz:
         assert rep.passed
         assert rep.measured["relative_gap_error"] < 0.05
 
+    def test_empty_eps_rejected(self):
+        params = sp.ProblemParams(1, 0.4, 2.0, 1.0, 1.0)
+        pot = rd.Potential.single_well([0.0], 1.0, [1.0], m=2.0)
+        grid = sp.GridSpec(1, 6.0, 64)
+        with pytest.raises(ParameterError, match="nonempty eps"):
+            vf.wrong_ansatz_gap(grid, params, pot, [])
+
     def test_b_zero_no_gap(self):
         params = sp.ProblemParams(1, 0.4, 2.0, 1.0, 0.0)
         pot = rd.Potential.multi_well(
@@ -180,7 +187,7 @@ class TestAsymptoticsFit:
     @staticmethod
     def synthetic_records(exponent=2.3, drift_pow=1.3, eps=(0.4, 0.2, 0.1, 0.04)):
         return [
-            {"eps": e, "phi_norm": 0.7 * e**exponent,
+            {"eps": e, "correction_norm": 0.7 * e**exponent,
              "drift": [0.05 * e**drift_pow]}
             for e in eps
         ]
@@ -193,7 +200,7 @@ class TestAsymptoticsFit:
 
     def test_frozen_potential_skips_exponent(self):
         recs = [
-            {"eps": e, "phi_norm": 1e-14, "drift": [0.0]}
+            {"eps": e, "correction_norm": 1e-14, "drift": [0.0]}
             for e in (0.4, 0.2, 0.1, 0.04)
         ]
         rep = vf.asymptotics_fit(recs, m=2.0, dim=1)
@@ -219,7 +226,7 @@ class TestAsymptoticsFit:
 
     def test_non_monotone_series_noted(self):
         recs = self.synthetic_records()
-        recs[2]["phi_norm"] *= 30.0
+        recs[2]["correction_norm"] *= 30.0
         rep = vf.asymptotics_fit(recs, m=2.0, dim=1)
         assert "fit-quality warning" in rep.notes
 
