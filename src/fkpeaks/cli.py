@@ -33,6 +33,7 @@ VERIFY_CHECKS = ("sobolev", "interaction", "wrong_ansatz", "uniqueness",
                  "pohozaev")
 # verify checks that run at the manifest's eps values
 EPS_CHECKS = VERIFY_CHECKS[2:]
+DEFAULT_START_OFFSETS = (0.0, 0.05, -0.05)
 
 RUN_README = """\
 Run directory layout
@@ -118,7 +119,29 @@ class RunManifest:
             raise ParameterError(f"{self.command} requires a nonempty eps list")
         if self.command == "sweep" and _fits_asymptotics(self):
             vf.require_decade_span(self.eps)
+        if self.command in ("reduce", "sweep"):
+            # the start must lie in D_eps_delta at every eps it runs at
+            y0 = potential.peaks + _start_offset(
+                self.options.get("y0_offset", 0.0), potential)
+            for e in (self.eps[:1] if self.command == "reduce" else self.eps):
+                rd.PeakConfig(float(e), y0, self.delta,
+                              self.theta).require_admissible(potential)
+        if self.command == "verify" and check == "uniqueness":
+            # starts outside D_eps_delta are reported, not refused
+            for off in self.options.get("start_offsets",
+                                        DEFAULT_START_OFFSETS):
+                _start_offset(off, potential)
         return params, grid, potential
+
+
+def _start_offset(value, potential: rd.Potential) -> np.ndarray:
+    """A start offset from the wells, broadcast to their (k, N) shape;
+    TypeError or ValueError when it is not numeric or does not broadcast."""
+    offset = np.broadcast_to(np.asarray(value, dtype=float),
+                             potential.peaks.shape)
+    if not np.all(np.isfinite(offset)):
+        raise ParameterError(f"start offset {value!r} is not finite")
+    return offset
 
 
 def _fits_asymptotics(manifest: RunManifest) -> bool:
@@ -258,8 +281,7 @@ def _reducer_for(manifest, params, grid, potential):
 
 def _search_options(manifest, potential) -> tuple[np.ndarray, float]:
     """The start offset from the wells and the correction tolerance."""
-    offset = np.asarray(manifest.options.get("y0_offset", 0.0))
-    return (np.broadcast_to(offset, potential.peaks.shape),
+    return (_start_offset(manifest.options.get("y0_offset", 0.0), potential),
             float(manifest.tolerances.get("correction", 1e-10)))
 
 
@@ -354,7 +376,7 @@ def _stage_verify(manifest, params, grid, potential, run_dir) -> dict:
         red = _reducer_for(manifest, params, grid, potential)
         eps = float(manifest.eps[0])
         offsets = manifest.options.get("start_offsets",
-                                       [0.0, 0.05, -0.05])
+                                       DEFAULT_START_OFFSETS)
         starts = [
             rd.PeakConfig(eps, potential.peaks + off, manifest.delta,
                           manifest.theta)

@@ -296,10 +296,6 @@ class SystemSolution:
     residuals: list[float]
 
     @property
-    def k(self) -> int:
-        return len(self.profiles)
-
-    @property
     def seminorms(self) -> list[float]:
         s = self.params.s
         return [sp.seminorm_sq(u, s) for u in self.profiles]

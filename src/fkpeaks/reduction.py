@@ -70,6 +70,13 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
+def _min_separation(points) -> float:
+    """min_{i != j} |x_i - x_j| over the rows of `points` (inf for one)."""
+    k = len(points)
+    return min((float(np.linalg.norm(points[i] - points[j]))
+                for i in range(k) for j in range(i + 1, k)), default=math.inf)
+
+
 class Potential:
     """Potential with k strict local minima and a local power expansion.
 
@@ -151,13 +158,7 @@ class Potential:
         k = centers.shape[0]
         if len(values) != k or coeffs.shape[0] != k:
             raise ParameterError("values/coeffs must match the peak count")
-        if k > 1:
-            sep = min(
-                np.linalg.norm(centers[i] - centers[j])
-                for i in range(k) for j in range(i + 1, k)
-            )
-        else:
-            sep = math.inf
+        sep = _min_separation(centers)
         radius = plateau if plateau is not None else min(1.0, 0.4 * sep)
         if 2.5 * radius > sep:
             raise ParameterError("well plateaus overlap; shrink `plateau`")
@@ -193,12 +194,7 @@ class Potential:
     @property
     def min_separation(self) -> float:
         """2 r0 = min_{i != j} |a_i - a_j| (inf for a single peak)."""
-        if self.k < 2:
-            return math.inf
-        return min(
-            float(np.linalg.norm(self.peaks[i] - self.peaks[j]))
-            for i in range(self.k) for j in range(i + 1, self.k)
-        )
+        return _min_separation(self.peaks)
 
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -268,10 +264,6 @@ class PeakConfig:
         if not (0.0 < self.theta < 1.0):
             raise ParameterError(f"theta must lie in (0, 1), got {self.theta}")
 
-    @property
-    def k(self) -> int:
-        return self.y.shape[0]
-
     def with_y(self, y) -> "PeakConfig":
         return PeakConfig(self.eps, np.asarray(y, float), self.delta, self.theta)
 
@@ -283,14 +275,9 @@ class PeakConfig:
         drift = np.linalg.norm(self.y - potential.peaks, axis=1)
         if np.any(drift >= self.delta):
             return False, f"peak drift {drift.max():.3g} >= delta {self.delta}"
-        sep_min = self.eps**self.theta
-        for i in range(self.k):
-            for j in range(i + 1, self.k):
-                d = float(np.linalg.norm(self.y[i] - self.y[j]))
-                if d < sep_min:
-                    return False, (
-                        f"separation {d:.3g} < eps^theta = {sep_min:.3g}"
-                    )
+        sep, sep_min = _min_separation(self.y), self.eps**self.theta
+        if sep < sep_min:
+            return False, f"separation {sep:.3g} < eps^theta = {sep_min:.3g}"
         return True, ""
 
     def require_admissible(self, potential: Potential) -> None:
@@ -307,9 +294,10 @@ class PeakConfig:
 
 @dataclass
 class ReducedSolution:
-    """Output of the correction fixed point at one peak configuration."""
+    """Output of the correction fixed point on the frame of one peak
+    configuration; the configuration is `frame.cfg`."""
 
-    config: PeakConfig
+    frame: "_Frame" = field(repr=False)
     correction: Field
     correction_norm: float
     iterations: int
@@ -317,12 +305,15 @@ class ReducedSolution:
     reduced_energy: float
     full_residual: float
     orthogonality: np.ndarray
-    multipliers: np.ndarray
-    ansatz: Field = field(repr=False, default=None)
     increments: list[float] = field(repr=False, default_factory=list)
-    # density of I'_eps(U + phi), which `multipliers` and
+    # density of I'_eps(U + phi), which the multipliers and
     # `full_residual` come from
     gradient_density: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def ansatz(self) -> Field:
+        """U_{eps,y} of the frame."""
+        return self.frame.U
 
     @property
     def solution(self) -> Field:
@@ -481,7 +472,7 @@ class _Frame:
         self.cfg = cfg
         grid, params = red.grid, red.params
         eps, s, n = cfg.eps, params.s, params.dim
-        self.peak_fields, self.U = red.system(eps).ansatz(cfg.y)
+        peak_fields, self.U = red.system(eps).ansatz(cfg.y)
         self.V = red.V
         self.a_eps = eps ** (2.0 * s) * params.a
         self.C = params.b * eps ** (4.0 * s - n)            # Kirchhoff weight
@@ -491,7 +482,7 @@ class _Frame:
         # translation modes w_ij = dU/dy_ij, their eps-inner representatives
         # P w_ij, stacked (kN, *grid), and their Gram matrix <w, w>_eps
         self.modes = np.stack([-sp.derivative(f, j).values
-                               for f in self.peak_fields for j in range(n)])
+                               for f in peak_fields for j in range(n)])
         self.mode_densities = dens = np.stack([self._p_apply(m)
                                                for m in self.modes])
         self.gram = self.h * (self.modes.reshape(len(dens), -1)
@@ -707,7 +698,6 @@ def solve_correction(
     phi0: Field | None = None,
     outer_tol_factor: float = 1e-10,
     picard_steps: int = 3,
-    frame: "_Frame" = None,
 ) -> ReducedSolution:
     """Fixed point phi = -L_eps^{-1}(l_eps + R'(phi)) on E_{eps,y}.
 
@@ -718,7 +708,7 @@ def solve_correction(
     Stops when ||phi_{n+1} - phi_n||_eps < outer_tol_factor * eps^(N/2);
     raises NoContractionError after MAX_CORRECTION_STEPS steps.
     """
-    fr = frame if frame is not None else red.frame(cfg)
+    fr = red.frame(cfg)
     n = red.params.dim
     tol = outer_tol_factor * cfg.eps ** (0.5 * n)
     maxiter = 400 * (2**red.grid.dim)
@@ -776,10 +766,9 @@ def solve_correction(
     phi_norm = fr.eps_norm(phi)
     u_full = Field(red.grid, fr.U.values + phi)
     grad = fr.gradient_density(u_full)
-    lam = fr.multipliers(grad)
     energy = fr.energy(u_full.values)
     return ReducedSolution(
-        config=cfg,
+        frame=fr,
         correction=Field(red.grid, phi),
         correction_norm=phi_norm,
         iterations=it,
@@ -787,33 +776,29 @@ def solve_correction(
         reduced_energy=energy,
         full_residual=float(np.abs(grad).max()),
         orthogonality=fr.orthogonality(phi, phi_norm),
-        multipliers=lam,
-        ansatz=fr.U,
         increments=increments,
         gradient_density=grad,
     )
 
 
-def reduced_gradient_total(frame: "_Frame",
-                           sol: ReducedSolution) -> np.ndarray:
-    """Exact total derivative of the reduced energy j_eps at a correction
-    solved on `frame`: envelope term plus the multiplier correction from
-    the y-dependence of the orthogonality constraints; reuses the gradient
-    density and multipliers the correction ended with."""
-    k, n = sol.config.y.shape
-    lam = sol.multipliers.reshape(k, n)
-    out = frame._pairings(frame.modes, sol.gradient_density).reshape(k, n)
+def reduced_gradient_total(sol: ReducedSolution) -> np.ndarray:
+    """Exact total derivative of the reduced energy j_eps at a correction,
+    on the frame it was solved on: envelope term plus the multiplier
+    correction from the y-dependence of the orthogonality constraints;
+    reuses the gradient density the correction ended with."""
+    fr = sol.frame
+    k, n = fr.cfg.y.shape
+    lam = fr.multipliers(sol.gradient_density).reshape(k, n)
+    out = fr._pairings(fr.modes, sol.gradient_density).reshape(k, n)
     # I'(u) = -sum lam_ij w_ij on span{w}; differentiating the constraints
     # <w_aj(y), phi_y> = 0 turns the phi-variation term into
     # +sum_j lam_aj <d w_aj / d y_ab, phi> with d w_aj / d y_ab =
-    # P d_b d_j W_a, and P is symmetric on the grid
-    p_phi = frame._p_apply(sol.correction.values)
-    for a, peak in enumerate(frame.peak_fields):
-        for j in range(n):
-            dj = sp.derivative(peak, j)
-            for b in range(n):
-                d2 = sp.derivative(dj, b).values
-                out[a, b] += lam[a, j] * frame.h * float((d2 * p_phi).sum())
+    # P d_b d_j W_a.  P is symmetric and d_b skew on the grid, and
+    # w_aj = -d_j W_a, so the term is sum_j lam_aj <w_aj, d_b P phi>
+    p_phi = Field(fr.red.grid, fr._p_apply(sol.correction.values))
+    cross = np.stack([fr._pairings(fr.modes, sp.derivative(p_phi, b).values)
+                      for b in range(n)], axis=-1).reshape(k, n, n)
+    out += np.einsum("aj,ajb->ab", lam, cross)
     return out.ravel()
 
 
@@ -891,14 +876,12 @@ def minimize_peaks(
 
     def gradient_at(y) -> np.ndarray:
         nonlocal warm
-        cfg = y0.with_y(y.reshape(k, n))
-        fr = red.frame(cfg)
-        sol = solve_correction(red, cfg, phi0=warm,
+        sol = solve_correction(red, y0.with_y(y.reshape(k, n)), phi0=warm,
                                outer_tol_factor=outer_tol_factor,
-                               picard_steps=1, frame=fr)
+                               picard_steps=1)
         warm = sol.correction
         count["evaluations"] += 1
-        return reduced_gradient_total(fr, sol)
+        return reduced_gradient_total(sol)
 
     def jacobian_at(y, g) -> np.ndarray:
         jac = np.empty((y.size, y.size))

@@ -162,17 +162,6 @@ class GridSpec:
         """|x| over the grid."""
         return np.sqrt(sum(c**2 for c in self.coords))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GridSpec)
-            and self.dim == other.dim
-            and self.half_width == other.half_width
-            and self.points_per_dim == other.points_per_dim
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.half_width, self.points_per_dim))
-
 
 class Field:
     """Real-valued grid function with a lazily cached half spectrum and
@@ -258,13 +247,11 @@ class ProblemParams:
                 f"p must exceed 1 and stay below the subcritical window "
                 f"2N/(N-2s) - 1; got p={p}"
             )
-        if 2.0 * s < n:
-            p_max = 2.0 * n / (n - 2.0 * s) - 1.0
-            if p >= p_max:
-                raise ParameterError(
-                    f"p={p} violates the subcritical window "
-                    f"1 < p < 2N/(N-2s) - 1 = {p_max:.6g} for N={n}, s={s}"
-                )
+        if p >= self.critical_exponent:
+            raise ParameterError(
+                f"p={p} violates the subcritical window 1 < p < 2N/(N-2s) "
+                f"- 1 = {self.critical_exponent:.6g} for N={n}, s={s}"
+            )
 
     @property
     def critical_exponent(self) -> float:

@@ -377,6 +377,10 @@ def interaction_inequality_check(x_i, x_j, alpha: float, beta: float,
 # naive-ansatz obstruction
 # ---------------------------------------------------------------------------
 
+# the gate on both projections when one peak or b = 0 leaves no obstruction
+NO_OBSTRUCTION_TOL = 0.05
+
+
 def wrong_ansatz_gap(grid: GridSpec, params: ProblemParams,
                      potential: Potential, eps_list, tol: float = 0.2,
                      contrast_tol: float = 0.05) -> CheckReport:
@@ -387,8 +391,9 @@ def wrong_ansatz_gap(grid: GridSpec, params: ProblemParams,
     (the obstruction that rules the naive form out); substituting the
     shared-coefficient system profiles drives the same projection to
     o(eps^N).  Pass: naive within `tol` of the prediction and the
-    system contrast below `contrast_tol` of it, at the smallest eps.
-    Raises ParameterError for an empty eps list.
+    system contrast below `contrast_tol` of it, at the smallest eps; with
+    one peak or b = 0 both below NO_OBSTRUCTION_TOL, the tolerance then
+    reported.  Raises ParameterError for an empty eps list.
     """
     s, p, n, b = params.s, params.p, params.dim, params.b
     vals = potential.peak_values
@@ -443,7 +448,8 @@ def wrong_ansatz_gap(grid: GridSpec, params: ProblemParams,
         )
         rel_gap = max(abs(m) for m in last["naive"]) / ref
         contrast = max(abs(m) for m in last["system"]) / ref
-        passed = rel_gap < 0.05 and contrast < 0.05
+        tol = NO_OBSTRUCTION_TOL
+        passed = rel_gap < tol and contrast < tol
     return CheckReport(
         name="wrong_ansatz_gap",
         inputs_digest=digest_inputs({
@@ -537,7 +543,9 @@ def asymptotics_fit(records: list[dict], m: float, dim: int) -> CheckReport:
 def uniqueness_probe(red: Reducer, eps: float, starts: list[PeakConfig],
                      tol: float = 1e-6) -> CheckReport:
     """Multi-start convergence: all admissible starts must produce the
-    same full solution in sup norm within tol * ||u||_inf."""
+    same full solution in sup norm within tol * ||u||_inf.  A start whose
+    search raises a solver error is listed under `failed` and fails the
+    probe; starts outside D_{eps,delta} are listed under `rejected`."""
     solutions = []
     rejected = []
     failed = []
@@ -565,8 +573,7 @@ def uniqueness_probe(red: Reducer, eps: float, starts: list[PeakConfig],
             )
             if diff > worst:
                 worst, worst_pair = diff, (ia, ib)
-    complete = not failed and len(solutions) == len(starts) - len(rejected)
-    passed = (worst < tol) and complete and len(solutions) >= 2
+    passed = not failed and len(solutions) >= 2 and worst < tol
     return CheckReport(
         name="uniqueness_probe",
         inputs_digest=digest_inputs({
@@ -582,7 +589,7 @@ def uniqueness_probe(red: Reducer, eps: float, starts: list[PeakConfig],
         },
         expected={"pairwise_sup_diff": 0.0},
         tolerance=tol,
-        passed=bool(passed) if complete else None,
+        passed=passed,
         provenance="multi-start Lyapunov-Schmidt runs",
         notes="partial report" if failed else "",
     )

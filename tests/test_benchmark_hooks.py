@@ -1,7 +1,14 @@
-"""The benchmark's tracer rebinds package entry points by name; a rename or
-removal in the package fails here rather than in a benchmark run."""
+"""The benchmark's tracer rebinds package entry points by name, and its
+workloads read attributes of the package's results; a rename or removal in
+the package fails here rather than in a benchmark run."""
 
 from pathlib import Path
+
+import numpy as np
+
+from fkpeaks import reduction as rd
+from fkpeaks import spectral as sp
+from tests_support import TRUNCATES_BY_DESIGN
 
 BENCH = Path(__file__).parents[1] / "perfbench"
 
@@ -21,3 +28,17 @@ def test_tracer_installs_and_restores(monkeypatch):
         tr.restore()
     assert bound
     assert all(getattr(owner, attr) is orig for owner, attr, orig in bound)
+
+
+@TRUNCATES_BY_DESIGN
+def test_correction_attributes_read_by_workloads():
+    red = rd.Reducer(sp.GridSpec(1, 4.0, 256),
+                     sp.ProblemParams(1, 0.4, 2.0, 1.0, 0.25),
+                     rd.Potential.single_well([0.3], 1.0, [1.0], m=2.0))
+    sol = rd.solve_correction(red, rd.PeakConfig(0.16, [[0.35]], 0.5, 0.8))
+    phi = sol.correction.values
+    assert np.array_equal(sol.solution.values, sol.ansatz.values + phi)
+    assert sol.contraction_ratios
+    assert all(r < 1.0 for r in sol.contraction_ratios)
+    assert sol.correction_norm > 0.0
+    assert np.isfinite(sol.reduced_energy)

@@ -7,7 +7,12 @@ import pytest
 from fkpeaks import cli
 from fkpeaks import io as fio
 from fkpeaks import spectral as sp
-from fkpeaks.errors import BoundaryMinimizerWarning, ParameterError
+from fkpeaks import verify as vf
+from fkpeaks.errors import (
+    BoundaryMinimizerWarning,
+    NoContractionError,
+    ParameterError,
+)
 from tests_support import TRUNCATES_BY_DESIGN
 
 
@@ -80,6 +85,28 @@ class TestManifest:
         assert status == 2
         assert run_dir is None
         assert "nonempty eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["reduce", "sweep"])
+    @pytest.mark.parametrize("offset", [[0.1, 0.2], "abc", 0.6, None])
+    def test_bad_start_offset_rejected_before_compute(self, tmp_path, capsys,
+                                                      command, offset):
+        # one 1D peak: a 2-vector does not fit, and 0.6 > delta = 0.5
+        spec = manifest_sweep(tmp_path)
+        spec["command"], spec["options"] = command, {"y0_offset": offset}
+        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        assert status == 2
+        assert run_dir is None
+        assert '"error": "validation"' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offsets", [[[0.1, 0.2]], ["abc"], 0.05])
+    def test_bad_uniqueness_starts_rejected_before_compute(self, tmp_path,
+                                                           offsets):
+        spec = manifest_sweep(tmp_path)
+        spec["command"] = "verify"
+        spec["options"] = {"check": "uniqueness", "start_offsets": offsets}
+        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        assert status == 2
+        assert run_dir is None
 
     def test_readme_manifest_example_validates(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -219,6 +246,23 @@ class TestVerifyCommand:
         assert status == 0
         report = json.loads((run_dir / "report.json").read_text())
         assert report["check"] == "pohozaev_residual"
+
+    def test_failed_uniqueness_start_fails_the_run(self, tmp_path,
+                                                   monkeypatch):
+        def failing(red, cfg, **kw):
+            raise NoContractionError("forced failure")
+
+        monkeypatch.setattr(vf, "minimize_peaks", failing)
+        spec = manifest_sweep(tmp_path)
+        spec["command"], spec["eps"] = "verify", [0.1]
+        spec["options"] = {"check": "uniqueness",
+                           "start_offsets": [0.05, -0.05]}
+        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        assert status == 1
+        report = json.loads((run_dir / "report.json").read_text())
+        assert report["passed"] is False
+        assert report["diagnostic_only"] is False
+        assert len(report["measured"]["failed"]) == 2
 
     def test_unknown_check_rejected(self, tmp_path):
         m = cli.RunManifest.from_dict({

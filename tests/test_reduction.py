@@ -191,14 +191,13 @@ class TestBuildAnsatz:
             coeffs=[[1.0], [1.0]], m=2.0, far_value=2.0, plateau=0.6,
         )
         red = rd.Reducer(grid, params, pot)
-        cfg = rd.PeakConfig(0.02, pot.peaks, delta=0.5, theta=0.8)
-        fr = red.frame(cfg)
-        total_sq = sp.integrate(sp.Field(grid, fr.U.values**2))
+        peaks, u = red.system(0.02).ansatz(pot.peaks)
+        total_sq = sp.integrate(sp.Field(grid, u.values**2))
         parts_sq = sum(
-            sp.integrate(sp.Field(grid, f.values**2)) for f in fr.peak_fields
+            sp.integrate(sp.Field(grid, f.values**2)) for f in peaks
         )
         cross = sp.integrate(sp.Field(
-            grid, fr.peak_fields[0].values * fr.peak_fields[1].values))
+            grid, peaks[0].values * peaks[1].values))
         assert total_sq == pytest.approx(parts_sq + 2 * cross, rel=1e-12)
         assert abs(cross) < 0.01 * parts_sq
 
@@ -543,31 +542,32 @@ class TestSolveCorrection:
         assert diff < 1e-9
 
 
+def fd_gradient(red, cfg, h=1e-5, **kw):
+    """Central differences of j_eps in each coordinate of y."""
+    fd = np.empty(cfg.y.size)
+    for idx in range(cfg.y.size):
+        js = []
+        for dy in (h, -h):
+            y = cfg.y.copy()
+            y.flat[idx] += dy
+            js.append(rd.solve_correction(red, cfg.with_y(y), **kw)
+                      .reduced_energy)
+        fd[idx] = (js[0] - js[1]) / (2 * h)
+    return fd
+
+
 @TRUNCATES_BY_DESIGN
 class TestGradients:
     def test_total_gradient_matches_fd(self, reducer_1d):
         cfg = rd.PeakConfig(0.08, [[0.36]], delta=0.5, theta=0.8)
         sol = rd.solve_correction(reducer_1d, cfg, outer_tol_factor=1e-12)
-        g = rd.reduced_gradient_total(reducer_1d.frame(cfg), sol)
-        h = 1e-5
-        js = {}
-        for dy in (h, -h):
-            c2 = cfg.with_y([[0.36 + dy]])
-            s2 = rd.solve_correction(reducer_1d, c2, outer_tol_factor=1e-12)
-            js[dy] = s2.reduced_energy
-        fd = (js[h] - js[-h]) / (2 * h)
-        assert g[0] == pytest.approx(fd, rel=1e-6)
-        # the search passes one frame to both calls: bitwise the same
-        fr = reducer_1d.frame(cfg)
-        sol_fr = rd.solve_correction(reducer_1d, cfg, outer_tol_factor=1e-12,
-                                     frame=fr)
-        assert np.array_equal(sol_fr.correction.values, sol.correction.values)
-        assert sol_fr.reduced_energy == sol.reduced_energy
-        assert np.array_equal(rd.reduced_gradient_total(fr, sol_fr), g)
+        g = rd.reduced_gradient_total(sol)
+        fd = fd_gradient(reducer_1d, cfg, outer_tol_factor=1e-12)
+        assert g[0] == pytest.approx(fd[0], rel=1e-6)
 
     def test_total_gradient_matches_fd_2d(self):
-        # the constraint term carries the mixed b != j second derivatives
-        # here (a third of the gradient); the 1D test sees only (0, 0, 0)
+        # the constraint term pairs w_0j with d_b P phi for b != j here (a
+        # third of the gradient); the 1D test sees only j = b = 0
         params = sp.ProblemParams(2, 0.75, 2.0, 1.0, 0.05)
         grid = sp.GridSpec(2, 2.5, 64)
         pot = rd.Potential.single_well([0.1, -0.1], 1.0, [1.0, 1.5], m=2.0,
@@ -575,19 +575,24 @@ class TestGradients:
         red = rd.Reducer(grid, params, pot)
         y = np.array([[0.16, -0.05]])
         cfg = rd.PeakConfig(0.25, y, delta=0.4, theta=0.8)
-        fr = red.frame(cfg)
-        g = rd.reduced_gradient_total(fr, rd.solve_correction(red, cfg,
-                                                              frame=fr))
-        h = 1e-5
-        fd = np.empty(2)
-        for b in range(2):
-            js = []
-            for dy in (h, -h):
-                yb = y.copy()
-                yb[0, b] += dy
-                js.append(rd.solve_correction(red, cfg.with_y(yb))
-                          .reduced_energy)
-            fd[b] = (js[0] - js[1]) / (2 * h)
+        g = rd.reduced_gradient_total(rd.solve_correction(red, cfg))
+        fd = fd_gradient(red, cfg)
+        assert np.abs(g - fd).max() < 1e-8 * np.abs(fd).max()
+
+    def test_total_gradient_matches_fd_two_peaks(self):
+        # each peak's multipliers weigh its own modes; the constraint term
+        # is 9% of the gradient here
+        params = sp.ProblemParams(1, 0.4, 2.0, 1.0, 0.25)
+        grid = sp.GridSpec(1, 8.0, 1024)
+        pot = rd.Potential.multi_well(
+            centers=[[-1.0], [1.0]], values=[1.0, 1.3],
+            coeffs=[[1.0], [1.0]], m=2.0, far_value=2.0, plateau=0.6,
+        )
+        red = rd.Reducer(grid, params, pot)
+        cfg = rd.PeakConfig(0.05, [[-1.03], [0.98]], delta=0.3, theta=0.8)
+        g = rd.reduced_gradient_total(
+            rd.solve_correction(red, cfg, outer_tol_factor=1e-12))
+        fd = fd_gradient(red, cfg, outer_tol_factor=1e-12)
         assert np.abs(g - fd).max() < 1e-8 * np.abs(fd).max()
 
 
@@ -649,9 +654,9 @@ class TestMinimizePeaks:
         orig = rd.reduced_gradient_total
         calls = []
 
-        def inflated(frame, sol):
+        def inflated(sol):
             calls.append(None)
-            g = orig(frame, sol)
+            g = orig(sol)
             return 10.0 * g if len(calls) in (3, 5) else g
 
         monkeypatch.setattr(rd, "reduced_gradient_total", inflated)

@@ -162,7 +162,11 @@ class TestWrongAnsatz:
         rep = vf.wrong_ansatz_gap(grid, params, pot,
                                   eps_list=[0.004, 0.002, 0.0012, 0.0008])
         assert rep.passed
-        assert rep.measured["relative_gap_error"] < 0.05
+        # one peak has no obstruction: the report names the gate applied
+        # to both projections, not the two-peak `tol`
+        assert rep.tolerance == vf.NO_OBSTRUCTION_TOL
+        assert rep.measured["relative_gap_error"] < rep.tolerance
+        assert rep.measured["system_contrast"] < rep.tolerance
 
     def test_empty_eps_rejected(self):
         params = sp.ProblemParams(1, 0.4, 2.0, 1.0, 1.0)
@@ -285,7 +289,7 @@ class TestUniquenessProbe:
             rd.PeakConfig(0.1, [[0.15]], delta=0.4, theta=0.8),
         ]
         rep = vf.uniqueness_probe(quick_reducer, 0.1, starts, tol=1e-6)
-        assert rep.passed is None
+        assert rep.passed is False
         assert rep.notes == "partial report"
         assert len(rep.measured["failed"]) == 1
         assert rep.measured["failed"][0]["start"] == 1
@@ -299,7 +303,7 @@ class TestUniquenessProbe:
         with pytest.raises(IterationError, match="eigenvalues"):
             rd.minimize_peaks(quick_reducer, cfg)
         rep = vf.uniqueness_probe(quick_reducer, 0.1, [cfg], tol=1e-6)
-        assert rep.passed is None
+        assert rep.passed is False
         assert [f["start"] for f in rep.measured["failed"]] == [0]
 
     def test_programming_error_propagates(self, quick_reducer, monkeypatch):
