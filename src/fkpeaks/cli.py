@@ -31,8 +31,10 @@ ENV_OUTPUT_ROOT = "FKPEAKS_OUT"
 COMMANDS = ("groundstate", "system", "reduce", "sweep", "verify")
 VERIFY_CHECKS = ("sobolev", "interaction", "wrong_ansatz", "uniqueness",
                  "pohozaev")
-# verify checks that run at the manifest's eps values
+# verify checks that run at the manifest's eps values, and those of them
+# that run at one eps
 EPS_CHECKS = VERIFY_CHECKS[2:]
+ONE_EPS_CHECKS = ("uniqueness", "pohozaev")
 DEFAULT_START_OFFSETS = (0.0, 0.05, -0.05)
 
 RUN_README = """\
@@ -43,6 +45,16 @@ version.json    package and dependency versions
 report.json     per-stage results; `passed` marks gated checks
 *.bin / *.json  field snapshots (little-endian float64 + sidecar)
 *.csv           series exports
+iterations.jsonl  per-iteration log, with options.verbose
+
+iterations.jsonl
+----------------
+groundstate: iteration, gamma
+reduce:      iteration, increment_eps_norm (||phi_{n+1} - phi_n||_eps),
+             inner_iterations (MINRES iterations of the step, restarts
+             included), forcing (the step's forcing term eta: the true
+             residual of its linear solve is at most eta times the
+             right-hand side norm; 1e-11 for the contraction steps)
 
 CSV columns
 -----------
@@ -123,7 +135,7 @@ class RunManifest:
             # the start must lie in D_eps_delta at every eps it runs at
             y0 = potential.peaks + _start_offset(
                 self.options.get("y0_offset", 0.0), potential)
-            for e in (self.eps[:1] if self.command == "reduce" else self.eps):
+            for e in self.eps:
                 rd.PeakConfig(float(e), y0, self.delta,
                               self.theta).require_admissible(potential)
         if self.command == "verify" and check == "uniqueness":
@@ -131,6 +143,12 @@ class RunManifest:
             for off in self.options.get("start_offsets",
                                         DEFAULT_START_OFFSETS):
                 _start_offset(off, potential)
+        if len(self.eps) > 1 and (self.command == "reduce" or (
+                self.command == "verify" and check in ONE_EPS_CHECKS)):
+            what = "reduce" if self.command == "reduce" else f"verify {check}"
+            raise ParameterError(
+                f"{what} runs at one eps, got {len(self.eps)}: {self.eps}; "
+                "use the sweep command for an eps list")
         return params, grid, potential
 
 
@@ -295,8 +313,10 @@ def _stage_reduce(manifest, params, grid, potential, run_dir) -> dict:
     report, sol = rd.reduce_at(red, cfg0, minimize, outer)
     if manifest.options.get("verbose"):
         _log_iterations(run_dir, (
-            {"iteration": i + 1, "increment_eps_norm": inc}
-            for i, inc in enumerate(sol.increments)
+            {"iteration": i + 1, "increment_eps_norm": inc,
+             "inner_iterations": inner, "forcing": eta}
+            for i, (inc, inner, eta) in enumerate(zip(
+                sol.increments, sol.inner_iterations, sol.forcing))
         ))
     fio.save_field(sol.correction, run_dir / "correction",
                    meta={"eps": eps, "norm": sol.correction_norm})

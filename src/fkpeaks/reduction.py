@@ -306,6 +306,10 @@ class ReducedSolution:
     full_residual: float
     orthogonality: np.ndarray
     increments: list[float] = field(repr=False, default_factory=list)
+    # MINRES iterations (restarts included) and forcing term eta of each
+    # outer step
+    inner_iterations: list[int] = field(repr=False, default_factory=list)
+    forcing: list[float] = field(repr=False, default_factory=list)
     # density of I'_eps(U + phi), which the multipliers and
     # `full_residual` come from
     gradient_density: np.ndarray = field(repr=False, default=None)
@@ -569,8 +573,8 @@ class _Frame:
 
     def ell_norm(self) -> float:
         """Dual norm of l_eps on E_{eps,y} (preconditioner estimate)."""
-        b = self.precondition(self.gradient_density(self.U))
-        return float(np.linalg.norm(self.project(b)) * math.sqrt(self.h))
+        b = self.krylov_rhs(self.gradient_density(self.U))
+        return float(np.linalg.norm(b) * math.sqrt(self.h))
 
     def eps_norm(self, vals: np.ndarray) -> float:
         """||phi||_eps, the norm of the eps-inner product."""
@@ -604,37 +608,69 @@ class _Frame:
 
     # -- constrained solve ----------------------------------------------------
 
-    def solve_constrained(self, rhs_density: np.ndarray, rtol: float,
-                          atol: float, maxiter: int,
-                          lin: LinearizedOperator | None = None) -> np.ndarray:
-        """Solve the constrained symmetric system A phi = -rhs on E_{eps,y};
-        A is L_eps by default, or the second variation `lin`.
+    def krylov_rhs(self, rhs_density: np.ndarray) -> np.ndarray:
+        """The right-hand side b = -Q m rhs of the constrained system as a
+        packed spectrum, m = P0^(-1/2) (1 transform)."""
+        return self.project(-self.precondition(rhs_density))
+
+    def solve_constrained(self, b: np.ndarray, rtol: float, atol: float,
+                          maxiter: int, lin: LinearizedOperator | None = None,
+                          callback=None) -> np.ndarray:
+        """Solve the constrained symmetric system A phi = -rhs on E_{eps,y}
+        for b = krylov_rhs(rhs); A is L_eps by default, or the second
+        variation `lin`.
 
         Projected MINRES on Q m A m Q, m = P0^(-1/2), over the packed
-        spectra of xi = P0^(1/2) phi; packing is an isometry, so norms and
-        `rtol` are those of xi on the grid.  The matvec projects onto the
-        spectra of real fields, where the right-hand side lies.
+        spectra of xi = P0^(1/2) phi; packing is an isometry, so norms are
+        those of xi on the grid.  The matvec projects onto the spectra of
+        real fields, where the right-hand side lies.
+
+        `rtol` is held on the true residual: ||b - Q m A m Q xi|| <=
+        max(rtol ||b||, atol), with atol in the units of b.  scipy's
+        MINRES stops on rtol ||A|| ||xi|| or on its least-squares test,
+        which can leave the true residual at half of ||b||, so it starts
+        at rtol/10 (but not below CORRECTION_INNER_RTOL) and restarts from
+        xi at a tenth of its last rtol while the true residual misses.
+        `callback(xk)` is called at every MINRES iteration, restarts
+        included.  Raises LinearSolveError when a restart no longer
+        reduces the residual or `maxiter` iterations are spent in all.
         """
         lin = self.L if lin is None else lin
-        b = self.project(-self.precondition(rhs_density))
         bnorm = float(np.linalg.norm(b))
         if bnorm == 0.0:
             return np.zeros(self.U.values.shape)
         op = sla.LinearOperator((b.size, b.size), dtype=float,
                                 matvec=lambda v: self.apply_hat(v, lin))
-        xi, info = sla.minres(op, b, rtol=rtol, maxiter=maxiter)
-        resid = float(np.linalg.norm(b - op.matvec(xi)))
-        # the true residual MINRES can reach grows with the solution (up
-        # to 6.2e-10 ||xi|| measured on 64^2 to 256^2 grids), so a
-        # residual under 1e-8 ||xi|| is roundoff, not a stall
-        xnorm = float(np.linalg.norm(xi))
-        if resid > max(1e-7 * bnorm, atol, 1e-8 * xnorm):
-            raise LinearSolveError(
-                f"projected MINRES stalled: residual {resid:.3e} "
-                f"(rhs norm {bnorm:.3e}, solution norm {xnorm:.3e}, "
-                f"info={info})"
-            )
-        return self.to_field(self.project(xi))
+        spent = 0
+
+        def count(xk):
+            nonlocal spent
+            spent += 1
+            if callback is not None:
+                callback(xk)
+
+        target = max(rtol * bnorm, atol)
+        # one MINRES run gains nothing below CORRECTION_INNER_RTOL
+        inner_rtol = max(0.1 * rtol, CORRECTION_INNER_RTOL)
+        xi, resid = None, bnorm
+        while True:
+            xi, info = sla.minres(op, b, x0=xi, rtol=inner_rtol,
+                                  maxiter=maxiter - spent, callback=count)
+            last, resid = resid, float(np.linalg.norm(b - op.matvec(xi)))
+            # the true residual one MINRES run can reach grows with the
+            # solution (up to 6.2e-10 ||xi|| measured on 64^2 to 256^2
+            # grids), so a residual under 1e-8 ||xi|| is roundoff
+            xnorm = float(np.linalg.norm(xi))
+            if resid <= max(target, 1e-8 * xnorm):
+                return self.to_field(self.project(xi))
+            if resid >= last or spent >= maxiter:
+                raise LinearSolveError(
+                    f"projected MINRES stalled: true residual {resid:.3e} "
+                    f"misses eta = {rtol:.3e} of the rhs norm {bnorm:.3e} "
+                    f"(atol {atol:.3e}, solution norm {xnorm:.3e}, "
+                    f"{spent} iterations, info={info})"
+                )
+            inner_rtol *= 0.1
 
     def multipliers(self, grad_density: np.ndarray) -> np.ndarray:
         """Lagrange multipliers of the constrained stationarity system."""
@@ -689,7 +725,32 @@ class _Frame:
 # ---------------------------------------------------------------------------
 
 MAX_CORRECTION_STEPS = 40
-CORRECTION_INNER_RTOL = 1e-11     # MINRES rtol of each correction step
+# the MINRES rtol below which one run gains nothing (its true residual
+# stalls at 5.7e-11 to 6.2e-10 ||xi||): the forcing term of each
+# contraction step and the least forcing term of a Newton step
+CORRECTION_INNER_RTOL = 1e-11
+# Eisenstat-Walker forcing terms of the Newton steps (choice 2)
+FORCING_GAMMA = 0.9
+FORCING_ALPHA = 2.0
+FORCING_MAX = 0.1
+
+
+def _forcing(bnorm: float, last_bnorm: float, tau: float) -> float:
+    """Forcing term eta of a Newton step whose right-hand side has norm
+    `bnorm`, after a step with `last_bnorm`: Eisenstat & Walker's choice 2
+    (SIAM J. Sci. Comput. 17 (1996) 16-32), capped at FORCING_MAX, with
+    the floor 0.5 tau / bnorm of Kelley (Iterative Methods for Linear and
+    Nonlinear Equations, SIAM 1995, sec. 6.3) that keeps the residual
+    asked for above half the outer tolerance tau; never below
+    CORRECTION_INNER_RTOL.
+
+    Their safeguard max(eta, gamma eta_prev^alpha), applied when
+    gamma eta_prev^alpha > 0.1, never binds here: eta_prev <= FORCING_MAX
+    gives gamma eta_prev^alpha <= 0.009."""
+    eta = FORCING_GAMMA * (bnorm / last_bnorm) ** FORCING_ALPHA
+    if bnorm > 0.0:
+        eta = max(eta, 0.5 * tau / bnorm)
+    return max(min(FORCING_MAX, eta), CORRECTION_INNER_RTOL)
 
 
 def solve_correction(
@@ -705,12 +766,18 @@ def solve_correction(
     increment ratios are the reported contraction diagnostics), then
     switches the increment operator to the second variation at the
     current iterate, which drives the same fixed point quadratically.
+    The contraction steps solve their linear systems to
+    CORRECTION_INNER_RTOL; the Newton steps are inexact, to the forcing
+    terms of `_forcing` on the true residual.
     Stops when ||phi_{n+1} - phi_n||_eps < outer_tol_factor * eps^(N/2);
     raises NoContractionError after MAX_CORRECTION_STEPS steps.
     """
     fr = red.frame(cfg)
     n = red.params.dim
     tol = outer_tol_factor * cfg.eps ** (0.5 * n)
+    # the outer tolerance in the units of the Krylov right-hand side: the
+    # eps-norm carries the quadrature weight sqrt(h), packed norms do not
+    tau = tol / math.sqrt(fr.h)
     maxiter = 400 * (2**red.grid.dim)
 
     phi = np.zeros(red.grid.shape) if phi0 is None else phi0.values.copy()
@@ -718,15 +785,30 @@ def solve_correction(
         phi = fr.project_field(phi)
     ratios: list[float] = []
     increments: list[float] = []
+    forcing: list[float] = []
+    inner: list[int] = []
+    last_bnorm = math.inf       # with no previous step eta is its floor
+
+    def count(_xk):
+        inner[-1] += 1
+
     bad_streak = 0
     for it in range(1, MAX_CORRECTION_STEPS + 1):
         u = Field(red.grid, fr.U.values + phi)
-        lin = None if it <= picard_steps else fr.second_variation(u)
+        b = fr.krylov_rhs(fr.gradient_density(u))
+        bnorm = float(np.linalg.norm(b))
+        if it <= picard_steps:
+            lin, eta = None, CORRECTION_INNER_RTOL
+        else:
+            lin = fr.second_variation(u)
+            eta = _forcing(bnorm, last_bnorm, tau)
+        last_bnorm = bnorm
+        forcing.append(eta)
+        inner.append(0)
         try:
-            delta = fr.solve_constrained(fr.gradient_density(u),
-                                         rtol=CORRECTION_INNER_RTOL,
-                                         atol=0.01 * tol, maxiter=maxiter,
-                                         lin=lin)
+            delta = fr.solve_constrained(b, rtol=eta, atol=0.01 * tau,
+                                         maxiter=maxiter, lin=lin,
+                                         callback=count)
         except LinearSolveError:
             if ratios and ratios[-1] >= 1.0:
                 raise NoContractionError(
@@ -777,6 +859,8 @@ def solve_correction(
         full_residual=float(np.abs(grad).max()),
         orthogonality=fr.orthogonality(phi, phi_norm),
         increments=increments,
+        inner_iterations=inner,
+        forcing=forcing,
         gradient_density=grad,
     )
 

@@ -30,12 +30,34 @@ def test_tracer_installs_and_restores(monkeypatch):
     assert all(getattr(owner, attr) is orig for owner, attr, orig in bound)
 
 
-@TRUNCATES_BY_DESIGN
-def test_correction_attributes_read_by_workloads():
+def tiny_correction() -> rd.ReducedSolution:
     red = rd.Reducer(sp.GridSpec(1, 4.0, 256),
                      sp.ProblemParams(1, 0.4, 2.0, 1.0, 0.25),
                      rd.Potential.single_well([0.3], 1.0, [1.0], m=2.0))
-    sol = rd.solve_correction(red, rd.PeakConfig(0.16, [[0.35]], 0.5, 0.8))
+    return rd.solve_correction(red, rd.PeakConfig(0.16, [[0.35]], 0.5, 0.8))
+
+
+@TRUNCATES_BY_DESIGN
+def test_tracer_counts_every_minres_iteration(monkeypatch):
+    # a MINRES run, restarts included, that bypasses the module attribute
+    # the tracer rebinds would go uncounted
+    monkeypatch.syspath_prepend(str(BENCH))
+    from layers import install
+    from tracer import Tracer
+
+    tr = Tracer()
+    try:
+        install(tr)
+        sol = tiny_correction()
+    finally:
+        tr.restore()
+    assert sum(sol.inner_iterations) > 0
+    assert tr.counts["reduction.minres_iters"] == sum(sol.inner_iterations)
+
+
+@TRUNCATES_BY_DESIGN
+def test_correction_attributes_read_by_workloads():
+    sol = tiny_correction()
     phi = sol.correction.values
     assert np.array_equal(sol.solution.values, sol.ansatz.values + phi)
     assert sol.contraction_ratios

@@ -86,6 +86,22 @@ class TestManifest:
         assert run_dir is None
         assert "nonempty eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, check", [
+        ("reduce", None), ("verify", "uniqueness"), ("verify", "pohozaev"),
+    ])
+    def test_eps_list_rejected_where_one_eps_runs(self, tmp_path, capsys,
+                                                 command, check):
+        # these run at eps[0] alone; the rest would be dropped silently
+        spec = manifest_sweep(tmp_path)
+        spec["command"], spec["eps"] = command, [0.2, 0.1]
+        if check:
+            spec["options"] = {"check": check}
+        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        assert status == 2
+        assert run_dir is None
+        err = capsys.readouterr().err
+        assert "runs at one eps" in err and "sweep" in err
+
     @pytest.mark.parametrize("command", ["reduce", "sweep"])
     @pytest.mark.parametrize("offset", [[0.1, 0.2], "abc", 0.6, None])
     def test_bad_start_offset_rejected_before_compute(self, tmp_path, capsys,
@@ -288,9 +304,13 @@ class TestThreadsAndVerbose:
         spec["output_dir"] = str(tmp_path / "verbose")
         status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
         assert status == 0
-        lines = (run_dir / "iterations.jsonl").read_text().splitlines()
-        assert len(lines) >= 1
-        assert "increment_eps_norm" in lines[0]
+        rows = [json.loads(line) for line in
+                (run_dir / "iterations.jsonl").read_text().splitlines()]
+        assert len(rows) >= 1
+        assert all(row["inner_iterations"] > 0 for row in rows)
+        # the three contraction steps solve to the fixed inner tolerance
+        assert [row["forcing"] for row in rows[:3]] == [1e-11] * 3
+        assert "increment_eps_norm" in rows[0]
 
 
 class TestEnvOutputRoot:

@@ -466,8 +466,8 @@ class TestSolveConstrained:
     def test_real_stall_raises(self, reducer_2d):
         fr = reducer_2d.frame(self.CFG)
         with pytest.raises(LinearSolveError, match="stalled"):
-            fr.solve_constrained(fr.gradient_density(fr.U), rtol=1e-12,
-                                 atol=0.0, maxiter=2)
+            fr.solve_constrained(fr.krylov_rhs(fr.gradient_density(fr.U)),
+                                 rtol=1e-12, atol=0.0, maxiter=2)
 
 
 @TRUNCATES_BY_DESIGN
@@ -530,6 +530,54 @@ class TestSolveCorrection:
         with pytest.raises(NoContractionError, match=match) as err:
             rd.solve_correction(reducer_1d, cfg)
         assert err.value.ratios == pytest.approx(ratios, rel=1e-12)
+
+    def test_newton_steps_meet_their_forcing_terms(self, reducer_1d,
+                                                   monkeypatch):
+        orig = rd._Frame.solve_constrained
+        calls = []
+
+        def solve(self, b, rtol, atol, maxiter, lin=None, callback=None):
+            delta = orig(self, b, rtol, atol, maxiter, lin, callback)
+            calls.append((self, b, rtol, atol, lin, delta))
+            return delta
+
+        monkeypatch.setattr(rd._Frame, "solve_constrained", solve)
+        cfg = rd.PeakConfig(0.16, [[0.35]], delta=0.5, theta=0.8)
+        sol = rd.solve_correction(reducer_1d, cfg, picard_steps=3)
+        assert len(calls) == sol.iterations == len(sol.inner_iterations)
+        assert [c[2] for c in calls] == sol.forcing
+        assert [c[2] for c in calls[:3]] == [rd.CORRECTION_INNER_RTOL] * 3
+        assert all(c[4] is None for c in calls[:3])
+        newton = calls[3:]
+        assert newton and all(c[4] is not None for c in newton)
+        assert max(c[2] for c in newton) > 1e3 * rd.CORRECTION_INNER_RTOL
+        assert all(n > 0 for n in sol.inner_iterations)
+        for fr, b, eta, atol, lin, delta in newton:
+            # the Krylov coordinates xi = P0^(1/2) delta of the step; atol,
+            # a hundredth of the outer tolerance, binds only once ||b||
+            # is below a tenth of it
+            xi = fr.project(sp.pack(fr.red.grid,
+                                    np.sqrt(fr.p0) * sp._fftn(delta)))
+            resid = np.linalg.norm(b - fr.apply_hat(xi, lin))
+            assert resid <= max(eta * np.linalg.norm(b), atol)
+
+    def test_minres_breakdown_names_forcing_and_true_residual(
+            self, reducer_1d, monkeypatch):
+        monkeypatch.setattr(rd.sla, "minres",
+                            lambda A, b, **kw: (np.zeros_like(b), 0))
+        cfg = rd.PeakConfig(0.16, [[0.35]], delta=0.5, theta=0.8)
+        with pytest.raises(LinearSolveError,
+                           match=r"true residual .* eta = 1\.000e-11"):
+            rd.solve_correction(reducer_1d, cfg)
+
+    def test_forcing_terms(self):
+        # choice 2 inside the cap, the cap, the floor at half the outer
+        # tolerance, and the least forcing term
+        assert rd._forcing(1e-2, 1.0, 0.0) == pytest.approx(0.9e-4)
+        assert rd._forcing(1.0, 1.0, 0.0) == rd.FORCING_MAX
+        assert rd._forcing(1e-2, 1.0, 1e-4) == pytest.approx(5e-3)
+        assert rd._forcing(1e-8, 1.0, 1e-4) == rd.FORCING_MAX
+        assert rd._forcing(1e-8, 1.0, 0.0) == rd.CORRECTION_INNER_RTOL
 
     def test_warm_start_converges_to_same_fixed_point(self, reducer_1d):
         cfg = rd.PeakConfig(0.08, [[0.35]], delta=0.5, theta=0.8)
