@@ -222,14 +222,13 @@ def solve_Q(grid: GridSpec, s: float, p: float, tol: float = DEFAULT_TOL,
     )
 
 
-def decay_fit(obj, window: tuple[float, float]) -> float:
+def decay_fit(prof: Field, window: tuple[float, float]) -> float:
     """Least-squares slope of log u against log |x| over r in [r1, r2].
 
     For a ground state the slope should sit within 10% of -(N+2s);
     faster-than-polynomial profiles (Gaussians) produce much steeper
     slopes and are flagged by callers.
     """
-    prof = obj.profile if hasattr(obj, "profile") else obj
     r1, r2 = window
     grid = prof.grid
     if not (0 < r1 < r2):

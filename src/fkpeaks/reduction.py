@@ -762,10 +762,12 @@ def solve_correction(
 ) -> ReducedSolution:
     """Fixed point phi = -L_eps^{-1}(l_eps + R'(phi)) on E_{eps,y}.
 
-    Runs `picard_steps` iterations of the contraction map itself (their
-    increment ratios are the reported contraction diagnostics), then
+    Runs `picard_steps` iterations of the contraction map itself, then
     switches the increment operator to the second variation at the
     current iterate, which drives the same fixed point quadratically.
+    `contraction_ratios` holds the ratio of every significant increment
+    to the one before it, Newton steps included; a first ratio above 1
+    can come from a contraction step that the Newton steps rescue.
     The contraction steps solve their linear systems to
     CORRECTION_INNER_RTOL; the Newton steps are inexact, to the forcing
     terms of `_forcing` on the true residual.
@@ -1064,6 +1066,10 @@ def minimize_peaks(
 # sweeps
 # ---------------------------------------------------------------------------
 
+# the sup of a record's orthogonality below which it can pass
+ORTHOGONALITY_TOL = 1e-8
+
+
 def reduce_at(
     red: Reducer,
     cfg0: PeakConfig,
@@ -1075,7 +1081,9 @@ def reduce_at(
 
     Returns the per-eps record and the solution it describes.  The
     record's `search` block is the search's info dict, empty without a
-    search.
+    search.  Its `passed` holds when the orthogonality is below
+    ORTHOGONALITY_TOL, every contraction ratio is below 1 and a search
+    ended `converged` with every Hessian eigenvalue positive.
     """
     if minimize:
         best, sol, info = minimize_peaks(red, cfg0,
@@ -1085,7 +1093,7 @@ def reduce_at(
         sol = solve_correction(red, cfg0, outer_tol_factor=outer_tol_factor)
     eps = cfg0.eps
     drift = np.linalg.norm(best.y - red.potential.peaks, axis=1)
-    return {
+    record = {
         "eps": eps,
         "y": best.y.tolist(),
         "drift": drift.tolist(),
@@ -1098,7 +1106,15 @@ def reduce_at(
         "iterations": sol.iterations,
         "full_residual": sol.full_residual,
         "search": info,
-    }, sol
+    }
+    record["passed"] = bool(
+        record["orthogonality"] < ORTHOGONALITY_TOL
+        and all(r < 1.0 for r in record["contraction_ratios"])
+        and (not minimize or (
+            info["termination"] == "converged"
+            and all(ev > 0 for ev in info["hessian_eigenvalues"])))
+    )
+    return record, sol
 
 
 def sweep_reduction(

@@ -21,7 +21,7 @@ from .reduction import (
     PeakConfig,
     Potential,
     Reducer,
-    minimize_peaks,
+    reduce_at,
     solve_grid_system,
 )
 from .spectral import Field, GridSpec, ProblemParams
@@ -245,8 +245,8 @@ SOBOLEV_CUTOFF_FRACTION = 0.25
 SOBOLEV_SPREAD_TOL = 10.0
 
 
-def sobolev_scaling_check(grid: GridSpec, params: ProblemParams, V,
-                          eps_list, q: float, samples: int,
+def sobolev_scaling_check(grid: GridSpec, params: ProblemParams,
+                          V: Potential, eps_list, q: float, samples: int,
                           seed) -> CheckReport:
     """Ratio ||phi||_q / (eps^(N/q - N/2) ||phi||_eps) over seeded random
     band-limited fields: bounded spread and no blow-up as eps shrinks."""
@@ -257,10 +257,7 @@ def sobolev_scaling_check(grid: GridSpec, params: ProblemParams, V,
         raise ParameterError(
             f"q must lie in [2, 2N/(N-2s)] = [2, {crit:.4g}], got {q}"
         )
-    if isinstance(V, Potential):
-        v_vals = V.on_grid(grid)
-    else:
-        v_vals = np.broadcast_to(np.asarray(V, dtype=float), grid.shape)
+    v_vals = V.on_grid(grid)
     cutoff = SOBOLEV_CUTOFF_FRACTION * float(np.sqrt(grid.xi_sq.max()))
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     h = grid.spacing**n
@@ -543,9 +540,11 @@ def asymptotics_fit(records: list[dict], m: float, dim: int) -> CheckReport:
 def uniqueness_probe(red: Reducer, eps: float, starts: list[PeakConfig],
                      tol: float = 1e-6) -> CheckReport:
     """Multi-start convergence: all admissible starts must produce the
-    same full solution in sup norm within tol * ||u||_inf.  A start whose
-    search raises a solver error is listed under `failed` and fails the
-    probe; starts outside D_{eps,delta} are listed under `rejected`."""
+    same full solution in sup norm within tol * ||u||_inf.  Each start
+    runs through reduction.reduce_at; a start whose search raises a
+    solver error, or whose record does not pass, is listed under `failed`
+    and fails the probe; starts outside D_{eps,delta} are listed under
+    `rejected`."""
     solutions = []
     rejected = []
     failed = []
@@ -555,11 +554,14 @@ def uniqueness_probe(red: Reducer, eps: float, starts: list[PeakConfig],
             rejected.append({"start": idx, "reason": why})
             continue
         try:
-            best, sol, _ = minimize_peaks(red, cfg)
+            record, sol = reduce_at(red, cfg)
         except SOLVER_ERRORS as exc:  # partial report per spec
             failed.append({"start": idx, "error": repr(exc)})
             continue
-        solutions.append((idx, best, sol))
+        if not record["passed"]:
+            failed.append({"start": idx, "record": record})
+            continue
+        solutions.append((idx, record["y"], sol))
 
     worst = 0.0
     worst_pair = None
@@ -583,7 +585,7 @@ def uniqueness_probe(red: Reducer, eps: float, starts: list[PeakConfig],
         measured={
             "pairwise_sup_diff": worst,
             "worst_pair": worst_pair,
-            "minimizers": [b.y.tolist() for _, b, _ in solutions],
+            "minimizers": [y for _, y, _ in solutions],
             "rejected": rejected,
             "failed": failed,
         },

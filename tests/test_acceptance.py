@@ -100,7 +100,7 @@ class TestCriterion3:
         t0 = time.time()
         grid = sp.GridSpec(1, 480.0, 32768)
         st = gs.solve_Q(grid, 0.4, 2.0, tol=1e-10)
-        slope = gs.decay_fit(st, (40.0, 160.0))
+        slope = gs.decay_fit(st.profile, (40.0, 160.0))
         target = -(1.0 + 2.0 * 0.4)
         assert abs(slope - target) < 0.1 * abs(target)
         announce(3, t0, f"far-field slope {slope:.4f} within 10% of "

@@ -2,10 +2,12 @@
 workloads read attributes of the package's results; a rename or removal in
 the package fails here rather than in a benchmark run."""
 
+import json
 from pathlib import Path
 
 import numpy as np
 
+from fkpeaks import cli
 from fkpeaks import reduction as rd
 from fkpeaks import spectral as sp
 from tests_support import TRUNCATES_BY_DESIGN
@@ -64,3 +66,31 @@ def test_correction_attributes_read_by_workloads():
     assert all(r < 1.0 for r in sol.contraction_ratios)
     assert sol.correction_norm > 0.0
     assert np.isfinite(sol.reduced_energy)
+
+
+def test_reduce_report_read_by_workloads(tmp_path, monkeypatch):
+    # reduce2d runs the reduce command and reads its report and snapshots
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import read_snapshot
+
+    status, run_dir = cli.run(cli.RunManifest.from_dict({
+        "command": "reduce",
+        "params": {"dim": 1, "s": 1.0, "p": 3.0, "a": 1.0, "b": 0.25,
+                   "validation_mode": True},
+        "grid": {"half_width": 3.0, "points_per_dim": 256},
+        "potential": {"kind": "single_well", "center": [0.2], "value": 1.0,
+                      "coeffs": [1.0], "m": 2.0, "asym": 0.15,
+                      "asym_power": 3.0},
+        "eps": [0.1],
+        "options": {"minimize": True, "y0_offset": 0.05},
+        "output_dir": str(tmp_path / "reduce"),
+    }))
+    assert status == 0
+    report = json.loads((run_dir / "report.json").read_text())
+    for key in ("y", "correction_norm", "reduced_energy",
+                "contraction_ratios", "passed"):
+        assert key in report
+    for name in ("solution", "correction"):
+        sidecar = json.loads((run_dir / f"{name}.json").read_text())
+        assert sidecar["shape"] == [256]
+        assert read_snapshot(run_dir / name).shape == (256,)

@@ -6,8 +6,8 @@ import pytest
 
 from fkpeaks import cli
 from fkpeaks import io as fio
+from fkpeaks import reduction as rd
 from fkpeaks import spectral as sp
-from fkpeaks import verify as vf
 from fkpeaks.errors import (
     BoundaryMinimizerWarning,
     NoContractionError,
@@ -124,6 +124,28 @@ class TestManifest:
         assert status == 2
         assert run_dir is None
 
+    @pytest.mark.parametrize("kind, typo", [
+        ("constant", "valeu"), ("single_well", "asym_pwr"),
+        ("multi_well", "far_val"),
+    ])
+    def test_unknown_potential_key_rejected_before_compute(
+            self, tmp_path, capsys, kind, typo):
+        spec = manifest_sweep(tmp_path)
+        spec["command"], spec["eps"] = "reduce", [0.1]
+        spec["potential"] = {
+            "constant": {"kind": "constant", "value": 1.0},
+            "single_well": dict(spec["potential"]),
+            "multi_well": {"kind": "multi_well", "centers": [[0.2]],
+                           "values": [1.0], "coeffs": [[1.0]], "m": 2.0,
+                           "far_value": 1.5},
+        }[kind]
+        spec["potential"][typo] = 3.0
+        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        assert status == 2
+        assert run_dir is None
+        assert not (tmp_path / "sweep").exists()
+        assert typo in capsys.readouterr().err
+
     def test_readme_manifest_example_validates(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme.split("### Manifest example", 1)[1]
@@ -201,6 +223,28 @@ class TestSweepCommand:
         assert (dir1 / "sweep.csv").read_bytes() == \
             (dir2 / "sweep.csv").read_bytes()
 
+    @TRUNCATES_BY_DESIGN
+    def test_fixed_y_sweep_fails_on_an_expanding_ratio(self, tmp_path):
+        # at eps 0.5 the Newton steps rescue a correction whose first
+        # increment ratios exceed 1; reduce fails that record, so must sweep
+        spec = {
+            "command": "sweep",
+            "params": {"dim": 1, "s": 0.4, "p": 2.0, "a": 1.0, "b": 0.25},
+            "grid": {"half_width": 4.0, "points_per_dim": 1024},
+            "potential": {"kind": "single_well", "center": [0.3],
+                          "value": 1.0, "coeffs": [1.0], "m": 2.0},
+            "eps": [0.5, 0.16],
+            "options": {"minimize": False, "y0_offset": 0.1},
+            "output_dir": str(tmp_path / "sweep"),
+        }
+        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        assert status == 1
+        report = json.loads((run_dir / "report.json").read_text())
+        assert report["passed"] is False
+        big, small = report["records"]
+        assert max(big["contraction_ratios"]) > 1.0
+        assert big["passed"] is False and small["passed"] is True
+
 
 class TestReduceCommand:
     def test_reduce_reports_orthogonality(self, tmp_path):
@@ -268,7 +312,7 @@ class TestVerifyCommand:
         def failing(red, cfg, **kw):
             raise NoContractionError("forced failure")
 
-        monkeypatch.setattr(vf, "minimize_peaks", failing)
+        monkeypatch.setattr(rd, "minimize_peaks", failing)
         spec = manifest_sweep(tmp_path)
         spec["command"], spec["eps"] = "verify", [0.1]
         spec["options"] = {"check": "uniqueness",

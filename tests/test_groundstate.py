@@ -158,16 +158,16 @@ class TestDecayFit:
         assert slope < -1.8 * 1.5
 
     def test_ground_state_slope(self, frac_q):
-        slope = gs.decay_fit(frac_q, (6.0, 14.0))
+        slope = gs.decay_fit(frac_q.profile, (6.0, 14.0))
         # moderate box: approaches -(N+2s) = -1.8 from above (the tight
         # 10% acceptance bound uses the large-box grid)
         assert -2.0 < slope < -1.2
 
     def test_window_validation(self, frac_q):
         with pytest.raises(GeometryError):
-            gs.decay_fit(frac_q, (5.0, 16.0))  # r2 >= L/2
+            gs.decay_fit(frac_q.profile, (5.0, 16.0))  # r2 >= L/2
         with pytest.raises(ParameterError):
-            gs.decay_fit(frac_q, (8.0, 5.0))
+            gs.decay_fit(frac_q.profile, (8.0, 5.0))
 
     def test_nonpositive_window_rejected(self):
         grid = sp.GridSpec(1, 40.0, 2048)

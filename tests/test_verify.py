@@ -6,8 +6,9 @@ import pytest
 from fkpeaks import reduction as rd
 from fkpeaks import spectral as sp
 from fkpeaks import verify as vf
-from fkpeaks.errors import (GeometryError, IterationError,
-                            NoContractionError, ParameterError)
+from fkpeaks.errors import (BoundaryMinimizerWarning, GeometryError,
+                            IterationError, NoContractionError,
+                            ParameterError)
 
 
 from tests_support import TRUNCATES_BY_DESIGN, manufactured_classical
@@ -71,7 +72,8 @@ class TestSobolevScaling:
     def test_q2_ratio_below_one_for_unit_potential(self):
         grid = sp.GridSpec(1, 6.0, 256)
         params = sp.ProblemParams(1, 0.4, 2.0, 1.0, 0.0)
-        rep = vf.sobolev_scaling_check(grid, params, 1.0,
+        rep = vf.sobolev_scaling_check(grid, params,
+                                       rd.Potential.constant(1.0, dim=1),
                                        eps_list=[0.4, 0.2, 0.1, 0.05],
                                        q=2.0, samples=6, seed=77)
         assert rep.passed
@@ -81,7 +83,8 @@ class TestSobolevScaling:
         grid = sp.GridSpec(1, 6.0, 256)
         params = sp.ProblemParams(1, 0.4, 2.0, 1.0, 0.0)
         rep = vf.sobolev_scaling_check(
-            grid, params, 1.0, eps_list=[0.4, 0.2, 0.1, 0.05, 0.025],
+            grid, params, rd.Potential.constant(1.0, dim=1),
+            eps_list=[0.4, 0.2, 0.1, 0.05, 0.025],
             q=4.0, samples=4, seed=11,
         )
         assert rep.passed
@@ -107,8 +110,9 @@ class TestSobolevScaling:
         grid = sp.GridSpec(1, 6.0, 256)
         params = sp.ProblemParams(1, 0.4, 2.0, 1.0, 0.0)
         with pytest.raises(ParameterError):
-            vf.sobolev_scaling_check(grid, params, 1.0, [0.1], q=11.0,
-                                     samples=2, seed=1)
+            vf.sobolev_scaling_check(grid, params,
+                                     rd.Potential.constant(1.0, dim=1),
+                                     [0.1], q=11.0, samples=2, seed=1)
 
 
 class TestInteractionInequality:
@@ -274,7 +278,7 @@ class TestUniquenessProbe:
     def test_failed_start_yields_partial_report(self, quick_reducer,
                                                 monkeypatch):
         calls = {"n": 0}
-        real = vf.minimize_peaks
+        real = rd.minimize_peaks
 
         def flaky(red, cfg, **kw):
             calls["n"] += 1
@@ -282,7 +286,7 @@ class TestUniquenessProbe:
                 raise NoContractionError("forced failure")
             return real(red, cfg, **kw)
 
-        monkeypatch.setattr(vf, "minimize_peaks", flaky)
+        monkeypatch.setattr(rd, "minimize_peaks", flaky)
         starts = [
             rd.PeakConfig(0.1, [[0.25]], delta=0.4, theta=0.8),
             rd.PeakConfig(0.1, [[0.28]], delta=0.4, theta=0.8),
@@ -306,11 +310,24 @@ class TestUniquenessProbe:
         assert rep.passed is False
         assert [f["start"] for f in rep.measured["failed"]] == [0]
 
+    def test_boundary_minimizers_fail_the_probe(self, quick_reducer):
+        # the interior minimiser lies 2.2e-3 from the well, outside
+        # D_{eps,delta}: both searches end on its boundary at one y
+        starts = [rd.PeakConfig(0.1, [[y]], delta=1.1e-3, theta=0.8)
+                  for y in (0.2, 0.20022)]
+        with pytest.warns(BoundaryMinimizerWarning):
+            rep = vf.uniqueness_probe(quick_reducer, 0.1, starts, tol=1e-6)
+        assert rep.passed is False
+        failed = rep.measured["failed"]
+        assert [f["start"] for f in failed] == [0, 1]
+        assert all(f["record"]["search"]["termination"] == "boundary"
+                   for f in failed)
+
     def test_programming_error_propagates(self, quick_reducer, monkeypatch):
         def broken(red, cfg, **kw):
             raise TypeError("not a solver failure")
 
-        monkeypatch.setattr(vf, "minimize_peaks", broken)
+        monkeypatch.setattr(rd, "minimize_peaks", broken)
         starts = [rd.PeakConfig(0.1, [[0.25]], delta=0.4, theta=0.8)]
         with pytest.raises(TypeError):
             vf.uniqueness_probe(quick_reducer, 0.1, starts, tol=1e-6)
