@@ -60,7 +60,8 @@ CSV columns
 -----------
 profile.csv:   x, value                  (1D profiles)
 sweep.csv:     eps, phi_norm, energy_over_epsN, max_drift,
-               max_drift_over_eps, orthogonality, max_ratio, iterations
+               max_drift_over_eps, orthogonality, max_ratio, iterations,
+               passed (the record's verdict)
 """
 
 
@@ -131,6 +132,16 @@ class RunManifest:
             raise ParameterError(f"{self.command} requires a nonempty eps list")
         if self.command == "sweep" and _fits_asymptotics(self):
             vf.require_decade_span(self.eps)
+        if self.command in ("reduce", "sweep") or (
+                self.command == "verify" and check in ONE_EPS_CHECKS):
+            # D_eps_delta's separation eps^theta needs theta in the window
+            lo, hi = rd.PeakConfig(
+                float(self.eps[0]), potential.peaks, self.delta, self.theta,
+            ).theta_window(params.s, potential.holder)
+            if not (lo < self.theta < hi):
+                raise ParameterError(
+                    f"theta must lie in the window ((N+2s)/(N+2s+alpha), 1)"
+                    f" = ({lo:.6g}, {hi:g}), got {self.theta}")
         if self.command in ("reduce", "sweep"):
             # the start must lie in D_eps_delta at every eps it runs at
             y0 = potential.peaks + _start_offset(
@@ -140,9 +151,14 @@ class RunManifest:
                               self.theta).require_admissible(potential)
         if self.command == "verify" and check == "uniqueness":
             # starts outside D_eps_delta are reported, not refused
-            for off in self.options.get("start_offsets",
-                                        DEFAULT_START_OFFSETS):
+            offsets = self.options.get("start_offsets",
+                                       DEFAULT_START_OFFSETS)
+            for off in offsets:
                 _start_offset(off, potential)
+            if len(offsets) < 2:
+                raise ParameterError(
+                    "verify uniqueness compares solutions from at least two "
+                    f"start_offsets, got {len(offsets)}")
         if len(self.eps) > 1 and (self.command == "reduce" or (
                 self.command == "verify" and check in ONE_EPS_CHECKS)):
             what = "reduce" if self.command == "reduce" else f"verify {check}"
@@ -351,13 +367,13 @@ def _stage_sweep(manifest, params, grid, potential, run_dir) -> dict:
         writer = csv.writer(fh)
         writer.writerow(["eps", "phi_norm", "energy_over_epsN", "max_drift",
                          "max_drift_over_eps", "orthogonality", "max_ratio",
-                         "iterations"])
+                         "iterations", "passed"])
         for r in records:
             writer.writerow([
                 r["eps"], r["correction_norm"], r["energy_over_epsN"],
                 max(r["drift"]), max(r["drift_over_eps"]),
                 r["orthogonality"], max(r["contraction_ratios"], default=0.0),
-                r["iterations"],
+                r["iterations"], r["passed"],
             ])
     report = {"records": records, "passed": all(r["passed"] for r in records)}
     if _fits_asymptotics(manifest):
@@ -404,7 +420,7 @@ def _stage_verify(manifest, params, grid, potential, run_dir) -> dict:
                           manifest.theta)
             for off in offsets
         ]
-        rep = vf.uniqueness_probe(red, eps, starts,
+        rep = vf.uniqueness_probe(red, starts,
                                   tol=float(manifest.options.get("tol", 1e-6)))
     else:
         # pohozaev: solution from a snapshot if given, else the reduce

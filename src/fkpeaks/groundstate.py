@@ -35,7 +35,6 @@ import numpy as np
 
 from . import spectral as sp
 from .errors import (
-    AdmissibilityError,
     BracketError,
     DegenerateFixedPointError,
     GeometryError,
@@ -332,10 +331,6 @@ def solve_system(base: SchrodingerGroundState, params: ProblemParams,
             f"base profile is {base.grid.dim}D, params have N={params.dim}"
         )
     a, b, s, p, n = params.a, params.b, params.s, params.p, params.dim
-    if b > 0 and 4.0 * s <= n:
-        raise AdmissibilityError(
-            f"b > 0 requires 4s > N; got N={n}, s={s}"
-        )
     k_sq = base.seminorm_sq
     expo = (2.0 * s - n) / (2.0 * s)
 

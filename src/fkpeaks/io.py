@@ -66,12 +66,3 @@ def save_profile_csv(field: Field, path) -> None:
         for x, v in zip(field.grid.axis, field.values):
             writer.writerow([repr(float(x)), repr(float(v))])
 
-
-def load_profile_csv(path, grid: GridSpec) -> Field:
-    vals = []
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for _, v in reader:
-            vals.append(float(v))
-    return Field(grid, np.asarray(vals))

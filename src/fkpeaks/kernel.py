@@ -23,8 +23,8 @@ import numpy as np
 from scipy.sparse import linalg as sla
 
 from . import spectral as sp
-from .errors import EigensolverError, GridMismatchError, ParameterError
-from .groundstate import KirchhoffGroundState, SystemSolution
+from .errors import EigensolverError, ParameterError
+from .groundstate import KirchhoffGroundState
 from .spectral import Field, GridSpec
 
 KERNEL_THRESHOLD = 1e-4  # |lambda| below this counts as kernel, at default grids
@@ -42,8 +42,6 @@ class LinearizedOperator:
     c: float | np.ndarray    # potential: a value or grid values
 
     def __post_init__(self):
-        if not (0.0 < self.s <= 1.0):
-            raise ParameterError(f"s must lie in (0, 1], got {self.s}")
         grid = self.profile.grid
         self.flU = sp.fractional_laplacian(self.profile, self.s).values
         self._local = self.c - self.p * sp.pos_power(self.profile.values,
@@ -62,15 +60,6 @@ class LinearizedOperator:
             profile=ground.profile, s=pr.s, p=pr.p,
             coefficient=pr.a + pr.b * ground.seminorm_sq,
             b=pr.b, c=ground.c,
-        )
-
-    @classmethod
-    def from_system_peak(cls, system: SystemSolution, i: int) -> "LinearizedOperator":
-        pr = system.params
-        return cls(
-            profile=system.profiles[i], s=pr.s, p=pr.p,
-            coefficient=system.kirchhoff_coefficient,
-            b=pr.b, c=system.peak_values[i],
         )
 
     def apply_values(self, vals: np.ndarray) -> np.ndarray:
@@ -115,13 +104,6 @@ class LinearizedOperator:
             inner = self._h * float((self.flU * vals).sum())
             out += 2.0 * self.b * inner * self.flU
         return out
-
-
-def apply_Lplus(op: LinearizedOperator, phi: Field) -> Field:
-    """Evaluate the four-term action of L+ spectrally."""
-    if phi.grid != op.grid:
-        raise GridMismatchError("phi lives on a different grid than the profile")
-    return Field(op.grid, op.apply_values(phi.values))
 
 
 def translation_modes(op: LinearizedOperator) -> list[Field]:

@@ -191,11 +191,6 @@ class Potential:
     def peak_values(self) -> np.ndarray:
         return self(self.peaks)
 
-    @property
-    def min_separation(self) -> float:
-        """2 r0 = min_{i != j} |a_i - a_j| (inf for a single peak)."""
-        return _min_separation(self.peaks)
-
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         scalar = pts.ndim == 1
@@ -222,24 +217,6 @@ class Potential:
             vals.setflags(write=False)
             self._grid_cache[grid] = vals
         return self._grid_cache[grid]
-
-    def expansion_remainder(self, i: int, radii) -> float:
-        """Max sampled ratio |V - V(a_i) - sum c_ij |d_j|^m| / |d|^(m+1).
-
-        Bounded ratios certify the local expansion order.
-        """
-        rng = np.random.default_rng(1234 + i)
-        worst = 0.0
-        for r in np.atleast_1d(radii):
-            d = rng.standard_normal((64, self.dim))
-            d *= r / np.linalg.norm(d, axis=1, keepdims=True)
-            pts = self.peaks[i] + d
-            model = self(self.peaks[i]) + (
-                self.coeffs[i] * np.abs(d) ** self.m
-            ).sum(axis=-1)
-            rem = np.abs(self(pts) - model) / r ** (self.m + 1.0)
-            worst = max(worst, float(rem.max()))
-        return worst
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +433,11 @@ class Reducer:
 
         The frame holds U_{eps,y} (`U`), L_eps (`L`) and the constraint
         algebra of E_{eps,y} (`modes`, `mode_densities`, `gram`), and
-        evaluates l_eps (`ell`, `ell_norm`), I_eps (`energy`), R_eps
-        (`remainder`), the multipliers, the orthogonality and the
-        inversion constant (`coercivity`).  Raises ParameterError for y
-        outside D_{eps,delta}.
+        evaluates I_eps (`energy`), its gradient density
+        (`gradient_density`, l_eps at U), the eps-norm (`eps_norm`), the
+        multipliers, the orthogonality and the inversion constant
+        (`coercivity`).  Raises ParameterError for y outside
+        D_{eps,delta}.
         The class keeps its private name while the benchmark in perfbench/
         rebinds `_Frame` methods to trace them, until the package records
         its own trace.
@@ -553,28 +531,6 @@ class _Frame:
         params = self.red.params
         return residual_density(u, params.s, params.p, self.a_eps, self.C,
                                 self.V)
-
-    def remainder(self, vals: np.ndarray) -> float:
-        """R_eps(phi) = A1(phi) - A2(phi) (exact expressions)."""
-        p = self.red.params.p
-        s_phi = sp.seminorm_inner(self.red.grid, self.red.params.s,
-                                  sp._fftn(vals))
-        iu_phi = self.h * float((self.L.flU * vals).sum())
-        a1 = 0.25 * self.C * (s_phi**2 + 4.0 * s_phi * iu_phi)
-        u = self.U.values
-        a2 = (sp.pos_power(u + vals, p + 1.0) - sp.pos_power(u, p + 1.0)
-              - (p + 1.0) * sp.pos_power(u, p) * vals
-              - 0.5 * p * (p + 1.0) * sp.pos_power(u, p - 1.0) * vals**2)
-        return a1 - self.h * float(a2.sum()) / (p + 1.0)
-
-    def ell(self, vals: np.ndarray) -> float:
-        """l_eps(phi) = <I'_eps(U_{eps,y}), phi>."""
-        return self.h * float((self.gradient_density(self.U) * vals).sum())
-
-    def ell_norm(self) -> float:
-        """Dual norm of l_eps on E_{eps,y} (preconditioner estimate)."""
-        b = self.krylov_rhs(self.gradient_density(self.U))
-        return float(np.linalg.norm(b) * math.sqrt(self.h))
 
     def eps_norm(self, vals: np.ndarray) -> float:
         """||phi||_eps, the norm of the eps-inner product."""

@@ -537,14 +537,19 @@ def asymptotics_fit(records: list[dict], m: float, dim: int) -> CheckReport:
 # local uniqueness probe
 # ---------------------------------------------------------------------------
 
-def uniqueness_probe(red: Reducer, eps: float, starts: list[PeakConfig],
+def uniqueness_probe(red: Reducer, starts: list[PeakConfig],
                      tol: float = 1e-6) -> CheckReport:
     """Multi-start convergence: all admissible starts must produce the
     same full solution in sup norm within tol * ||u||_inf.  Each start
     runs through reduction.reduce_at; a start whose search raises a
     solver error, or whose record does not pass, is listed under `failed`
     and fails the probe; starts outside D_{eps,delta} are listed under
-    `rejected`."""
+    `rejected`.  Raises ParameterError for no starts or starts at more
+    than one eps."""
+    eps_values = {cfg.eps for cfg in starts}
+    if len(eps_values) != 1:
+        raise ParameterError("uniqueness_probe needs starts at one eps, "
+                             f"got {sorted(eps_values)}")
     solutions = []
     rejected = []
     failed = []
@@ -579,7 +584,7 @@ def uniqueness_probe(red: Reducer, eps: float, starts: list[PeakConfig],
     return CheckReport(
         name="uniqueness_probe",
         inputs_digest=digest_inputs({
-            "eps": eps, "starts": [c.y.tolist() for c in starts],
+            "eps": starts[0].eps, "starts": [c.y.tolist() for c in starts],
             "tol": tol,
         }),
         measured={

@@ -255,7 +255,7 @@ class TestCriterion10:
                         np.array([[-0.06, 0.02]]),
                         np.array([[0.01, -0.07]]))
         ]
-        rep = vf.uniqueness_probe(red, eps, starts, tol=1e-6)
+        rep = vf.uniqueness_probe(red, starts, tol=1e-6)
         assert rep.passed
         assert rep.measured["pairwise_sup_diff"] < 1e-6
         announce(10, t0, f"3 distinct starts agree to "

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -114,15 +115,52 @@ class TestManifest:
         assert run_dir is None
         assert '"error": "validation"' in capsys.readouterr().err
 
-    @pytest.mark.parametrize("offsets", [[[0.1, 0.2]], ["abc"], 0.05])
-    def test_bad_uniqueness_starts_rejected_before_compute(self, tmp_path,
-                                                           offsets):
+    @pytest.mark.parametrize("offsets, why", [
+        ([0.0, [0.1, 0.2]], "broadcast"), ([0.0, "abc"], "abc"),
+        (0.05, "not iterable"), ([0.0], "at least two start_offsets"),
+    ], ids=["offsets0", "offsets1", "0.05", "offsets3"])
+    def test_bad_uniqueness_starts_rejected_before_compute(
+            self, tmp_path, capsys, offsets, why):
+        # one 1D peak: a 2-vector does not fit, "abc" is not numeric, a
+        # bare number is not a list, and one start leaves nothing to compare
         spec = manifest_sweep(tmp_path)
-        spec["command"] = "verify"
+        spec["command"], spec["eps"] = "verify", [0.1]
         spec["options"] = {"check": "uniqueness", "start_offsets": offsets}
         status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
         assert status == 2
         assert run_dir is None
+        assert why in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, check", [
+        ("reduce", None), ("sweep", None), ("verify", "uniqueness"),
+        ("verify", "pohozaev"),
+    ])
+    def test_theta_outside_window_rejected_before_compute(
+            self, tmp_path, capsys, command, check):
+        # N=2, s=0.75, alpha=1: the window is (3.5/4.5, 1) = (0.778, 1)
+        spec = {
+            "command": command,
+            "params": {"dim": 2, "s": 0.75, "p": 2.0, "a": 1.0, "b": 0.05},
+            "grid": {"half_width": 2.5, "points_per_dim": 32},
+            "potential": {"kind": "single_well", "center": [0.1, -0.1],
+                          "value": 1.0, "coeffs": [1.0, 1.5], "m": 2.0},
+            "eps": [0.25], "theta": 0.5,
+            "options": {"check": check} if check else {},
+            "output_dir": str(tmp_path / "run"),
+        }
+        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        assert status == 2
+        assert run_dir is None
+        assert not (tmp_path / "run").exists()
+        assert "(0.777778, 1)" in capsys.readouterr().err
+        # theta = 0.8 lies in the window and validates
+        spec["theta"] = 0.8
+        cli.RunManifest.from_dict(spec).validate()
+
+    def test_theta_window_only_where_theta_is_used(self, tmp_path):
+        spec = manifest_groundstate(tmp_path)
+        spec["theta"] = 0.5
+        cli.RunManifest.from_dict(spec).validate()
 
     @pytest.mark.parametrize("kind, typo", [
         ("constant", "valeu"), ("single_well", "asym_pwr"),
@@ -244,6 +282,13 @@ class TestSweepCommand:
         big, small = report["records"]
         assert max(big["contraction_ratios"]) > 1.0
         assert big["passed"] is False and small["passed"] is True
+        # sweep.csv says which eps failed, in its last column
+        with open(run_dir / "sweep.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header[-1] == "passed"
+        assert [row[-1] for row in rows] == [
+            str(r["passed"]) for r in report["records"]]
+        assert rows[0][0] == "0.5" and rows[0][-1] == "False"
 
 
 class TestReduceCommand:
@@ -382,5 +427,9 @@ class TestSnapshots:
         grid = sp.GridSpec(1, 3.0, 32)
         f = sp.Field.from_function(grid, lambda x: np.exp(-x**2))
         fio.save_profile_csv(f, tmp_path / "p.csv")
-        g = fio.load_profile_csv(tmp_path / "p.csv", grid)
-        assert np.array_equal(f.values, g.values)
+        with open(tmp_path / "p.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["x", "value"]
+        x, values = np.array(rows, dtype=float).T
+        assert np.array_equal(grid.axis, x)
+        assert np.array_equal(f.values, values)

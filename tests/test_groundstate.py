@@ -4,6 +4,7 @@ import pytest
 from fkpeaks import groundstate as gs
 from fkpeaks import spectral as sp
 from fkpeaks.errors import (
+    AdmissibilityError,
     GeometryError,
     GridMismatchError,
     IterationError,
@@ -215,16 +216,11 @@ class TestKirchhoffScale:
         ground = gs.kirchhoff_scale(frac_q, frac_params, c=1.4)
         assert ground.residual < 10.0 * frac_q.residual
 
-    def test_inadmissible_rejected(self, frac_q):
-        params = sp.ProblemParams(1, 0.4, 2.0, 1.0, 1.0)
-        object.__setattr__(params, "s", 0.2)  # force 4s <= N past validation
-        bad_base = gs.SchrodingerGroundState(
-            profile=frac_q.profile, s=0.2, p=2.0,
-            seminorm_sq=frac_q.seminorm_sq, residual=frac_q.residual,
-            iterations=1,
-        )
-        with pytest.raises(ParameterError):
-            gs.kirchhoff_scale(bad_base, params, c=1.0)
+    def test_inadmissible_rejected(self):
+        # b > 0 with 4s <= N never reaches kirchhoff_scale: ProblemParams,
+        # the only source of its params, refuses it
+        with pytest.raises(AdmissibilityError, match="4s"):
+            sp.ProblemParams(1, 0.2, 2.0, 1.0, 1.0)
 
     def test_negative_c_rejected(self, frac_q, frac_params):
         with pytest.raises(ParameterError):

@@ -4,8 +4,7 @@ import pytest
 from fkpeaks import groundstate as gs
 from fkpeaks import kernel as kn
 from fkpeaks import spectral as sp
-from fkpeaks.errors import (EigensolverError, GridMismatchError,
-                             ParameterError)
+from fkpeaks.errors import EigensolverError, ParameterError
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +23,8 @@ def operator(ground):
 class TestApplyLplus:
     def test_translation_mode_annihilated(self, operator):
         for mode in kn.translation_modes(operator):
-            out = kn.apply_Lplus(operator, mode)
-            rel = np.sqrt((out.values**2).sum() / (mode.values**2).sum())
+            out = operator.apply_values(mode.values)
+            rel = np.sqrt((out**2).sum() / (mode.values**2).sum())
             assert rel < 1e-5
 
     def test_degenerate_profile_reduces_to_shifted_laplacian(self):
@@ -36,29 +35,34 @@ class TestApplyLplus:
         )
         xi0 = grid.wavenumbers_axis[4]
         f = sp.Field.from_function(grid, lambda x: np.cos(xi0 * x))
-        out = kn.apply_Lplus(op, f)
+        out = op.apply_values(f.values)
         expected = (1.7 * abs(xi0) ** 1.2 + 1.0) * f.values
-        assert np.abs(out.values - expected).max() < 1e-12 * np.abs(
+        assert np.abs(out - expected).max() < 1e-12 * np.abs(
             expected).max()
 
     def test_profile_itself_not_in_kernel(self, operator, ground):
-        out = kn.apply_Lplus(operator, ground.profile)
+        out = operator.apply_values(ground.profile.values)
         rel = np.sqrt(
-            (out.values**2).sum() / (ground.profile.values**2).sum()
+            (out**2).sum() / (ground.profile.values**2).sum()
         )
         assert rel > 0.1
 
     def test_symmetric(self, operator):
         f = sp.random_band_limited(operator.grid, 2.0, seed=21)
         g = sp.random_band_limited(operator.grid, 2.0, seed=22)
-        lhs = sp.inner(kn.apply_Lplus(operator, f), g)
-        rhs = sp.inner(kn.apply_Lplus(operator, g), f)
+        lf = sp.Field(operator.grid, operator.apply_values(f.values))
+        lg = sp.Field(operator.grid, operator.apply_values(g.values))
+        lhs = sp.inner(lf, g)
+        rhs = sp.inner(lg, f)
         assert abs(lhs - rhs) < 1e-9 * abs(lhs)
 
-    def test_grid_mismatch(self, operator):
-        other = sp.GridSpec(1, 5.0, 64)
-        with pytest.raises(GridMismatchError):
-            kn.apply_Lplus(operator, sp.Field.zeros(other))
+    def test_s_outside_range_rejected(self):
+        grid = sp.GridSpec(1, 10.0, 64)
+        with pytest.raises(ParameterError, match="s must lie in"):
+            kn.LinearizedOperator(
+                profile=sp.Field.zeros(grid), s=1.5, p=2.0,
+                coefficient=1.0, b=0.0, c=1.0,
+            )
 
 
 @pytest.fixture(scope="module")
@@ -160,8 +164,12 @@ class TestKernelSpectrum:
 class TestSystemPeakOperator:
     def test_translation_mode_for_system_peak(self, frac_q, frac_params):
         system = gs.solve_system(frac_q, frac_params, [1.0, 1.5])
-        op = kn.LinearizedOperator.from_system_peak(system, 1)
+        op = kn.LinearizedOperator(
+            profile=system.profiles[1], s=frac_params.s, p=frac_params.p,
+            coefficient=system.kirchhoff_coefficient,
+            b=frac_params.b, c=system.peak_values[1],
+        )
         mode = kn.translation_modes(op)[0]
-        out = kn.apply_Lplus(op, mode)
-        rel = np.sqrt((out.values**2).sum() / (mode.values**2).sum())
+        out = op.apply_values(mode.values)
+        rel = np.sqrt((out**2).sum() / (mode.values**2).sum())
         assert rel < 1e-4

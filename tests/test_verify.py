@@ -255,7 +255,7 @@ class TestUniquenessProbe:
             rd.PeakConfig(0.1, [[0.2 + off]], delta=0.4, theta=0.8)
             for off in (0.08, -0.06)
         ]
-        rep = vf.uniqueness_probe(quick_reducer, 0.1, starts, tol=1e-6)
+        rep = vf.uniqueness_probe(quick_reducer, starts, tol=1e-6)
         assert rep.passed
         assert rep.measured["pairwise_sup_diff"] < 1e-6
 
@@ -271,7 +271,7 @@ class TestUniquenessProbe:
             rd.PeakConfig(0.1, [[0.9]], delta=0.4, theta=0.8),
             rd.PeakConfig(0.1, [[0.15]], delta=0.4, theta=0.8),
         ]
-        rep = vf.uniqueness_probe(quick_reducer, 0.1, starts, tol=1e-6)
+        rep = vf.uniqueness_probe(quick_reducer, starts, tol=1e-6)
         assert len(rep.measured["rejected"]) == 1
         assert rep.measured["rejected"][0]["start"] == 1
 
@@ -292,7 +292,7 @@ class TestUniquenessProbe:
             rd.PeakConfig(0.1, [[0.28]], delta=0.4, theta=0.8),
             rd.PeakConfig(0.1, [[0.15]], delta=0.4, theta=0.8),
         ]
-        rep = vf.uniqueness_probe(quick_reducer, 0.1, starts, tol=1e-6)
+        rep = vf.uniqueness_probe(quick_reducer, starts, tol=1e-6)
         assert rep.passed is False
         assert rep.notes == "partial report"
         assert len(rep.measured["failed"]) == 1
@@ -306,7 +306,7 @@ class TestUniquenessProbe:
         cfg = rd.PeakConfig(0.1, [[0.25]], delta=0.4, theta=0.8)
         with pytest.raises(IterationError, match="eigenvalues"):
             rd.minimize_peaks(quick_reducer, cfg)
-        rep = vf.uniqueness_probe(quick_reducer, 0.1, [cfg], tol=1e-6)
+        rep = vf.uniqueness_probe(quick_reducer, [cfg], tol=1e-6)
         assert rep.passed is False
         assert [f["start"] for f in rep.measured["failed"]] == [0]
 
@@ -316,12 +316,20 @@ class TestUniquenessProbe:
         starts = [rd.PeakConfig(0.1, [[y]], delta=1.1e-3, theta=0.8)
                   for y in (0.2, 0.20022)]
         with pytest.warns(BoundaryMinimizerWarning):
-            rep = vf.uniqueness_probe(quick_reducer, 0.1, starts, tol=1e-6)
+            rep = vf.uniqueness_probe(quick_reducer, starts, tol=1e-6)
         assert rep.passed is False
         failed = rep.measured["failed"]
         assert [f["start"] for f in failed] == [0, 1]
         assert all(f["record"]["search"]["termination"] == "boundary"
                    for f in failed)
+
+    @pytest.mark.parametrize("eps_list", [[], [0.1, 0.05]])
+    def test_starts_at_one_eps_required(self, quick_reducer, eps_list):
+        # the probe reads eps from its starts: none, or two eps, is an error
+        starts = [rd.PeakConfig(e, [[0.25]], delta=0.4, theta=0.8)
+                  for e in eps_list]
+        with pytest.raises(ParameterError, match="one eps"):
+            vf.uniqueness_probe(quick_reducer, starts, tol=1e-6)
 
     def test_programming_error_propagates(self, quick_reducer, monkeypatch):
         def broken(red, cfg, **kw):
@@ -330,7 +338,7 @@ class TestUniquenessProbe:
         monkeypatch.setattr(rd, "minimize_peaks", broken)
         starts = [rd.PeakConfig(0.1, [[0.25]], delta=0.4, theta=0.8)]
         with pytest.raises(TypeError):
-            vf.uniqueness_probe(quick_reducer, 0.1, starts, tol=1e-6)
+            vf.uniqueness_probe(quick_reducer, starts, tol=1e-6)
 
 
 class TestCheckReport:
