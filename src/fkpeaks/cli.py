@@ -31,10 +31,13 @@ ENV_OUTPUT_ROOT = "FKPEAKS_OUT"
 COMMANDS = ("groundstate", "system", "reduce", "sweep", "verify")
 VERIFY_CHECKS = ("sobolev", "interaction", "wrong_ansatz", "uniqueness",
                  "pohozaev")
-# verify checks that run at the manifest's eps values, and those of them
-# that run at one eps
-EPS_CHECKS = VERIFY_CHECKS[2:]
-ONE_EPS_CHECKS = ("uniqueness", "pohozaev")
+# a run is the command, or the check for verify; the runs that start from
+# peak configurations, read the eps list, run at one eps, and read
+# tolerances.solver (no run reads another tolerance)
+PEAK_RUNS = ("reduce", "sweep", "uniqueness", "pohozaev")
+EPS_RUNS = PEAK_RUNS + ("wrong_ansatz",)
+ONE_EPS_RUNS = ("reduce", "uniqueness", "pohozaev")
+SOLVER_TOL_RUNS = ("groundstate", "system")
 DEFAULT_START_OFFSETS = (0.0, 0.05, -0.05)
 
 RUN_README = """\
@@ -103,7 +106,11 @@ class RunManifest:
     # -- validation: every numeric field passes its owning type's checks
     #    before any compute starts
 
-    def validate(self) -> tuple[sp.ProblemParams, sp.GridSpec, rd.Potential]:
+    def validate(self) -> tuple[sp.ProblemParams, sp.GridSpec, rd.Potential,
+                                list[rd.PeakConfig]]:
+        """The checked inputs of the run: params, grid, potential and its
+        starts, the peak configurations it computes from (largest eps
+        first; empty outside PEAK_RUNS)."""
         if self.command not in COMMANDS:
             raise ParameterError(
                 f"command must be one of {COMMANDS}, got {self.command!r}"
@@ -122,50 +129,59 @@ class RunManifest:
                 raise ParameterError(f"eps values must be positive, got {e}")
         if self.delta <= 0 or not (0.0 < self.theta < 1.0):
             raise ParameterError("need delta > 0 and theta in (0, 1)")
-        check = self.options.get("check")
-        if self.command == "verify" and check not in VERIFY_CHECKS:
+        run = self.command
+        if run == "verify":
+            run = self.options.get("check")
+            if run not in VERIFY_CHECKS:
+                raise ParameterError(
+                    f"verify needs options.check in {VERIFY_CHECKS}, "
+                    f"got {run!r}")
+        what = run if run == self.command else f"verify {run}"
+        unread = set(self.tolerances) - (
+            {"solver"} if run in SOLVER_TOL_RUNS else set())
+        if unread:
             raise ParameterError(
-                f"verify needs options.check in {VERIFY_CHECKS}, got {check!r}"
-            )
-        if not self.eps and (self.command in ("reduce", "sweep") or (
-                self.command == "verify" and check in EPS_CHECKS)):
-            raise ParameterError(f"{self.command} requires a nonempty eps list")
-        if self.command == "sweep" and _fits_asymptotics(self):
-            vf.require_decade_span(self.eps)
-        if self.command in ("reduce", "sweep") or (
-                self.command == "verify" and check in ONE_EPS_CHECKS):
-            # D_eps_delta's separation eps^theta needs theta in the window
-            lo, hi = rd.PeakConfig(
-                float(self.eps[0]), potential.peaks, self.delta, self.theta,
-            ).theta_window(params.s, potential.holder)
-            if not (lo < self.theta < hi):
-                raise ParameterError(
-                    f"theta must lie in the window ((N+2s)/(N+2s+alpha), 1)"
-                    f" = ({lo:.6g}, {hi:g}), got {self.theta}")
-        if self.command in ("reduce", "sweep"):
-            # the start must lie in D_eps_delta at every eps it runs at
-            y0 = potential.peaks + _start_offset(
-                self.options.get("y0_offset", 0.0), potential)
-            for e in self.eps:
-                rd.PeakConfig(float(e), y0, self.delta,
-                              self.theta).require_admissible(potential)
-        if self.command == "verify" and check == "uniqueness":
-            # starts outside D_eps_delta are reported, not refused
-            offsets = self.options.get("start_offsets",
-                                       DEFAULT_START_OFFSETS)
-            for off in offsets:
-                _start_offset(off, potential)
-            if len(offsets) < 2:
-                raise ParameterError(
-                    "verify uniqueness compares solutions from at least two "
-                    f"start_offsets, got {len(offsets)}")
-        if len(self.eps) > 1 and (self.command == "reduce" or (
-                self.command == "verify" and check in ONE_EPS_CHECKS)):
-            what = "reduce" if self.command == "reduce" else f"verify {check}"
+                f"{what} reads no tolerances {sorted(unread)}; only "
+                f"{' and '.join(SOLVER_TOL_RUNS)} read 'solver'")
+        if not self.eps and run in EPS_RUNS:
+            raise ParameterError(f"{what} requires a nonempty eps list")
+        if len(self.eps) > 1 and run in ONE_EPS_RUNS:
             raise ParameterError(
                 f"{what} runs at one eps, got {len(self.eps)}: {self.eps}; "
                 "use the sweep command for an eps list")
-        return params, grid, potential
+        if run == "sweep" and _fits_asymptotics(self):
+            vf.require_decade_span(self.eps)
+        if run not in PEAK_RUNS:
+            return params, grid, potential, []
+        if run == "uniqueness":
+            offsets = self.options.get("start_offsets", DEFAULT_START_OFFSETS)
+        elif run == "pohozaev":
+            offsets = [0.0]
+        else:
+            offsets = [self.options.get("y0_offset", 0.0)]
+        starts = [
+            rd.PeakConfig(e, potential.peaks + _start_offset(off, potential),
+                          self.delta, self.theta)
+            for e in sorted(map(float, self.eps), reverse=True)
+            for off in offsets
+        ]
+        # D_eps_delta's separation eps^theta needs theta in the window
+        lo, hi = starts[0].theta_window(params.s, potential.holder)
+        if not (lo < self.theta < hi):
+            raise ParameterError(
+                f"theta must lie in the window ((N+2s)/(N+2s+alpha), 1)"
+                f" = ({lo:.6g}, {hi:g}), got {self.theta}")
+        if run == "uniqueness" and len(starts) < 2:
+            raise ParameterError(
+                "verify uniqueness compares solutions from at least two "
+                f"start_offsets, got {len(starts)}")
+        if run in ("reduce", "sweep"):
+            # the start must lie in D_eps_delta at every eps it runs at;
+            # uniqueness reports starts outside it, pohozaev refuses at
+            # compute
+            for cfg in starts:
+                cfg.require_admissible(potential)
+        return params, grid, potential, starts
 
 
 def _start_offset(value, potential: rd.Potential) -> np.ndarray:
@@ -252,7 +268,8 @@ def _log_iterations(run_dir: Path, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _stage_groundstate(manifest, params, grid, potential, run_dir) -> dict:
+def _stage_groundstate(manifest, params, grid, potential, starts,
+                       run_dir) -> dict:
     tol = float(manifest.tolerances.get("solver", 1e-9))
     state = solve_Q(grid, params.s, params.p, tol=tol)
     if manifest.options.get("verbose"):
@@ -291,7 +308,7 @@ def _stage_groundstate(manifest, params, grid, potential, run_dir) -> dict:
     return report
 
 
-def _stage_system(manifest, params, grid, potential, run_dir) -> dict:
+def _stage_system(manifest, params, grid, potential, starts, run_dir) -> dict:
     tol = float(manifest.tolerances.get("solver", 1e-9))
     state = solve_Q(grid, params.s, params.p, tol=tol)
     peak_values = manifest.options.get("peak_values")
@@ -320,27 +337,11 @@ def _stage_system(manifest, params, grid, potential, run_dir) -> dict:
     return report
 
 
-def _reducer_for(manifest, params, grid, potential):
-    return rd.Reducer(
-        grid, params, potential, strict=manifest.strict,
-        profile_tol=float(manifest.tolerances.get("profile", 1e-11)),
-    )
-
-
-def _search_options(manifest, potential) -> tuple[np.ndarray, float]:
-    """The start offset from the wells and the correction tolerance."""
-    return (_start_offset(manifest.options.get("y0_offset", 0.0), potential),
-            float(manifest.tolerances.get("correction", 1e-10)))
-
-
-def _stage_reduce(manifest, params, grid, potential, run_dir) -> dict:
-    eps = float(manifest.eps[0])
+def _stage_reduce(manifest, params, grid, potential, starts, run_dir) -> dict:
+    eps = starts[0].eps
     minimize = bool(manifest.options.get("minimize", True))
-    red = _reducer_for(manifest, params, grid, potential)
-    offset, outer = _search_options(manifest, potential)
-    cfg0 = rd.PeakConfig(eps, potential.peaks + offset, manifest.delta,
-                         manifest.theta)
-    report, sol = rd.reduce_at(red, cfg0, minimize, outer)
+    red = rd.Reducer(grid, params, potential, strict=manifest.strict)
+    report, sol = rd.reduce_at(red, starts[0], minimize)
     if manifest.options.get("verbose"):
         _log_iterations(run_dir, (
             {"iteration": i + 1, "increment_eps_norm": inc,
@@ -354,15 +355,10 @@ def _stage_reduce(manifest, params, grid, potential, run_dir) -> dict:
     return report
 
 
-def _stage_sweep(manifest, params, grid, potential, run_dir) -> dict:
+def _stage_sweep(manifest, params, grid, potential, starts, run_dir) -> dict:
     minimize = bool(manifest.options.get("minimize", True))
-    red = _reducer_for(manifest, params, grid, potential)
-    offset, outer = _search_options(manifest, potential)
-    records = rd.sweep_reduction(
-        red, [float(e) for e in manifest.eps], manifest.delta,
-        manifest.theta, y0_offset=offset, minimize=minimize,
-        outer_tol_factor=outer,
-    )
+    red = rd.Reducer(grid, params, potential, strict=manifest.strict)
+    records = rd.sweep_reduction(red, starts, minimize)
     with open(run_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eps", "phi_norm", "energy_over_epsN", "max_drift",
@@ -384,7 +380,7 @@ def _stage_sweep(manifest, params, grid, potential, run_dir) -> dict:
     return report
 
 
-def _stage_verify(manifest, params, grid, potential, run_dir) -> dict:
+def _stage_verify(manifest, params, grid, potential, starts, run_dir) -> dict:
     check = manifest.options.get("check")
     seeds = manifest.seeds.get("master", 1234)
     if check == "sobolev":
@@ -411,30 +407,19 @@ def _stage_verify(manifest, params, grid, potential, run_dir) -> dict:
             tol=float(manifest.options.get("tol", 0.2)),
         )
     elif check == "uniqueness":
-        red = _reducer_for(manifest, params, grid, potential)
-        eps = float(manifest.eps[0])
-        offsets = manifest.options.get("start_offsets",
-                                       DEFAULT_START_OFFSETS)
-        starts = [
-            rd.PeakConfig(eps, potential.peaks + off, manifest.delta,
-                          manifest.theta)
-            for off in offsets
-        ]
+        red = rd.Reducer(grid, params, potential, strict=manifest.strict)
         rep = vf.uniqueness_probe(red, starts,
                                   tol=float(manifest.options.get("tol", 1e-6)))
     else:
-        # pohozaev: solution from a snapshot if given, else the reduce
-        # pipeline
-        eps = float(manifest.eps[0])
+        # pohozaev: solution from a snapshot if given, else the correction
+        # at the wells
         if "solution" in manifest.options:
             u, _ = fio.load_field(manifest.options["solution"])
         else:
-            red = _reducer_for(manifest, params, grid, potential)
-            cfg = rd.PeakConfig(eps, potential.peaks, manifest.delta,
-                                manifest.theta)
-            u = rd.solve_correction(red, cfg).solution
+            red = rd.Reducer(grid, params, potential, strict=manifest.strict)
+            u = rd.solve_correction(red, starts[0]).solution
         rep = vf.pohozaev_residual(
-            u, eps, params, potential,
+            u, starts[0].eps, params, potential,
             center=manifest.options.get("center",
                                         potential.peaks[0].tolist()),
             radius=float(manifest.options.get("radius",
@@ -462,7 +447,7 @@ STAGES = {
 def run(manifest: RunManifest, out_override=None) -> tuple[int, Path | None]:
     """Execute a manifest; returns (exit status, run directory)."""
     try:
-        params, grid, potential = manifest.validate()
+        params, grid, potential, starts = manifest.validate()
     except (ParameterError, KeyError, TypeError, ValueError) as exc:
         sys.stderr.write(json.dumps({
             "error": "validation", "detail": str(exc),
@@ -472,7 +457,7 @@ def run(manifest: RunManifest, out_override=None) -> tuple[int, Path | None]:
     t0 = time.time()
     try:
         report = STAGES[manifest.command](manifest, params, grid, potential,
-                                          run_dir)
+                                          starts, run_dir)
     except Exception as exc:
         sys.stderr.write(json.dumps({
             "error": "compute", "stage": manifest.command,
@@ -515,8 +500,7 @@ def main(argv=None) -> int:
             "error": "validation", "detail": str(exc),
         }) + "\n")
         return 2
-    if manifest.command != args.command:
-        manifest.command = args.command
+    manifest.command = args.command
     if args.strict:
         manifest.strict = True
     if args.command == "verify" and getattr(args, "check", None):

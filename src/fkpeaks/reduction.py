@@ -396,15 +396,13 @@ class Reducer:
     """
 
     def __init__(self, grid: GridSpec, params: ProblemParams,
-                 potential: Potential, strict: bool = False,
-                 profile_tol: float = 1e-11):
+                 potential: Potential, strict: bool = False):
         if potential.dim != grid.dim:
             raise GridMismatchError("potential dimension does not match grid")
         self.grid = grid
         self.params = params
         self.potential = potential
         self.strict = strict
-        self.profile_tol = profile_tol
         self.V = potential.on_grid(grid)
         self._systems: dict[float, GridSystem] = {}
 
@@ -412,7 +410,6 @@ class Reducer:
         if eps not in self._systems:
             gs = solve_grid_system(
                 self.grid, self.params, self.potential.peak_values, eps,
-                tol=self.profile_tol,
             )
             self._check_tails(gs)
             self._systems[eps] = gs
@@ -593,8 +590,6 @@ class _Frame:
         """
         lin = self.L if lin is None else lin
         bnorm = float(np.linalg.norm(b))
-        if bnorm == 0.0:
-            return np.zeros(self.U.values.shape)
         op = sla.LinearOperator((b.size, b.size), dtype=float,
                                 matvec=lambda v: self.apply_hat(v, lin))
         spent = 0
@@ -881,7 +876,6 @@ MAX_SEARCH_EVALUATIONS = 100
 def minimize_peaks(
     red: Reducer,
     y0: PeakConfig,
-    outer_tol_factor: float = 1e-10,
 ) -> tuple[PeakConfig, ReducedSolution, dict]:
     """Minimise the reduced energy j_eps over D_{eps,delta}.
 
@@ -919,7 +913,6 @@ def minimize_peaks(
     def gradient_at(y) -> np.ndarray:
         nonlocal warm
         sol = solve_correction(red, y0.with_y(y.reshape(k, n)), phi0=warm,
-                               outer_tol_factor=outer_tol_factor,
                                picard_steps=1)
         warm = sol.correction
         count["evaluations"] += 1
@@ -1007,7 +1000,7 @@ def minimize_peaks(
         )
     # fresh final solve: history-free, so identical minimisers give
     # identical solutions across different starts
-    final = solve_correction(red, best, outer_tol_factor=outer_tol_factor)
+    final = solve_correction(red, best)
     info = {
         **count,
         "boundary_slack": boundary_slack,
@@ -1030,7 +1023,6 @@ def reduce_at(
     red: Reducer,
     cfg0: PeakConfig,
     minimize: bool = True,
-    outer_tol_factor: float = 1e-10,
 ) -> tuple[dict, ReducedSolution]:
     """One step of the reduction at cfg0.eps: the peak search from cfg0
     (or the correction at the fixed y of cfg0 when `minimize` is off).
@@ -1042,11 +1034,10 @@ def reduce_at(
     ended `converged` with every Hessian eigenvalue positive.
     """
     if minimize:
-        best, sol, info = minimize_peaks(red, cfg0,
-                                         outer_tol_factor=outer_tol_factor)
+        best, sol, info = minimize_peaks(red, cfg0)
     else:
         best, info = cfg0, {}
-        sol = solve_correction(red, cfg0, outer_tol_factor=outer_tol_factor)
+        sol = solve_correction(red, cfg0)
     eps = cfg0.eps
     drift = np.linalg.norm(best.y - red.potential.peaks, axis=1)
     record = {
@@ -1075,19 +1066,9 @@ def reduce_at(
 
 def sweep_reduction(
     red: Reducer,
-    eps_list,
-    delta: float,
-    theta: float,
-    y0_offset=None,
+    starts: list[PeakConfig],
     minimize: bool = True,
-    outer_tol_factor: float = 1e-10,
 ) -> list[dict]:
-    """reduce_at over an eps list, largest eps first, each eps started at
-    the wells plus `y0_offset`; returns the records."""
-    peaks = red.potential.peaks
-    offset = np.zeros_like(peaks) if y0_offset is None else np.asarray(y0_offset)
-    return [
-        reduce_at(red, PeakConfig(eps, peaks + offset, delta, theta),
-                  minimize, outer_tol_factor)[0]
-        for eps in sorted(eps_list, reverse=True)
-    ]
+    """reduce_at from each configuration of `starts`, in order (a sweep
+    runs the largest eps first); returns the records."""
+    return [reduce_at(red, cfg, minimize)[0] for cfg in starts]

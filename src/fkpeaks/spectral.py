@@ -167,8 +167,8 @@ class Field:
     """Real-valued grid function with a lazily cached half spectrum and
     fractional Laplacian.
 
-    Values are frozen after construction (shared safely across threads);
-    derived fields are new objects, so the caches never go stale.
+    Values are frozen after construction and derived fields are new
+    objects, so the cached spectrum and Laplacian never go stale.
     """
 
     __slots__ = ("grid", "values", "_spectral", "_flap")

@@ -47,10 +47,9 @@ def sweep_2d():
     grid = sp.GridSpec(2, 2.5, 256)
     red = rd.Reducer(grid, params, pot)
     t0 = time.time()
-    records = rd.sweep_reduction(
-        red, [0.25, 0.125, 0.0625, 0.025], delta=0.4, theta=0.8,
-        y0_offset=np.full((1, 2), 0.05), minimize=True,
-    )
+    starts = [rd.PeakConfig(eps, pot.peaks + 0.05, delta=0.4, theta=0.8)
+              for eps in (0.25, 0.125, 0.0625, 0.025)]
+    records = rd.sweep_reduction(red, starts, minimize=True)
     wall = time.time() - t0
     return {"params": params, "pot": pot, "grid": grid, "red": red,
             "records": records, "wall": wall}

@@ -104,16 +104,23 @@ class TestManifest:
         assert "runs at one eps" in err and "sweep" in err
 
     @pytest.mark.parametrize("command", ["reduce", "sweep"])
-    @pytest.mark.parametrize("offset", [[0.1, 0.2], "abc", 0.6, None])
+    @pytest.mark.parametrize("offset, why", [
+        ([0.1, 0.2], "broadcast"), ("abc", "abc"),
+        (0.6, "drift 0.6 >= delta"), (None, "not finite"),
+    ], ids=["offset0", "abc", "0.6", "None"])
     def test_bad_start_offset_rejected_before_compute(self, tmp_path, capsys,
-                                                      command, offset):
-        # one 1D peak: a 2-vector does not fit, and 0.6 > delta = 0.5
+                                                      command, offset, why):
+        # one 1D peak: a 2-vector does not fit, "abc" is not numeric,
+        # 0.6 > delta = 0.5 and None is NaN; reduce runs at one eps
         spec = manifest_sweep(tmp_path)
         spec["command"], spec["options"] = command, {"y0_offset": offset}
+        if command == "reduce":
+            spec["eps"] = [0.1]
         status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
         assert status == 2
         assert run_dir is None
-        assert '"error": "validation"' in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert '"error": "validation"' in err and why in err
 
     @pytest.mark.parametrize("offsets, why", [
         ([0.0, [0.1, 0.2]], "broadcast"), ([0.0, "abc"], "abc"),
@@ -156,6 +163,21 @@ class TestManifest:
         # theta = 0.8 lies in the window and validates
         spec["theta"] = 0.8
         cli.RunManifest.from_dict(spec).validate()
+
+    @pytest.mark.parametrize("command, key", [
+        ("reduce", "correction"), ("reduce", "profile"), ("sweep", "solver"),
+    ])
+    def test_unread_tolerance_rejected_before_compute(self, tmp_path, capsys,
+                                                      command, key):
+        # only groundstate and system read a tolerance, `solver`
+        spec = manifest_sweep(tmp_path)
+        spec["command"], spec["tolerances"] = command, {key: 1e-9}
+        if command == "reduce":
+            spec["eps"] = [0.1]
+        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        assert status == 2
+        assert run_dir is None
+        assert key in capsys.readouterr().err
 
     def test_theta_window_only_where_theta_is_used(self, tmp_path):
         spec = manifest_groundstate(tmp_path)
@@ -213,6 +235,14 @@ class TestGroundstateCommand:
         assert (run_dir / "profile.csv").exists()
         assert (run_dir / "version.json").exists()
         assert (run_dir / "README.md").exists()
+
+    def test_solver_tolerance_is_read(self, tmp_path):
+        spec = manifest_groundstate(tmp_path)
+        spec["tolerances"] = {"solver": 1e-8}
+        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        assert status == 0
+        report = json.loads((run_dir / "report.json").read_text())
+        assert report["passed"] is True and report["residual"] < 1e-8
 
     def test_manifest_copied_verbatim(self, tmp_path):
         m = cli.RunManifest.from_dict(manifest_groundstate(tmp_path))
@@ -306,6 +336,34 @@ class TestReduceCommand:
         assert report["search"]["termination"] == "converged"
         assert all(ev > 0 for ev in report["search"]["hessian_eigenvalues"])
 
+    @staticmethod
+    def truncating_reduce(tmp_path) -> dict:
+        # the s=0.4 profile decays like |x|^-1.8: an L=4 box cuts its tail
+        return {
+            "command": "reduce",
+            "params": {"dim": 1, "s": 0.4, "p": 2.0, "a": 1.0, "b": 0.25},
+            "grid": {"half_width": 4.0, "points_per_dim": 256},
+            "potential": {"kind": "single_well", "center": [0.3],
+                          "value": 1.0, "coeffs": [1.0], "m": 2.0},
+            "eps": [0.1],
+            "output_dir": str(tmp_path / "reduce"),
+        }
+
+    def test_strict_truncation_is_a_compute_failure(self, tmp_path, capsys):
+        spec = self.truncating_reduce(tmp_path)
+        spec["strict"] = True
+        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        assert status == 3
+        report = json.loads((run_dir / "report.json").read_text())
+        assert "TruncationError" in report["failed"]
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "compute" and err["stage"] == "reduce"
+
+    def test_strict_flag_escalates(self, tmp_path):
+        path = tmp_path / "reduce.json"
+        path.write_text(json.dumps(self.truncating_reduce(tmp_path)))
+        assert cli.main(["reduce", "--manifest", str(path), "--strict"]) == 3
+
     def test_boundary_minimizer_fails_the_gate(self, tmp_path):
         spec = manifest_sweep(tmp_path)
         spec["command"] = "reduce"
@@ -334,6 +392,20 @@ class TestVerifyCommand:
         assert status == 0
         assert (run_dir / "checks.jsonl").exists()
         assert (run_dir / "checks.csv").exists()
+
+    def test_check_named_on_the_command_line(self, tmp_path):
+        # the manifest names no check; the positional argument does
+        path = tmp_path / "verify.json"
+        path.write_text(json.dumps({
+            "command": "verify",
+            "params": {"dim": 1, "s": 0.4, "p": 2.0, "a": 1.0, "b": 0.0},
+            "grid": {"half_width": 6.0, "points_per_dim": 64},
+            "options": {"x_i": [0.0], "x_j": [2.0], "samples": 5000},
+            "output_dir": str(tmp_path / "verify"),
+        }))
+        assert cli.main(["verify", "interaction", "--manifest",
+                         str(path)]) == 0
+        assert (tmp_path / "verify" / "checks.jsonl").exists()
 
     def test_pohozaev_check_on_pipeline_solution(self, tmp_path):
         m = cli.RunManifest.from_dict({

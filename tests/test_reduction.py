@@ -61,6 +61,24 @@ class TestPotential:
         fd = (well_1d(pts + [h]) - well_1d(pts - [h])) / (2 * h)
         assert np.abs(g - fd).max() < 1e-6
 
+    def test_multi_well_gradient_by_central_differences(self):
+        # multi_well has no analytic gradient; inside a plateau dV/dx_j is
+        # c_ij m |t|^(m-1) sign t with t = x_j - a_ij
+        pot = rd.Potential.multi_well(
+            centers=[[-1.0, 0.0], [1.0, 0.2]], values=[1.0, 1.5],
+            coeffs=[[1.0, 0.5], [2.0, 0.7]], m=2.5, far_value=2.5,
+            plateau=0.6,
+        )
+        assert pot.grad_fn is None
+        pts = np.array([[-0.8, 0.1], [-1.3, -0.2], [1.2, 0.05],
+                        [0.9, 0.5]])
+        well = np.array([0, 0, 1, 1])
+        for axis in (0, 1):
+            t = pts[:, axis] - pot.peaks[well, axis]
+            c = pot.coeffs[well, axis]
+            exact = c * pot.m * np.abs(t) ** (pot.m - 1.0) * np.sign(t)
+            assert np.abs(pot.gradient(pts, axis) - exact).max() < 1e-9
+
     def test_multi_well_plateau_exact(self):
         pot = rd.Potential.multi_well(
             centers=[[-1.0], [1.0]], values=[1.0, 1.5],
@@ -230,7 +248,7 @@ class TestEll:
 
     def test_frozen_potential_critical_point(self, params_1d, grid_1d):
         pot = rd.Potential.constant(1.0, dim=1)
-        red = rd.Reducer(grid_1d, params_1d, pot, profile_tol=1e-12)
+        red = rd.Reducer(grid_1d, params_1d, pot)
         cfg = rd.PeakConfig(0.05, [[0.0]], delta=0.5, theta=0.8)
         phi = sp.random_band_limited(grid_1d, 40.0, seed=3)
         fr = red.frame(cfg)
@@ -482,6 +500,14 @@ class TestSolveConstrained:
         assert sol.correction_norm > 0.0
         assert np.all(np.abs(sol.orthogonality) < 1e-8)
 
+    def test_zero_rhs_returns_zeros(self, reducer_2d):
+        # MINRES returns x = 0 for b = 0, and the true residual accepts it
+        fr = reducer_2d.frame(self.CFG)
+        b = np.zeros_like(fr.krylov_rhs(fr.gradient_density(fr.U)))
+        phi = fr.solve_constrained(b, rtol=1e-11, atol=0.0, maxiter=10)
+        assert phi.shape == fr.U.values.shape
+        assert not np.any(phi)
+
     def test_real_stall_raises(self, reducer_2d):
         fr = reducer_2d.frame(self.CFG)
         with pytest.raises(LinearSolveError, match="stalled"):
@@ -493,7 +519,7 @@ class TestSolveConstrained:
 class TestSolveCorrection:
     def test_frozen_potential_gives_zero(self, params_1d, grid_1d):
         pot = rd.Potential.constant(1.0, dim=1)
-        red = rd.Reducer(grid_1d, params_1d, pot, profile_tol=1e-12)
+        red = rd.Reducer(grid_1d, params_1d, pot)
         cfg = rd.PeakConfig(0.05, [[0.0]], delta=0.5, theta=0.8)
         sol = rd.solve_correction(red, cfg)
         assert sol.correction_norm < 1e-9 * 0.05**0.5
@@ -749,12 +775,11 @@ class TestMinimizePeaks:
 @TRUNCATES_BY_DESIGN
 class TestSweep:
     def test_fixed_y_records_are_reduce_records(self, reducer_1d):
-        offset = np.array([[0.05]])
-        records = rd.sweep_reduction(reducer_1d, [0.08, 0.16], delta=0.5,
-                                     theta=0.8, y0_offset=offset,
-                                     minimize=False)
+        y = reducer_1d.potential.peaks + 0.05
+        starts = [rd.PeakConfig(eps, y, delta=0.5, theta=0.8)
+                  for eps in (0.16, 0.08)]
+        records = rd.sweep_reduction(reducer_1d, starts, minimize=False)
         assert [r["eps"] for r in records] == [0.16, 0.08]
-        y = reducer_1d.potential.peaks + offset
         for rec in records:
             cfg = rd.PeakConfig(rec["eps"], y, delta=0.5, theta=0.8)
             sol = rd.solve_correction(reducer_1d, cfg)

@@ -54,6 +54,18 @@ class TestPohozaev:
         assert "diagnostic" in rep.provenance
         assert len(rep.series) > 0
 
+    def test_planar_quadrature_nodes(self):
+        # the N=2 nodes: circle length, disc area and second moment
+        grid = sp.GridSpec(2, 2.5, 32)
+        center, radius = np.array([0.3, -0.2]), 0.7
+        pts, normals, w = vf._sphere_nodes(grid, center, radius)
+        assert abs(w.sum() - 2 * np.pi * radius) < 1e-14
+        assert np.abs(pts - center - radius * normals).max() < 1e-15
+        pts, w = vf._ball_quadrature(grid, center, radius)
+        assert abs(w.sum() - np.pi * radius**2) < 1e-14
+        second = w @ ((pts - center) ** 2).sum(axis=-1)
+        assert abs(second - np.pi * radius**4 / 2) < 1e-14
+
     def test_geometry_error(self):
         grid, u, pot = manufactured_classical(128)
         with pytest.raises(GeometryError):
