@@ -38,6 +38,17 @@ PEAK_RUNS = ("reduce", "sweep", "uniqueness", "pohozaev")
 EPS_RUNS = PEAK_RUNS + ("wrong_ansatz",)
 ONE_EPS_RUNS = ("reduce", "uniqueness", "pohozaev")
 SOLVER_TOL_RUNS = ("groundstate", "system")
+# the options keys each run reads
+OPTION_KEYS = {
+    "groundstate": {"verbose", "decay_window", "c"}, "system": {"peak_values"},
+    "reduce": {"minimize", "verbose", "y0_offset"},
+    "sweep": {"minimize", "y0_offset"}, "sobolev": {"check", "q", "samples"},
+    "interaction": {"check", "x_i", "x_j", "alpha", "beta", "sigma",
+                    "samples"},
+    "wrong_ansatz": {"check", "tol"},
+    "uniqueness": {"check", "tol", "start_offsets"},
+    "pohozaev": {"check", "solution", "center", "radius", "axis", "tol"},
+}
 DEFAULT_START_OFFSETS = (0.0, 0.05, -0.05)
 
 RUN_README = """\
@@ -137,12 +148,14 @@ class RunManifest:
                     f"verify needs options.check in {VERIFY_CHECKS}, "
                     f"got {run!r}")
         what = run if run == self.command else f"verify {run}"
-        unread = set(self.tolerances) - (
-            {"solver"} if run in SOLVER_TOL_RUNS else set())
-        if unread:
-            raise ParameterError(
-                f"{what} reads no tolerances {sorted(unread)}; only "
-                f"{' and '.join(SOLVER_TOL_RUNS)} read 'solver'")
+        for kind, given, read in (
+                ("options", self.options, OPTION_KEYS[run]),
+                ("tolerances", self.tolerances,
+                 {"solver"} if run in SOLVER_TOL_RUNS else set())):
+            if set(given) - read:
+                raise ParameterError(
+                    f"{what} reads no {kind} {sorted(set(given) - read)}; it"
+                    f" reads {sorted(read) or 'none'}")
         if not self.eps and run in EPS_RUNS:
             raise ParameterError(f"{what} requires a nonempty eps list")
         if len(self.eps) > 1 and run in ONE_EPS_RUNS:

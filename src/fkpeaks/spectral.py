@@ -314,14 +314,17 @@ def seminorm_sq(f: Field, s: float) -> float:
 
 
 def seminorm_inner(grid: GridSpec, s: float, uhat: np.ndarray,
-                   vhat: np.ndarray | None = None) -> float:
+                   vhat: np.ndarray | None = None):
     """int (-Delta)^(s/2) u (-Delta)^(s/2) v by Parseval from the
-    half spectra uhat, vhat; vhat = None gives ||(-Delta)^(s/2) u||^2."""
+    half spectra uhat, vhat; vhat = None gives ||(-Delta)^(s/2) u||^2.
+    A (k, *grid) stack of spectra gives the k values as an array."""
     # h^N/M^N normalisation: |fhat|^2 * (2L)^N / M^(2N); a mode and its
     # omitted conjugate add up to twice the real part of either
     w = grid.spacing ** grid.dim / grid.points_per_dim ** grid.dim
     prod = np.abs(uhat) ** 2 if vhat is None else (uhat.conj() * vhat).real
-    return float(w * (grid.symbol(s) * prod * grid.hermitian_weights).sum())
+    dens = grid.symbol(s) * prod * grid.hermitian_weights
+    sums = w * dens.reshape(dens.shape[:-grid.dim] + (-1,)).sum(axis=-1)
+    return sums if sums.ndim else float(sums)
 
 
 def pack(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:

@@ -179,6 +179,25 @@ class TestManifest:
         assert run_dir is None
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, options, key", [
+        ("reduce", {"minimise": False}, "minimise"),
+        ("sweep", {"minimize": False, "verbose": True}, "verbose"),
+        ("verify", {"check": "uniqueness", "y0_offset": 0.05}, "y0_offset"),
+    ])
+    def test_unread_option_rejected_before_compute(self, tmp_path, capsys,
+                                                   command, options, key):
+        # a misspelt "minimise" would otherwise run a search, and the
+        # other keys are read by another run only
+        spec = manifest_sweep(tmp_path)
+        spec["command"], spec["options"] = command, options
+        if command != "sweep":
+            spec["eps"] = [0.1]
+        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        assert status == 2
+        assert run_dir is None
+        assert not (tmp_path / "sweep").exists()
+        assert f"reads no options ['{key}']" in capsys.readouterr().err
+
     def test_theta_window_only_where_theta_is_used(self, tmp_path):
         spec = manifest_groundstate(tmp_path)
         spec["theta"] = 0.5

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from fkpeaks import groundstate as gs
+from fkpeaks import reduction as rd
 from fkpeaks import spectral as sp
 from fkpeaks.errors import (
     AdmissibilityError,
@@ -78,22 +81,34 @@ class TestSolveQFractional:
 
 def _single_field_petviashvili(grid, s, p, tol):
     """The unstacked Petviashvili loop for one field at c1 = c0 = 1, the
-    reference solve_Q's stacked loop must reproduce to the bit."""
+    reference solve_Q's stacked loop must reproduce to the bit: the step
+    fixes L u = gamma^(p/(p-1)) E(u^p), E the even part, and inverts the
+    multiplier with one pair of transforms; the stop test on that
+    identity's residual is confirmed by transforming u.  Returns the
+    profile, its iteration, its seminorm and the confirmed residual."""
     mult = 1.0 * grid.symbol(s) + 1.0
     w_quad = grid.spacing**grid.dim
     u = np.exp(-sum(c**2 for c in grid.coords) / 1.0**2)
     lu = sp._ifftn(mult * sp._fftn(u))
     up = sp.pos_power(u, p)
     for it in range(1, gs.MAX_ITER + 1):
-        gamma = (w_quad * float(np.vdot(lu, u).real)) / (
-            w_quad * float(np.vdot(up, u).real))
-        u = gamma ** (p / (p - 1.0)) * sp._ifftn(sp._fftn(up) / mult)
-        for axis in range(u.ndim):
-            u = 0.5 * (u + np.roll(np.flip(u, axis=axis), 1, axis=axis))
-        lu = sp._ifftn(mult * sp._fftn(u))
+        # a one-entry array: numpy's array power may differ from the
+        # scalar pow in the last bit, and the loop powers the gamma array
+        gamma = np.array([(w_quad * float(np.vdot(lu, u).real))
+                          / (w_quad * float(np.vdot(up, u).real))])
+        even = up
+        for axis in range(up.ndim):
+            even = 0.5 * (even + np.roll(np.flip(even, axis=axis), 1,
+                                         axis=axis))
+        lu = (gamma ** (p / (p - 1.0)))[0] * even
+        uhat = sp._fftn(lu) / mult
+        u = sp._ifftn(uhat)
         up = sp.pos_power(u, p)
         if float(np.abs(lu - up).max()) < tol:
-            return u, it
+            residual = float(np.abs(sp._ifftn(mult * sp._fftn(u))
+                                    - up).max())
+            if residual < tol:
+                return u, it, sp.seminorm_inner(grid, s, uhat), residual
     raise AssertionError("reference loop did not converge")
 
 
@@ -116,10 +131,13 @@ class TestStackedLoop:
                                                points, s, p):
         grid = sp.GridSpec(dim, half_width, points)
         state = gs.solve_Q(grid, s, p, tol=1e-10)
-        ref, its = _single_field_petviashvili(grid, s, p, 1e-10)
+        ref, its, semi, res = _single_field_petviashvili(grid, s, p, 1e-10)
         assert state.iterations == its
         assert np.array_equal(state.profile.values, ref)
-        assert state.seminorm_sq == sp.seminorm_sq(sp.Field(grid, ref), s)
+        assert state.residual == res
+        assert state.seminorm_sq == semi
+        assert semi == pytest.approx(sp.seminorm_sq(sp.Field(grid, ref), s),
+                                     rel=1e-13)
 
     def test_stack_matches_separate_solves(self):
         grid = sp.GridSpec(1, 20.0, 512)
@@ -131,6 +149,83 @@ class TestStackedLoop:
                                                   c0=c0, tol=1e-11)
             assert np.abs(one[0] - values[i]).max() < 1e-10 * one.max()
             assert semi[0] == pytest.approx(semis[i], rel=1e-10)
+
+
+# the criterion-11 limiting system: two peaks, N = 1, s = 0.4, b = 1
+C11_GRID = sp.GridSpec(1, 8.0, 2048)
+C11_PARAMS = sp.ProblemParams(1, 0.4, 2.0, 1.0, 1.0)
+
+
+def _counted_solve(monkeypatch, case):
+    """One 1D solve_profile call: solve_Q's fixed multiplier, or the
+    coefficient-following loop of solve_grid_system ("shared" or
+    "naive").  Returns its grid, s, p, profiles, residuals, tol and
+    iterations, the multipliers c1, c0 the returned profiles were built
+    with, and the number of _fftn/_ifftn calls, transforms."""
+    transforms = []
+    for name in ("_fftn", "_ifftn"):
+        def counted(*args, _inner=getattr(sp, name), **kwargs):
+            transforms.append(name)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(sp, name, counted)
+    if case == "solve_Q":
+        grid, s, p, tol = sp.GridSpec(1, 30.0, 1024), 0.4, 2.0, 1e-10
+        state = gs.solve_Q(grid, s, p, tol=tol)
+        return SimpleNamespace(
+            grid=grid, s=s, p=p, profiles=state.profile.values[None],
+            residuals=[state.residual], tol=tol,
+            iterations=state.iterations, c1=[1.0], c0=[1.0],
+            transforms=len(transforms))
+    calls = []
+
+    def recorded(grid, s, p, c1, c0, tol, init_width, coefficient):
+        # the loop re-reads c1 = scale rule(S) at every iterate and
+        # returns before applying the last one
+        scale, rule = coefficient
+        c1s = [np.broadcast_to(c1, np.shape(c0))]
+
+        def seen(semis):
+            target = rule(semis)
+            c1s.append(scale * np.broadcast_to(target, np.shape(c0)))
+            return target
+
+        out = gs.solve_profile(grid, s, p, c1=c1, c0=c0, tol=tol,
+                               init_width=init_width,
+                               coefficient=(scale, seen))
+        calls.append((out, c1s[-2], c0, tol))
+        return out
+
+    monkeypatch.setattr(rd, "solve_profile", recorded)
+    rd.solve_grid_system(C11_GRID, C11_PARAMS, [1.0, 1.5], 0.004,
+                         shared_coefficient=case == "shared")
+    (profiles, residuals, _, its, _), c1, c0, tol = calls[0]
+    return SimpleNamespace(
+        grid=C11_GRID, s=C11_PARAMS.s, p=C11_PARAMS.p, profiles=profiles,
+        residuals=residuals, tol=tol, iterations=its, c1=c1, c0=c0,
+        transforms=len(transforms))
+
+
+class TestWorkAndResiduals:
+    @pytest.mark.parametrize("case", ["solve_Q", "shared", "naive"])
+    def test_two_transforms_per_iteration(self, monkeypatch, case):
+        # two to set up, two per iteration and two to confirm the stop
+        # test: a step that recomputes L u by transforms makes four
+        run = _counted_solve(monkeypatch, case)
+        assert run.iterations > 10
+        assert run.transforms <= 2 * run.iterations + 4
+
+    @pytest.mark.parametrize("case", ["solve_Q", "shared", "naive"])
+    def test_returned_residuals_are_transform_computed(self, monkeypatch,
+                                                       case):
+        run = _counted_solve(monkeypatch, case)
+        for u, res, a, b in zip(run.profiles, run.residuals, run.c1, run.c0):
+            mult = a * run.grid.symbol(run.s) + b
+            true = np.abs(sp._ifftn(mult * sp._fftn(u))
+                          - sp.pos_power(u, run.p)).max()
+            # the loop's own stop test, not the identity
+            # L u = gamma^(p/(p-1)) E(u^p), which reads up to 5e-13 apart
+            assert true == res
+            assert true < run.tol
 
 
 class TestDecayFit:
