@@ -135,9 +135,12 @@ class RunManifest:
         grid = sp.GridSpec(params.dim, float(self.grid["half_width"]),
                            int(self.grid["points_per_dim"]))
         potential = build_potential(self.potential, params.dim)
-        for e in self.eps:
+        for i, e in enumerate(self.eps):
             if not (0.0 < float(e)):
                 raise ParameterError(f"eps values must be positive, got {e}")
+            if float(e) in map(float, self.eps[:i]):
+                raise ParameterError(f"eps values must be distinct, got {e} "
+                                     f"twice in {self.eps}")
         if self.delta <= 0 or not (0.0 < self.theta < 1.0):
             raise ParameterError("need delta > 0 and theta in (0, 1)")
         run = self.command
@@ -164,6 +167,8 @@ class RunManifest:
                 "use the sweep command for an eps list")
         if run == "sweep" and _fits_asymptotics(self):
             vf.require_decade_span(self.eps)
+        if run == "sobolev" and self.eps:
+            vf.require_three_eps(self.eps)
         if run not in PEAK_RUNS:
             return params, grid, potential, []
         if run == "uniqueness":

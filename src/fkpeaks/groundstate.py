@@ -22,9 +22,9 @@ its k = 1 case.
 
 On the computational grid the reduction re-solves these profiles with
 solve_profile: one Petviashvili loop over the (k, *grid) stack of peak
-profiles, whose multiplier c1 = eps^2s A follows the coefficient re-read
-from each iterate's seminorms, so the profiles and A converge together
-without an outer root-finding loop, at two transforms per iteration.
+profiles, at two transforms per iteration, whose multiplier c1 = eps^2s A
+follows the coefficient re-read from each iterate's seminorms.  It stops
+on one rule: every residual below tol at the A of the returned profiles.
 """
 
 from __future__ import annotations
@@ -83,13 +83,12 @@ def solve_profile(
     With coefficient = (scale, rule) the multipliers c1 = scale A follow
     the Kirchhoff coefficients A = rule(S), re-read from each iterate's
     seminorms S_i = ||(-Delta)^(s/2) u_i||^2; the given c1 starts them.
-    The loop stops when every profile's sup residual at the c1 it was
-    built with is below tol and |A - rule(S)| <= max(1e-13, 5 tol)
-    max(A, 1), the gap the profile-solver noise can resolve; the
-    residuals, read from the identity, are then confirmed and returned
-    as transformed from the returned profiles.  Returns
-    (profiles (k, *grid), sup residuals (k,), gamma log, iterations,
-    seminorms S (k,)); raises IterationError after MAX_ITER iterations.
+    The loop stops when every profile's sup residual is below tol at the
+    multiplier re-read from it (scale rule(S), or the fixed c1), moved
+    there on the grid, then confirmed by transforming the returned
+    profiles.  Returns (profiles (k, *grid), sup residuals (k,), gamma
+    log, iterations, seminorms S (k,)); raises IterationError after
+    MAX_ITER iterations.
     """
     c0 = np.atleast_1d(np.asarray(c0, dtype=float))
     c1 = np.broadcast_to(np.asarray(c1, dtype=float), c0.shape)
@@ -111,9 +110,6 @@ def solve_profile(
     w_quad = grid.spacing**grid.dim
     r2 = sum(x**2 for x in grid.coords)
     u = np.exp(-r2 / width[col] ** 2)
-    if coefficient is not None:
-        scale, rule = coefficient
-        coeff, gap_tol = c1 / scale, max(1e-13, 5.0 * tol)
 
     gammas: list[np.ndarray] = []
     residual, gap = np.inf, None
@@ -146,26 +142,26 @@ def solve_profile(
                 iterations=it)
         up = sp.pos_power(u, p)
         residual = float(np.abs(lu - up).max())
-        if coefficient is None and residual >= tol:
-            continue
-        semis = sp.seminorm_inner(grid, s, uhat)
         if coefficient is not None:
-            target = np.broadcast_to(rule(semis), c0.shape)
-            gaps = np.abs(coeff - target)
-            gap = float(gaps.max())
-        if residual < tol and (coefficient is None or np.all(
-                gaps <= gap_tol * np.maximum(coeff, 1.0))):
-            # the identity's residual can read up to 5e-13 below that of
-            # u itself (uhat transformed back would repeat the identity)
-            lu = sp._ifftn(mult * sp._fftn(u, axes=axes), axes=axes)
-            residuals = np.abs(lu - up).reshape(k, -1).max(axis=1)
-            if residuals.max() < tol:
-                return u, residuals, gammas, it, semis
-        if coefficient is not None:
-            coeff, c1_new = target, scale * target
+            scale, rule = coefficient
+            semis = sp.seminorm_inner(grid, s, uhat)
+            c1_new = scale * np.broadcast_to(rule(semis), c0.shape)
+            gap = float(np.abs(c1_new - c1).max()) / scale
+            if residual < tol:
+                # L u at the new c1 on the grid: c1 (-Delta)^s u = L u - c0 u
+                moved = lu + (c1_new / c1 - 1.0)[col] * (lu - c0[col] * u)
+                residual = float(np.abs(moved - up).max())
             shift = (c1_new - c1) * semis
             c1 = c1_new
             mult = c1[col] * sym + c0[col]
+        if residual < tol:
+            # the identity's residual can read up to 5e-13 below that of
+            # u itself (uhat transformed back would repeat the identity)
+            true = sp._ifftn(mult * sp._fftn(u, axes=axes), axes=axes)
+            residuals = np.abs(true - up).reshape(k, -1).max(axis=1)
+            if residuals.max() < tol:
+                return (u, residuals, gammas, it,
+                        sp.seminorm_inner(grid, s, uhat))
     detail = "" if gap is None else f", coefficient gap {gap:.3e}"
     raise IterationError(
         f"no convergence after {MAX_ITER} iterations "
@@ -191,12 +187,11 @@ class SchrodingerGroundState:
         return self.profile.grid
 
 
-def solve_Q(grid: GridSpec, s: float, p: float, tol: float = DEFAULT_TOL,
-            init_width: float = 1.0) -> SchrodingerGroundState:
+def solve_Q(grid: GridSpec, s: float, p: float,
+            tol: float = DEFAULT_TOL) -> SchrodingerGroundState:
     """Ground state of the base equation (-Delta)^s Q + Q = Q^p."""
     values, residuals, gammas, its, semis = solve_profile(
-        grid, s, p, 1.0, 1.0, tol=tol, init_width=init_width,
-    )
+        grid, s, p, 1.0, 1.0, tol=tol)
     prof, residual = Field(grid, values[0]), float(residuals[0])
     if prof.values.min() <= 0:
         # tiny negative ripples can appear at truncation level; fail only

@@ -307,6 +307,9 @@ class ReducedSolution:
 # grid-consistent peak profiles
 # ---------------------------------------------------------------------------
 
+PROFILE_TOL = 1e-11   # sup residual of each profile at its coefficient
+
+
 @dataclass
 class GridSystem:
     """Limiting-system profiles re-solved on the computational grid."""
@@ -340,7 +343,6 @@ def solve_grid_system(
     peak_values,
     eps: float,
     shared_coefficient: bool = True,
-    tol: float = 1e-11,
 ) -> GridSystem:
     """Solve the eps-scaled limiting-system profiles on `grid`.
 
@@ -353,9 +355,9 @@ def solve_grid_system(
     grid-measured seminorms; there is no outer loop on A.  By the scaling
     technique eps^(2s-N) ||(-Delta)^(s/2) W_i||^2 scales like A^gamma,
     gamma = (N-2s)/(2s), and |gamma| < 1 when 4s > N, so each update
-    shrinks the coefficient error by a factor of at most |gamma|.  The
-    returned coefficient is A measured on the returned profiles (nan for
-    the naive system).
+    shrinks the coefficient error by a factor of at most |gamma|.  Each
+    profile solves to PROFILE_TOL at the returned A, measured on the
+    returned profiles (naive: at its own A_i; the returned A is nan).
     """
     vals = [float(v) for v in np.atleast_1d(peak_values)]
     if any(v <= 0 for v in vals):
@@ -370,7 +372,7 @@ def solve_grid_system(
     coeff = a if b == 0.0 else a * 2.0
     width = (scale * coeff / np.array(vals)) ** (1.0 / (2.0 * s))
     profs, resid, _, _, semis = solve_profile(
-        grid, s, p, c1=scale * coeff, c0=vals, tol=tol, init_width=width,
+        grid, s, p, scale * coeff, vals, tol=PROFILE_TOL, init_width=width,
         coefficient=None if b == 0.0 else (scale, rule),
     )
     if b != 0.0:

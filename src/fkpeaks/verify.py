@@ -245,11 +245,22 @@ SOBOLEV_CUTOFF_FRACTION = 0.25
 SOBOLEV_SPREAD_TOL = 10.0
 
 
+def require_three_eps(eps_values) -> None:
+    """The Sobolev growth test compares the log-log slopes of a large-eps
+    and a small-eps window of two or more eps each, which coincide with
+    fewer than three distinct eps."""
+    if len({float(e) for e in eps_values}) < 3:
+        raise ParameterError(f"verify sobolev needs at least three distinct "
+                             f"eps, got {list(eps_values)}")
+
+
 def sobolev_scaling_check(grid: GridSpec, params: ProblemParams,
                           V: Potential, eps_list, q: float, samples: int,
                           seed) -> CheckReport:
     """Ratio ||phi||_q / (eps^(N/q - N/2) ||phi||_eps) over seeded random
-    band-limited fields: bounded spread and no blow-up as eps shrinks."""
+    band-limited fields: bounded spread and no blow-up as eps shrinks.
+    Raises ParameterError for q outside [2, 2N/(N-2s)] or fewer than three
+    distinct eps."""
     n = grid.dim
     crit = (2.0 * n / (n - 2.0 * params.s) if 2.0 * params.s < n
             else math.inf)
@@ -257,6 +268,7 @@ def sobolev_scaling_check(grid: GridSpec, params: ProblemParams,
         raise ParameterError(
             f"q must lie in [2, 2N/(N-2s)] = [2, {crit:.4g}], got {q}"
         )
+    require_three_eps(eps_list)
     v_vals = V.on_grid(grid)
     cutoff = SOBOLEV_CUTOFF_FRACTION * float(np.sqrt(grid.xi_sq.max()))
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)

@@ -103,6 +103,33 @@ class TestManifest:
         err = capsys.readouterr().err
         assert "runs at one eps" in err and "sweep" in err
 
+    @pytest.mark.parametrize("check, eps, why", [
+        (None, [0.16, 0.08, 0.08, 0.016], "must be distinct"),
+        ("wrong_ansatz", [0.1, 0.1], "must be distinct"),
+        ("sobolev", [0.1], "three distinct eps"),
+        ("sobolev", [0.2, 0.1], "three distinct eps"),
+    ])
+    def test_too_few_distinct_eps_rejected_before_compute(
+            self, tmp_path, capsys, check, eps, why):
+        # a repeated eps fails the sweep's drift fit only after every
+        # search, and the Sobolev slopes need two distinct windows
+        spec = manifest_sweep(tmp_path)
+        spec["eps"] = eps
+        if check:
+            spec["command"], spec["options"] = "verify", {"check": check}
+        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        assert status == 2
+        assert run_dir is None
+        assert why in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", [[], [0.4, 0.2, 0.1]])
+    def test_sobolev_eps_validates(self, tmp_path, eps):
+        # an empty list runs the check's default eps
+        spec = manifest_sweep(tmp_path)
+        spec["command"], spec["eps"] = "verify", eps
+        spec["options"] = {"check": "sobolev"}
+        cli.RunManifest.from_dict(spec).validate()
+
     @pytest.mark.parametrize("command", ["reduce", "sweep"])
     @pytest.mark.parametrize("offset, why", [
         ([0.1, 0.2], "broadcast"), ("abc", "abc"),

@@ -60,10 +60,10 @@ class TestSolveQFractional:
 
     def test_uniqueness_probe_two_initializations(self):
         grid = sp.GridSpec(1, 30.0, 1024)
-        s1 = gs.solve_Q(grid, 0.4, 2.0, tol=1e-10, init_width=1.0)
-        s2 = gs.solve_Q(grid, 0.4, 2.0, tol=1e-10, init_width=3.0)
-        diff = np.abs(s1.profile.values - s2.profile.values).max()
-        assert diff < 1e-8
+        u1, u2 = (gs.solve_profile(grid, 0.4, 2.0, tol=1e-10,
+                                   init_width=width)[0][0]
+                  for width in (1.0, 3.0))
+        assert np.abs(u1 - u2).max() < 1e-8
 
     def test_tolerance_window_enforced(self):
         grid = sp.GridSpec(1, 10.0, 64)
@@ -160,8 +160,8 @@ def _counted_solve(monkeypatch, case):
     """One 1D solve_profile call: solve_Q's fixed multiplier, or the
     coefficient-following loop of solve_grid_system ("shared" or
     "naive").  Returns its grid, s, p, profiles, residuals, tol and
-    iterations, the multipliers c1, c0 the returned profiles were built
-    with, and the number of _fftn/_ifftn calls, transforms."""
+    iterations, the multipliers c1, c0 re-read from the returned profiles,
+    and the number of _fftn/_ifftn calls, transforms."""
     transforms = []
     for name in ("_fftn", "_ifftn"):
         def counted(*args, _inner=getattr(sp, name), **kwargs):
@@ -179,8 +179,8 @@ def _counted_solve(monkeypatch, case):
     calls = []
 
     def recorded(grid, s, p, c1, c0, tol, init_width, coefficient):
-        # the loop re-reads c1 = scale rule(S) at every iterate and
-        # returns before applying the last one
+        # the loop re-reads c1 = scale rule(S) at every iterate and stops
+        # on the residual at the last one, read from the returned profiles
         scale, rule = coefficient
         c1s = [np.broadcast_to(c1, np.shape(c0))]
 
@@ -192,7 +192,7 @@ def _counted_solve(monkeypatch, case):
         out = gs.solve_profile(grid, s, p, c1=c1, c0=c0, tol=tol,
                                init_width=init_width,
                                coefficient=(scale, seen))
-        calls.append((out, c1s[-2], c0, tol))
+        calls.append((out, c1s[-1], c0, tol))
         return out
 
     monkeypatch.setattr(rd, "solve_profile", recorded)

@@ -420,11 +420,11 @@ C11_VALUES = [1.0, 1.5]
 
 
 class TestGridSystem:
-    EPS, TOL = 0.004, 1e-11
+    EPS, TOL = 0.004, rd.PROFILE_TOL
 
     def solve(self, params=C11_PARAMS, values=C11_VALUES, **kwargs):
         return rd.solve_grid_system(C11_GRID, params, values, self.EPS,
-                                    tol=self.TOL, **kwargs)
+                                    **kwargs)
 
     def test_shared_profiles_solve_at_returned_coefficient(self):
         s, p = C11_PARAMS.s, C11_PARAMS.p
@@ -436,8 +436,20 @@ class TestGridSystem:
         semis = [sp.seminorm_sq(w, s) for w in g.profiles]
         want = (C11_PARAMS.a
                 + C11_PARAMS.b * self.EPS ** (2 * s - 1) * sum(semis))
-        gap_tol = max(1e-13, 5 * self.TOL)
-        assert abs(g.coefficient - want) <= gap_tol * max(want, 1.0)
+        # the returned A is read from the returned profiles
+        assert g.coefficient == pytest.approx(want, rel=1e-13)
+
+    def test_naive_profiles_solve_at_own_coefficient(self):
+        # each naive profile stops at A_i = a + b eps^(2s-N) S_i of itself,
+        # not at the multiplier its last iterate was built with
+        s, p = C11_PARAMS.s, C11_PARAMS.p
+        naive = self.solve(shared_coefficient=False)
+        for w, v in zip(naive.profiles, C11_VALUES):
+            a_i = (C11_PARAMS.a + C11_PARAMS.b * self.EPS ** (2 * s - 1)
+                   * sp.seminorm_sq(w, s))
+            res = gs.residual_density(w, s, p, self.EPS ** (2 * s) * a_i,
+                                      0.0, v)
+            assert np.abs(res).max() < self.TOL
 
     def test_naive_profiles_match_one_peak_systems(self):
         naive = self.solve(shared_coefficient=False)

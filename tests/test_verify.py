@@ -124,7 +124,20 @@ class TestSobolevScaling:
         with pytest.raises(ParameterError):
             vf.sobolev_scaling_check(grid, params,
                                      rd.Potential.constant(1.0, dim=1),
-                                     [0.1], q=11.0, samples=2, seed=1)
+                                     [0.4, 0.2, 0.1], q=11.0, samples=2,
+                                     seed=1)
+
+    @pytest.mark.parametrize("eps_list", [[0.1], [0.2, 0.1],
+                                          [0.2, 0.1, 0.1]])
+    def test_fewer_than_three_distinct_eps_rejected(self, eps_list):
+        # one eps makes a rank-deficient slope fit, and with two the
+        # large-eps and small-eps windows are the same two points
+        grid = sp.GridSpec(1, 6.0, 256)
+        params = sp.ProblemParams(1, 0.4, 2.0, 1.0, 0.0)
+        with pytest.raises(ParameterError, match="three distinct eps"):
+            vf.sobolev_scaling_check(grid, params,
+                                     rd.Potential.constant(1.0, dim=1),
+                                     eps_list, q=2.0, samples=2, seed=1)
 
 
 class TestInteractionInequality:
