@@ -25,31 +25,93 @@ from . import reduction as rd
 from . import spectral as sp
 from . import verify as vf
 from .errors import ParameterError
-from .groundstate import decay_fit, kirchhoff_scale, solve_Q, solve_system
+from .groundstate import (DEFAULT_TOL, decay_fit, kirchhoff_scale, solve_Q,
+                          solve_system)
 
 ENV_OUTPUT_ROOT = "FKPEAKS_OUT"
 COMMANDS = ("groundstate", "system", "reduce", "sweep", "verify")
-VERIFY_CHECKS = ("sobolev", "interaction", "wrong_ansatz", "uniqueness",
-                 "pohozaev")
 # a run is the command, or the check for verify; the runs that start from
-# peak configurations, read the eps list, run at one eps, and read
-# tolerances.solver (no run reads another tolerance)
+# peak configurations, read the eps list, and run at one eps; a sweep that
+# searches FIT_EPS or more eps fits the asymptotic exponents
 PEAK_RUNS = ("reduce", "sweep", "uniqueness", "pohozaev")
 EPS_RUNS = PEAK_RUNS + ("wrong_ansatz",)
 ONE_EPS_RUNS = ("reduce", "uniqueness", "pohozaev")
-SOLVER_TOL_RUNS = ("groundstate", "system")
-# the options keys each run reads
-OPTION_KEYS = {
-    "groundstate": {"verbose", "decay_window", "c"}, "system": {"peak_values"},
-    "reduce": {"minimize", "verbose", "y0_offset"},
-    "sweep": {"minimize", "y0_offset"}, "sobolev": {"check", "q", "samples"},
-    "interaction": {"check", "x_i", "x_j", "alpha", "beta", "sigma",
-                    "samples"},
-    "wrong_ansatz": {"check", "tol"},
-    "uniqueness": {"check", "tol", "start_offsets"},
-    "pohozaev": {"check", "solution", "center", "radius", "axis", "tol"},
+FIT_EPS = 4
+
+
+def _flag(value) -> bool:
+    """A JSON boolean: the string "false" is refused, not read as true."""
+    if not isinstance(value, bool):
+        raise ParameterError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _array(value) -> np.ndarray:
+    """A finite float array (a number is a 0-d array)."""
+    out = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise ParameterError(f"{value!r} is not finite")
+    return out
+
+
+# each table maps a key of one manifest field to (parser, default); REQUIRED
+# marks a key with no default, and None an unset value (validation resolves
+# peak_values, center and radius from the potential and the grid)
+REQUIRED = object()
+TOP_LEVEL = {"delta": (float, 0.5), "theta": (float, 0.8),
+             "strict": (_flag, False)}
+PARAMS = {"dim": (int, REQUIRED), "s": (float, REQUIRED),
+          "p": (float, REQUIRED), "a": (float, REQUIRED),
+          "b": (float, REQUIRED), "validation_mode": (_flag, False)}
+GRID = {"half_width": (float, REQUIRED), "points_per_dim": (int, REQUIRED)}
+SEEDS = {"master": (int, 1234)}
+TOLERANCES = {run: {"solver": (float, DEFAULT_TOL)}
+              for run in ("groundstate", "system")}
+CHECK = {"check": (str, REQUIRED)}
+OPTIONS = {
+    "groundstate": {"verbose": (_flag, False), "decay_window": (_array, None),
+                    "c": (float, None)},
+    "system": {"peak_values": (_array, None)},
+    "reduce": {"minimize": (_flag, True), "verbose": (_flag, False),
+               "y0_offset": (_array, 0.0)},
+    "sweep": {"minimize": (_flag, True), "y0_offset": (_array, 0.0)},
+    "sobolev": {**CHECK, "q": (float, 2.0), "samples": (int, 8)},
+    "interaction": {**CHECK, "x_i": (_array, REQUIRED),
+                    "x_j": (_array, REQUIRED), "alpha": (float, 2.0),
+                    "beta": (float, 2.0), "sigma": (float, 2.0),
+                    "samples": (int, 20000)},
+    "wrong_ansatz": {**CHECK, "tol": (float, 0.2)},
+    "uniqueness": {**CHECK, "tol": (float, 1e-6),
+                   "start_offsets": (lambda v: list(map(_array, v)),
+                                     [0.0, 0.05, -0.05])},
+    "pohozaev": {**CHECK, "solution": (str, None), "center": (_array, None),
+                 "radius": (float, None), "axis": (int, 0),
+                 "tol": (float, 1e-3)},
 }
-DEFAULT_START_OFFSETS = (0.0, 0.05, -0.05)
+VERIFY_CHECKS = tuple(r for r, table in OPTIONS.items() if "check" in table)
+
+
+def _parse(what: str, field: str, given: dict, table: dict) -> dict:
+    """The values of one manifest field parsed by its table, defaults
+    filled in; ParameterError names a key the run does not read, a missing
+    required key, or a value its parser refuses."""
+    unknown = sorted(set(given) - set(table))
+    if unknown:
+        raise ParameterError(f"{what} reads no {field} {unknown}; it reads "
+                             f"{sorted(table) or 'none'}")
+    values = {}
+    for key, (parse, default) in table.items():
+        value = given.get(key, default)
+        if value is REQUIRED:
+            raise ParameterError(f"{what} requires {field}.{key}")
+        try:
+            # a missing key takes the default, and so does null where the
+            # default is unset
+            values[key] = value if value is default else parse(value)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"{field}.{key}: {exc}") from None
+    return values
+
 
 RUN_README = """\
 Run directory layout
@@ -89,12 +151,12 @@ class RunManifest:
     potential: dict = field(default_factory=lambda: {"kind": "constant",
                                                      "value": 1.0})
     eps: list = field(default_factory=list)
-    delta: float = 0.5
-    theta: float = 0.8
-    seeds: dict = field(default_factory=lambda: {"master": 1234})
+    delta: float = TOP_LEVEL["delta"][1]
+    theta: float = TOP_LEVEL["theta"][1]
+    seeds: dict = field(default_factory=lambda: {"master": SEEDS["master"][1]})
     tolerances: dict = field(default_factory=dict)
     output_dir: str = ""
-    strict: bool = False
+    strict: bool = TOP_LEVEL["strict"][1]
     options: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -102,8 +164,7 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunManifest":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ParameterError(f"unknown manifest fields: {sorted(unknown)}")
         if "command" not in data:
@@ -114,35 +175,19 @@ class RunManifest:
     def from_file(cls, path) -> "RunManifest":
         return cls.from_dict(json.loads(Path(path).read_text()))
 
-    # -- validation: every numeric field passes its owning type's checks
-    #    before any compute starts
+    # -- validation: every value a run reads is parsed, and passes its
+    #    owning type's checks, before any compute starts
 
     def validate(self) -> tuple[sp.ProblemParams, sp.GridSpec, rd.Potential,
-                                list[rd.PeakConfig]]:
-        """The checked inputs of the run: params, grid, potential and its
-        starts, the peak configurations it computes from (largest eps
-        first; empty outside PEAK_RUNS)."""
+                                list[rd.PeakConfig], dict]:
+        """The checked inputs of the run: params, grid, potential, the peak
+        configurations it computes from (largest eps first; empty outside
+        PEAK_RUNS), and the parsed values it reads: `delta`, `theta`,
+        `strict`, `eps` and, by field, `params` to `options`."""
         if self.command not in COMMANDS:
             raise ParameterError(
                 f"command must be one of {COMMANDS}, got {self.command!r}"
             )
-        params = sp.ProblemParams(
-            dim=int(self.params["dim"]), s=float(self.params["s"]),
-            p=float(self.params["p"]), a=float(self.params["a"]),
-            b=float(self.params["b"]),
-            validation_mode=bool(self.params.get("validation_mode", False)),
-        )
-        grid = sp.GridSpec(params.dim, float(self.grid["half_width"]),
-                           int(self.grid["points_per_dim"]))
-        potential = build_potential(self.potential, params.dim)
-        for i, e in enumerate(self.eps):
-            if not (0.0 < float(e)):
-                raise ParameterError(f"eps values must be positive, got {e}")
-            if float(e) in map(float, self.eps[:i]):
-                raise ParameterError(f"eps values must be distinct, got {e} "
-                                     f"twice in {self.eps}")
-        if self.delta <= 0 or not (0.0 < self.theta < 1.0):
-            raise ParameterError("need delta > 0 and theta in (0, 1)")
         run = self.command
         if run == "verify":
             run = self.options.get("check")
@@ -151,109 +196,98 @@ class RunManifest:
                     f"verify needs options.check in {VERIFY_CHECKS}, "
                     f"got {run!r}")
         what = run if run == self.command else f"verify {run}"
-        for kind, given, read in (
-                ("options", self.options, OPTION_KEYS[run]),
-                ("tolerances", self.tolerances,
-                 {"solver"} if run in SOLVER_TOL_RUNS else set())):
-            if set(given) - read:
-                raise ParameterError(
-                    f"{what} reads no {kind} {sorted(set(given) - read)}; it"
-                    f" reads {sorted(read) or 'none'}")
-        if not self.eps and run in EPS_RUNS:
+        values = _parse(what, "manifest",
+                        {k: getattr(self, k) for k in TOP_LEVEL}, TOP_LEVEL)
+        for name, table in (("params", PARAMS), ("grid", GRID),
+                            ("seeds", SEEDS), ("options", OPTIONS[run]),
+                            ("tolerances", TOLERANCES.get(run, {}))):
+            values[name] = _parse(what, name, getattr(self, name), table)
+        params = sp.ProblemParams(**values["params"])
+        grid = sp.GridSpec(params.dim, **values["grid"])
+        potential = build_potential(self.potential, params.dim)
+        values["eps"] = eps = [float(e) for e in self.eps]
+        for i, e in enumerate(eps):
+            if not (0.0 < e):
+                raise ParameterError(f"eps values must be positive, got {e}")
+            if e in eps[:i]:
+                raise ParameterError(f"eps values must be distinct, got {e} "
+                                     f"twice in {self.eps}")
+        delta, theta = values["delta"], values["theta"]
+        if delta <= 0 or not (0.0 < theta < 1.0):
+            raise ParameterError("need delta > 0 and theta in (0, 1)")
+        if not eps and run in EPS_RUNS:
             raise ParameterError(f"{what} requires a nonempty eps list")
-        if len(self.eps) > 1 and run in ONE_EPS_RUNS:
+        if len(eps) > 1 and run in ONE_EPS_RUNS:
             raise ParameterError(
-                f"{what} runs at one eps, got {len(self.eps)}: {self.eps}; "
+                f"{what} runs at one eps, got {len(eps)}: {self.eps}; "
                 "use the sweep command for an eps list")
-        if run == "sweep" and _fits_asymptotics(self):
-            vf.require_decade_span(self.eps)
-        if run == "sobolev" and self.eps:
-            vf.require_three_eps(self.eps)
-        if run not in PEAK_RUNS:
-            return params, grid, potential, []
-        if run == "uniqueness":
-            offsets = self.options.get("start_offsets", DEFAULT_START_OFFSETS)
-        elif run == "pohozaev":
-            offsets = [0.0]
-        else:
-            offsets = [self.options.get("y0_offset", 0.0)]
-        starts = [
-            rd.PeakConfig(e, potential.peaks + _start_offset(off, potential),
-                          self.delta, self.theta)
-            for e in sorted(map(float, self.eps), reverse=True)
-            for off in offsets
-        ]
-        # D_eps_delta's separation eps^theta needs theta in the window
-        lo, hi = starts[0].theta_window(params.s, potential.holder)
-        if not (lo < self.theta < hi):
+        options = values["options"]
+        if run == "sweep" and len(eps) >= FIT_EPS and options["minimize"]:
+            vf.require_decade_span(eps)
+        if run == "sobolev" and eps:
+            vf.require_three_eps(eps)
+        window = options.get("decay_window")
+        if window is not None and not (window.shape == (2,) and 0 < window[0]
+                                       < window[1] < grid.half_width / 2):
             raise ParameterError(
-                f"theta must lie in the window ((N+2s)/(N+2s+alpha), 1)"
-                f" = ({lo:.6g}, {hi:g}), got {self.theta}")
+                f"options.decay_window must be [r1, r2], 0 < r1 < r2 < L/2 ="
+                f" {grid.half_width / 2:g}, got {window.tolist()}")
+        for key, value in (("peak_values", potential.peak_values),
+                           ("center", potential.peaks[0]),
+                           ("radius", grid.half_width / 4)):
+            if key in options and options[key] is None:
+                options[key] = value
+        if run not in PEAK_RUNS:
+            return params, grid, potential, [], values
+        # pohozaev starts at the wells
+        offsets = options.get("start_offsets",
+                              [options.get("y0_offset", 0.0)])
+        starts = [rd.PeakConfig(e, potential.peaks + np.broadcast_to(
+                      off, potential.peaks.shape), delta, theta)
+                  for e in sorted(eps, reverse=True) for off in offsets]
         if run == "uniqueness" and len(starts) < 2:
             raise ParameterError(
                 "verify uniqueness compares solutions from at least two "
                 f"start_offsets, got {len(starts)}")
+        # D_eps_delta's separation eps^theta needs theta in the window
+        lo, hi = starts[0].theta_window(params.s, potential.holder)
+        if not (lo < theta < hi):
+            raise ParameterError(
+                f"theta must lie in the window ((N+2s)/(N+2s+alpha), 1)"
+                f" = ({lo:.6g}, {hi:g}), got {theta}")
         if run in ("reduce", "sweep"):
             # the start must lie in D_eps_delta at every eps it runs at;
             # uniqueness reports starts outside it, pohozaev refuses at
             # compute
             for cfg in starts:
                 cfg.require_admissible(potential)
-        return params, grid, potential, starts
-
-
-def _start_offset(value, potential: rd.Potential) -> np.ndarray:
-    """A start offset from the wells, broadcast to their (k, N) shape;
-    TypeError or ValueError when it is not numeric or does not broadcast."""
-    offset = np.broadcast_to(np.asarray(value, dtype=float),
-                             potential.peaks.shape)
-    if not np.all(np.isfinite(offset)):
-        raise ParameterError(f"start offset {value!r} is not finite")
-    return offset
-
-
-def _fits_asymptotics(manifest: RunManifest) -> bool:
-    """A sweep fits the asymptotic exponents when it searches four or more
-    eps."""
-    return (len(manifest.eps) >= 4
-            and bool(manifest.options.get("minimize", True)))
+        return params, grid, potential, starts, values
 
 
 # the keys of each potential kind besides `kind`: its constructor's arguments
-POTENTIAL_KEYS = {
-    "constant": {"value"},
-    "single_well": {"center", "value", "coeffs", "m", "holder", "asym",
-                    "asym_power"},
-    "multi_well": {"centers", "values", "coeffs", "m", "far_value",
-                   "plateau", "holder"},
+POTENTIALS = {
+    "constant": {"value": (float, 1.0)},
+    "single_well": {"center": (_array, REQUIRED), "value": (float, REQUIRED),
+                    "coeffs": (_array, REQUIRED), "m": (float, REQUIRED),
+                    "holder": (float, 1.0), "asym": (float, 0.0),
+                    "asym_power": (float, None)},
+    "multi_well": {"centers": (_array, REQUIRED), "values": (_array, REQUIRED),
+                   "coeffs": (_array, REQUIRED), "m": (float, REQUIRED),
+                   "far_value": (float, REQUIRED), "plateau": (float, None),
+                   "holder": (float, 1.0)},
 }
 
 
 def build_potential(spec: dict, dim: int) -> rd.Potential:
     kind = spec.get("kind", "constant")
-    if kind not in POTENTIAL_KEYS:
+    if kind not in POTENTIALS:
         raise ParameterError(f"unknown potential kind {kind!r}")
-    unknown = set(spec) - POTENTIAL_KEYS[kind] - {"kind"}
-    if unknown:
-        raise ParameterError(
-            f"unknown keys for potential kind {kind!r}: {sorted(unknown)}")
+    values = _parse(f"potential kind {kind!r}", "potential",
+                    {k: v for k, v in spec.items() if k != "kind"},
+                    POTENTIALS[kind])
     if kind == "constant":
-        return rd.Potential.constant(float(spec.get("value", 1.0)), dim=dim)
-    if kind == "single_well":
-        return rd.Potential.single_well(
-            center=spec["center"], value=float(spec["value"]),
-            coeffs=spec["coeffs"], m=float(spec["m"]),
-            holder=float(spec.get("holder", 1.0)),
-            asym=float(spec.get("asym", 0.0)),
-            asym_power=spec.get("asym_power"),
-        )
-    return rd.Potential.multi_well(
-        centers=spec["centers"], values=spec["values"],
-        coeffs=spec["coeffs"], m=float(spec["m"]),
-        far_value=float(spec["far_value"]),
-        plateau=spec.get("plateau"),
-        holder=float(spec.get("holder", 1.0)),
-    )
+        return rd.Potential.constant(dim=dim, **values)
+    return getattr(rd.Potential, kind)(**values)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -286,17 +320,17 @@ def _log_iterations(run_dir: Path, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _stage_groundstate(manifest, params, grid, potential, starts,
+def _stage_groundstate(values, params, grid, potential, starts,
                        run_dir) -> dict:
-    tol = float(manifest.tolerances.get("solver", 1e-9))
+    tol, options = values["tolerances"]["solver"], values["options"]
     state = solve_Q(grid, params.s, params.p, tol=tol)
-    if manifest.options.get("verbose"):
+    if options["verbose"]:
         _log_iterations(run_dir, (
             {"iteration": i + 1, "gamma": g}
             for i, g in enumerate(state.gammas)
         ))
-    window = manifest.options.get("decay_window")
-    slope = decay_fit(state.profile, tuple(window)) if window else None
+    window = options["decay_window"]
+    slope = None if window is None else decay_fit(state.profile, window)
     fio.save_field(state.profile, run_dir / "groundstate", meta={
         "residual": state.residual, "seminorm_sq": state.seminorm_sq,
         "s": params.s, "p": params.p, "iterations": state.iterations,
@@ -311,8 +345,8 @@ def _stage_groundstate(manifest, params, grid, potential, starts,
         "decay_slope": slope,
         "passed": state.residual < tol,
     }
-    if "c" in manifest.options:
-        ground = kirchhoff_scale(state, params, float(manifest.options["c"]))
+    if options["c"] is not None:
+        ground = kirchhoff_scale(state, params, options["c"])
         fio.save_field(ground.profile, run_dir / "kirchhoff", meta={
             "alpha": ground.alpha, "beta": ground.beta, "c": ground.c,
             "residual": ground.residual,
@@ -326,13 +360,10 @@ def _stage_groundstate(manifest, params, grid, potential, starts,
     return report
 
 
-def _stage_system(manifest, params, grid, potential, starts, run_dir) -> dict:
-    tol = float(manifest.tolerances.get("solver", 1e-9))
-    state = solve_Q(grid, params.s, params.p, tol=tol)
-    peak_values = manifest.options.get("peak_values")
-    if peak_values is None:
-        peak_values = potential.peak_values.tolist()
-    system = solve_system(state, params, peak_values)
+def _stage_system(values, params, grid, potential, starts, run_dir) -> dict:
+    state = solve_Q(grid, params.s, params.p,
+                    tol=values["tolerances"]["solver"])
+    system = solve_system(state, params, values["options"]["peak_values"])
     for i, prof in enumerate(system.profiles):
         fio.save_field(prof, run_dir / f"peak_{i}", meta={
             "alpha": system.alphas[i], "beta": system.betas[i],
@@ -355,12 +386,11 @@ def _stage_system(manifest, params, grid, potential, starts, run_dir) -> dict:
     return report
 
 
-def _stage_reduce(manifest, params, grid, potential, starts, run_dir) -> dict:
+def _stage_reduce(values, params, grid, potential, starts, run_dir) -> dict:
     eps = starts[0].eps
-    minimize = bool(manifest.options.get("minimize", True))
-    red = rd.Reducer(grid, params, potential, strict=manifest.strict)
-    report, sol = rd.reduce_at(red, starts[0], minimize)
-    if manifest.options.get("verbose"):
+    red = rd.Reducer(grid, params, potential, strict=values["strict"])
+    report, sol = rd.reduce_at(red, starts[0], values["options"]["minimize"])
+    if values["options"]["verbose"]:
         _log_iterations(run_dir, (
             {"iteration": i + 1, "increment_eps_norm": inc,
              "inner_iterations": inner, "forcing": eta}
@@ -373,9 +403,9 @@ def _stage_reduce(manifest, params, grid, potential, starts, run_dir) -> dict:
     return report
 
 
-def _stage_sweep(manifest, params, grid, potential, starts, run_dir) -> dict:
-    minimize = bool(manifest.options.get("minimize", True))
-    red = rd.Reducer(grid, params, potential, strict=manifest.strict)
+def _stage_sweep(values, params, grid, potential, starts, run_dir) -> dict:
+    minimize = values["options"]["minimize"]
+    red = rd.Reducer(grid, params, potential, strict=values["strict"])
     records = rd.sweep_reduction(red, starts, minimize)
     with open(run_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -390,7 +420,7 @@ def _stage_sweep(manifest, params, grid, potential, starts, run_dir) -> dict:
                 r["iterations"], r["passed"],
             ])
     report = {"records": records, "passed": all(r["passed"] for r in records)}
-    if _fits_asymptotics(manifest):
+    if len(records) >= FIT_EPS and minimize:
         fit = vf.asymptotics_fit(records, m=potential.m, dim=params.dim)
         _write_json(run_dir / "asymptotics.json", fit.as_dict())
         report["asymptotics"] = fit.as_dict()
@@ -398,53 +428,33 @@ def _stage_sweep(manifest, params, grid, potential, starts, run_dir) -> dict:
     return report
 
 
-def _stage_verify(manifest, params, grid, potential, starts, run_dir) -> dict:
-    check = manifest.options.get("check")
-    seeds = manifest.seeds.get("master", 1234)
+def _stage_verify(values, params, grid, potential, starts, run_dir) -> dict:
+    options = dict(values["options"])
+    check, seed = options.pop("check"), values["seeds"]["master"]
     if check == "sobolev":
         rep = vf.sobolev_scaling_check(
             grid, params, potential,
-            eps_list=manifest.eps or [0.4, 0.2, 0.1, 0.05],
-            q=float(manifest.options.get("q", 2.0)),
-            samples=int(manifest.options.get("samples", 8)),
-            seed=seeds,
-        )
+            eps_list=values["eps"] or [0.4, 0.2, 0.1, 0.05], seed=seed,
+            **options)
     elif check == "interaction":
-        rep = vf.interaction_inequality_check(
-            x_i=manifest.options["x_i"], x_j=manifest.options["x_j"],
-            alpha=float(manifest.options.get("alpha", 2.0)),
-            beta=float(manifest.options.get("beta", 2.0)),
-            sigma=float(manifest.options.get("sigma", 2.0)),
-            samples=int(manifest.options.get("samples", 20000)),
-            seed=seeds,
-        )
+        rep = vf.interaction_inequality_check(seed=seed, **options)
     elif check == "wrong_ansatz":
-        rep = vf.wrong_ansatz_gap(
-            grid, params, potential,
-            eps_list=[float(e) for e in manifest.eps],
-            tol=float(manifest.options.get("tol", 0.2)),
-        )
+        rep = vf.wrong_ansatz_gap(grid, params, potential,
+                                  eps_list=values["eps"], **options)
     elif check == "uniqueness":
-        red = rd.Reducer(grid, params, potential, strict=manifest.strict)
-        rep = vf.uniqueness_probe(red, starts,
-                                  tol=float(manifest.options.get("tol", 1e-6)))
+        red = rd.Reducer(grid, params, potential, strict=values["strict"])
+        rep = vf.uniqueness_probe(red, starts, tol=options["tol"])
     else:
         # pohozaev: solution from a snapshot if given, else the correction
         # at the wells
-        if "solution" in manifest.options:
-            u, _ = fio.load_field(manifest.options["solution"])
+        if (solution := options.pop("solution")) is not None:
+            u, _ = fio.load_field(solution)
         else:
-            red = rd.Reducer(grid, params, potential, strict=manifest.strict)
+            red = rd.Reducer(grid, params, potential,
+                             strict=values["strict"])
             u = rd.solve_correction(red, starts[0]).solution
-        rep = vf.pohozaev_residual(
-            u, starts[0].eps, params, potential,
-            center=manifest.options.get("center",
-                                        potential.peaks[0].tolist()),
-            radius=float(manifest.options.get("radius",
-                                              grid.half_width / 4)),
-            axis=int(manifest.options.get("axis", 0)),
-            tol=float(manifest.options.get("tol", 1e-3)),
-        )
+        rep = vf.pohozaev_residual(u, starts[0].eps, params, potential,
+                                   **options)
     vf.append_jsonl(rep, run_dir / "checks.jsonl")
     vf.write_csv([rep], run_dir / "checks.csv")
     # diagnostic-only reports (passed is None) never gate the exit code
@@ -465,7 +475,7 @@ STAGES = {
 def run(manifest: RunManifest, out_override=None) -> tuple[int, Path | None]:
     """Execute a manifest; returns (exit status, run directory)."""
     try:
-        params, grid, potential, starts = manifest.validate()
+        params, grid, potential, starts, values = manifest.validate()
     except (ParameterError, KeyError, TypeError, ValueError) as exc:
         sys.stderr.write(json.dumps({
             "error": "validation", "detail": str(exc),
@@ -474,7 +484,7 @@ def run(manifest: RunManifest, out_override=None) -> tuple[int, Path | None]:
     run_dir = _prepare_run_dir(manifest, out_override)
     t0 = time.time()
     try:
-        report = STAGES[manifest.command](manifest, params, grid, potential,
+        report = STAGES[manifest.command](values, params, grid, potential,
                                           starts, run_dir)
     except Exception as exc:
         sys.stderr.write(json.dumps({

@@ -387,10 +387,8 @@ def pde_residual(u: Field, params: ProblemParams, V, eps: float = 1.0):
     """
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    s, p, n = params.s, params.p, params.dim
-    density = residual_density(u, s, p, eps ** (2.0 * s) * params.a,
-                               eps ** (4.0 * s - n) * params.b, V)
-    h = u.grid.spacing ** n
+    density = residual_density(u, params.s, params.p, *params.scaled(eps), V)
+    h = u.grid.spacing ** params.dim
     sup = float(np.abs(density).max())
     l2 = float(np.sqrt(h * (density**2).sum()))
     return sup, l2

@@ -455,8 +455,7 @@ class _Frame:
         eps, s, n = cfg.eps, params.s, params.dim
         peak_fields, self.U = red.system(eps).ansatz(cfg.y)
         self.V = red.V
-        self.a_eps = eps ** (2.0 * s) * params.a
-        self.C = params.b * eps ** (4.0 * s - n)            # Kirchhoff weight
+        self.a_eps, self.C = params.scaled(eps)  # C: Kirchhoff weight
         self.h = grid.spacing**n
         self.L = self.second_variation(self.U)              # L_eps
 
@@ -569,11 +568,12 @@ class _Frame:
         return self.project(-self.precondition(rhs_density))
 
     def solve_constrained(self, b: np.ndarray, rtol: float, atol: float,
-                          maxiter: int, lin: LinearizedOperator | None = None,
-                          callback=None) -> np.ndarray:
+                          maxiter: int, lin: LinearizedOperator | None = None
+                          ) -> tuple[np.ndarray, int]:
         """Solve the constrained symmetric system A phi = -rhs on E_{eps,y}
         for b = krylov_rhs(rhs); A is L_eps by default, or the second
-        variation `lin`.
+        variation `lin`.  Returns phi and the MINRES iterations spent,
+        restarts included.
 
         Projected MINRES on Q m A m Q, m = P0^(-1/2), over the packed
         spectra of xi = P0^(1/2) phi; packing is an isometry, so norms are
@@ -586,9 +586,8 @@ class _Frame:
         which can leave the true residual at half of ||b||, so it starts
         at rtol/10 (but not below CORRECTION_INNER_RTOL) and restarts from
         xi at a tenth of its last rtol while the true residual misses.
-        `callback(xk)` is called at every MINRES iteration, restarts
-        included.  Raises LinearSolveError when a restart no longer
-        reduces the residual or `maxiter` iterations are spent in all.
+        Raises LinearSolveError when a restart no longer reduces the
+        residual or `maxiter` iterations are spent in all.
         """
         lin = self.L if lin is None else lin
         bnorm = float(np.linalg.norm(b))
@@ -596,11 +595,9 @@ class _Frame:
                                 matvec=lambda v: self.apply_hat(v, lin))
         spent = 0
 
-        def count(xk):
+        def count(_xk):
             nonlocal spent
             spent += 1
-            if callback is not None:
-                callback(xk)
 
         target = max(rtol * bnorm, atol)
         # one MINRES run gains nothing below CORRECTION_INNER_RTOL
@@ -615,7 +612,7 @@ class _Frame:
             # grids), so a residual under 1e-8 ||xi|| is roundoff
             xnorm = float(np.linalg.norm(xi))
             if resid <= max(target, 1e-8 * xnorm):
-                return self.to_field(self.project(xi))
+                return self.to_field(self.project(xi)), spent
             if resid >= last or spent >= maxiter:
                 raise LinearSolveError(
                     f"projected MINRES stalled: true residual {resid:.3e} "
@@ -744,9 +741,6 @@ def solve_correction(
     inner: list[int] = []
     last_bnorm = math.inf       # with no previous step eta is its floor
 
-    def count(_xk):
-        inner[-1] += 1
-
     bad_streak = 0
     for it in range(1, MAX_CORRECTION_STEPS + 1):
         u = Field(red.grid, fr.U.values + phi)
@@ -759,11 +753,9 @@ def solve_correction(
             eta = _forcing(bnorm, last_bnorm, tau)
         last_bnorm = bnorm
         forcing.append(eta)
-        inner.append(0)
         try:
-            delta = fr.solve_constrained(b, rtol=eta, atol=0.01 * tau,
-                                         maxiter=maxiter, lin=lin,
-                                         callback=count)
+            delta, its = fr.solve_constrained(b, rtol=eta, atol=0.01 * tau,
+                                              maxiter=maxiter, lin=lin)
         except LinearSolveError:
             if ratios and ratios[-1] >= 1.0:
                 raise NoContractionError(
@@ -772,6 +764,7 @@ def solve_correction(
                     ratios=ratios,
                 ) from None
             raise
+        inner.append(its)
         phi = phi + delta
         inc = fr.eps_norm(delta)
         increments.append(inc)

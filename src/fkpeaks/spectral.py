@@ -253,6 +253,12 @@ class ProblemParams:
                 f"- 1 = {self.critical_exponent:.6g} for N={n}, s={s}"
             )
 
+    def scaled(self, eps: float) -> tuple[float, float]:
+        """The coefficients (eps^2s a, eps^(4s-N) b) of the eps-scaled
+        equation."""
+        return (eps ** (2.0 * self.s) * self.a,
+                eps ** (4.0 * self.s - self.dim) * self.b)
+
     @property
     def critical_exponent(self) -> float:
         """Upper bound of the admissible p window (inf when 2s >= N)."""

@@ -132,7 +132,8 @@ def _pohozaev_terms(u: Field, eps: float, params: ProblemParams, V,
     grid = u.grid
     s, p = params.s, params.p
     sem = sp.seminorm_sq(u, s)
-    coeff = eps ** (2.0 * s) * params.a + eps ** (4.0 * s - grid.dim) * params.b * sem
+    a_eps, b_eps = params.scaled(eps)
+    coeff = a_eps + b_eps * sem
 
     b_pts, normals, b_w = _sphere_nodes(grid, center, radius)
     u_b = sp.interpolate(u, b_pts)
@@ -417,8 +418,7 @@ def wrong_ansatz_gap(grid: GridSpec, params: ProblemParams,
         system = solve_grid_system(grid, params, vals, eps,
                                    shared_coefficient=True)
         rec = {"eps": eps, "naive": [], "system": [], "expected": []}
-        a_eps = eps ** (2.0 * s) * params.a
-        b_eps = eps ** (4.0 * s - n) * b
+        a_eps, b_eps = params.scaled(eps)
         for label, gs_obj in (("naive", naive), ("system", system)):
             shifted, u = gs_obj.ansatz(potential.peaks)
             dens = residual_density(u, s, p, a_eps, b_eps,

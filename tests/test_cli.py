@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -152,11 +153,13 @@ class TestManifest:
     @pytest.mark.parametrize("offsets, why", [
         ([0.0, [0.1, 0.2]], "broadcast"), ([0.0, "abc"], "abc"),
         (0.05, "not iterable"), ([0.0], "at least two start_offsets"),
-    ], ids=["offsets0", "offsets1", "0.05", "offsets3"])
+        ([], "at least two start_offsets"),
+    ], ids=["offsets0", "offsets1", "0.05", "offsets3", "offsets4"])
     def test_bad_uniqueness_starts_rejected_before_compute(
             self, tmp_path, capsys, offsets, why):
         # one 1D peak: a 2-vector does not fit, "abc" is not numeric, a
-        # bare number is not a list, and one start leaves nothing to compare
+        # bare number is not a list, and one start or none leaves nothing
+        # to compare
         spec = manifest_sweep(tmp_path)
         spec["command"], spec["eps"] = "verify", [0.1]
         spec["options"] = {"check": "uniqueness", "start_offsets": offsets}
@@ -225,6 +228,57 @@ class TestManifest:
         assert not (tmp_path / "sweep").exists()
         assert f"reads no options ['{key}']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("run, change, named", [
+        ("reduce", {"options": {"minimize": "false"}}, "options.minimize"),
+        ("groundstate", {"options": {"verbose": "no"}}, "options.verbose"),
+        ("reduce", {"strict": "false"}, "manifest.strict"),
+        ("groundstate", {"params": {"validation_mode": "false"}},
+         "params.validation_mode"),
+        ("pohozaev", {"options": {"radius": "big"}}, "options.radius"),
+        ("sobolev", {"options": {"q": "two"}}, "options.q"),
+        ("uniqueness", {"options": {"tol": "tight"}}, "options.tol"),
+        ("system", {"options": {"peak_values": "x"}}, "options.peak_values"),
+        ("interaction", {"options": {"x_j": [2.0]}}, "options.x_i"),
+        ("groundstate", {"options": {"decay_window": [1.0]}},
+         "options.decay_window"),
+        ("groundstate", {"seeds": {"mater": 7}}, "reads no seeds ['mater']"),
+        ("groundstate", {"params": {"bogus": 1}}, "reads no params ['bogus']"),
+        ("groundstate", {"grid": {"bogus": 1}}, "reads no grid ['bogus']"),
+        ("reduce", {"potential": {"m": "two"}}, "potential.m"),
+    ])
+    def test_unparsed_value_refused_before_compute(
+            self, tmp_path, capsys, monkeypatch, run, change, named):
+        # every value a run reads is parsed at validation: a string is no
+        # flag ("false" would read as true), a misspelt key is no default,
+        # and nothing is solved (not Q, not the pohozaev correction) first
+        solved = []
+        monkeypatch.setattr(cli, "solve_Q", lambda *a, **k: solved.append(a))
+        monkeypatch.setattr(rd, "solve_correction",
+                            lambda *a, **k: solved.append(a))
+        spec = manifest_sweep(tmp_path)
+        spec["command"] = run
+        if run in cli.VERIFY_CHECKS:
+            spec["command"], spec["options"] = "verify", {"check": run}
+        if run in cli.ONE_EPS_RUNS:
+            spec["eps"] = [0.1]
+        for name, value in change.items():
+            if isinstance(value, dict):
+                spec.setdefault(name, {}).update(value)
+            else:
+                spec[name] = value
+        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        assert (status, run_dir, solved) == (2, None, [])
+        assert not (tmp_path / "sweep").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and named in err["detail"]
+
+    def test_null_leaves_an_unset_option_unset(self, tmp_path):
+        spec = manifest_sweep(tmp_path)
+        spec["command"], spec["options"] = "system", {"peak_values": None}
+        spec["potential"]["asym_power"] = None
+        values = cli.RunManifest.from_dict(spec).validate()[-1]
+        assert values["options"]["peak_values"].tolist() == [1.0]
+
     def test_theta_window_only_where_theta_is_used(self, tmp_path):
         spec = manifest_groundstate(tmp_path)
         spec["theta"] = 0.5
@@ -257,6 +311,18 @@ class TestManifest:
         section = readme.split("### Manifest example", 1)[1]
         block = section.split("```json", 1)[1].split("```", 1)[0]
         cli.RunManifest.from_dict(json.loads(block)).validate()
+
+    def test_readme_lists_each_runs_options(self):
+        # one bullet per run, naming exactly the keys of cli.OPTIONS
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("with their defaults (`cli.OPTIONS`):\n", 1)[1]
+        listed = {}
+        for bullet in section.split("\n\n", 1)[0].split("\n- "):
+            run, keys = bullet.removeprefix("- ").split(":", 1)
+            listed[run.strip("`").split()[-1]] = set(
+                re.findall(r"`(\w+)`", keys))
+        assert listed == {run: set(table)
+                          for run, table in cli.OPTIONS.items()}
 
     def test_validation_cites_subcritical_window(self, tmp_path, capsys):
         bad = manifest_groundstate(tmp_path)

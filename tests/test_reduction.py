@@ -516,7 +516,7 @@ class TestSolveConstrained:
         # MINRES returns x = 0 for b = 0, and the true residual accepts it
         fr = reducer_2d.frame(self.CFG)
         b = np.zeros_like(fr.krylov_rhs(fr.gradient_density(fr.U)))
-        phi = fr.solve_constrained(b, rtol=1e-11, atol=0.0, maxiter=10)
+        phi, _ = fr.solve_constrained(b, rtol=1e-11, atol=0.0, maxiter=10)
         assert phi.shape == fr.U.values.shape
         assert not np.any(phi)
 
@@ -579,8 +579,9 @@ class TestSolveCorrection:
         def solve(self, *args, **kwargs):
             if len(steps) + 1 == fail_at:
                 raise LinearSolveError("projected MINRES stalled")
-            steps.append(steps[0] if steps else orig(self, *args, **kwargs))
-            return growth ** (len(steps) - 1) * steps[0]
+            steps.append(steps[0] if steps
+                         else orig(self, *args, **kwargs)[0])
+            return growth ** (len(steps) - 1) * steps[0], 1
 
         monkeypatch.setattr(rd._Frame, "solve_constrained", solve)
         cfg = rd.PeakConfig(0.1, [[0.3]], delta=0.5, theta=0.8)
@@ -593,10 +594,10 @@ class TestSolveCorrection:
         orig = rd._Frame.solve_constrained
         calls = []
 
-        def solve(self, b, rtol, atol, maxiter, lin=None, callback=None):
-            delta = orig(self, b, rtol, atol, maxiter, lin, callback)
-            calls.append((self, b, rtol, atol, lin, delta))
-            return delta
+        def solve(self, b, rtol, atol, maxiter, lin=None):
+            delta, its = orig(self, b, rtol, atol, maxiter, lin)
+            calls.append((self, b, rtol, atol, lin, delta, its))
+            return delta, its
 
         monkeypatch.setattr(rd._Frame, "solve_constrained", solve)
         cfg = rd.PeakConfig(0.16, [[0.35]], delta=0.5, theta=0.8)
@@ -609,7 +610,8 @@ class TestSolveCorrection:
         assert newton and all(c[4] is not None for c in newton)
         assert max(c[2] for c in newton) > 1e3 * rd.CORRECTION_INNER_RTOL
         assert all(n > 0 for n in sol.inner_iterations)
-        for fr, b, eta, atol, lin, delta in newton:
+        assert [c[6] for c in calls] == sol.inner_iterations
+        for fr, b, eta, atol, lin, delta, _ in newton:
             # the Krylov coordinates xi = P0^(1/2) delta of the step; atol,
             # a hundredth of the outer tolerance, binds only once ||b||
             # is below a tenth of it
