@@ -47,10 +47,17 @@ def _flag(value) -> bool:
 
 
 def _array(value) -> np.ndarray:
-    """A finite float array (a number is a 0-d array)."""
+    """A finite nonempty float array (a number is a 0-d array)."""
     out = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise ParameterError(f"{value!r} is not finite")
+    if out.size == 0 or not np.all(np.isfinite(out)):
+        raise ParameterError(f"{value!r} is empty or not finite")
+    return out
+
+
+def _count(value) -> int:
+    """An int of at least 1."""
+    if (out := int(value)) < 1:
+        raise ParameterError(f"must be at least 1, got {value!r}")
     return out
 
 
@@ -75,11 +82,11 @@ OPTIONS = {
     "reduce": {"minimize": (_flag, True), "verbose": (_flag, False),
                "y0_offset": (_array, 0.0)},
     "sweep": {"minimize": (_flag, True), "y0_offset": (_array, 0.0)},
-    "sobolev": {**CHECK, "q": (float, 2.0), "samples": (int, 8)},
+    "sobolev": {**CHECK, "q": (float, 2.0), "samples": (_count, 8)},
     "interaction": {**CHECK, "x_i": (_array, REQUIRED),
                     "x_j": (_array, REQUIRED), "alpha": (float, 2.0),
                     "beta": (float, 2.0), "sigma": (float, 2.0),
-                    "samples": (int, 20000)},
+                    "samples": (_count, 20000)},
     "wrong_ansatz": {**CHECK, "tol": (float, 0.2)},
     "uniqueness": {**CHECK, "tol": (float, 1e-6),
                    "start_offsets": (lambda v: list(map(_array, v)),
@@ -237,6 +244,8 @@ class RunManifest:
                            ("radius", grid.half_width / 4)):
             if key in options and options[key] is None:
                 options[key] = value
+        if run == "pohozaev":
+            vf.require_ball(grid, options["center"], options["radius"])
         if run not in PEAK_RUNS:
             return params, grid, potential, [], values
         # pohozaev starts at the wells
@@ -286,8 +295,12 @@ def build_potential(spec: dict, dim: int) -> rd.Potential:
                     {k: v for k, v in spec.items() if k != "kind"},
                     POTENTIALS[kind])
     if kind == "constant":
-        return rd.Potential.constant(dim=dim, **values)
-    return getattr(rd.Potential, kind)(**values)
+        values["dim"] = dim
+    potential = getattr(rd.Potential, kind)(**values)
+    if potential.dim != dim:
+        raise ParameterError(f"potential kind {kind!r} is {potential.dim}D, "
+                             f"but params.dim is {dim}")
+    return potential
 
 
 def _write_json(path: Path, payload) -> None:

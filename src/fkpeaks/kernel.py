@@ -10,9 +10,9 @@ U||^2), and nondegeneracy means its kernel is exactly span{d_j U}; the
 reduction uses the same operator as L_eps, with c = V and the weight
 b eps^(4s-N).
 
-The kernel comes from Lanczos on the n+1 lowest eigenvalues with a
-magnitude certificate; this serves operators with few negative
-eigenvalues such as L+ (Morse index 1).
+Every spectral certificate comes from one Lanczos on the n+1 lowest
+eigenvalues with a magnitude certificate (`lanczos_smallest`): the
+kernel of L+ (Morse index 1), and the reduction's inversion constant.
 """
 
 from __future__ import annotations
@@ -123,14 +123,32 @@ def _dense_matrix(op: LinearizedOperator) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def smallest_magnitude(vals: np.ndarray, n: int) -> np.ndarray:
-    """Indices of the n smallest |lambda| among the k lowest eigenvalues.
-
-    Magnitude certificate: every eigenvalue not computed lies at or above
-    max(vals), so the pick is the true n smallest in magnitude only when
-    no picked |lambda| exceeds max(vals).  Raises EigensolverError when
-    one does: the smallest magnitudes may then lie outside the block.
+def lanczos_smallest(matvec, size: int,
+                     n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n smallest-magnitude eigenpairs (values, vectors by column) of
+    a symmetric apply on vectors of length `size`: Lanczos (ARPACK) on the
+    n+1 lowest eigenvalues from a fixed start.  Every eigenvalue not
+    computed lies at or above the largest computed one, which certifies
+    the pick only when no picked |lambda| exceeds it.  Raises
+    EigensolverError when one does, and with the Ritz residuals of the
+    partial pairs when Lanczos does not converge.
     """
+    a_op = sla.LinearOperator((size, size), matvec=matvec, dtype=float)
+    v0 = np.cos(np.arange(size) * 0.37) + 0.5  # fixed deterministic start
+    # A Krylov space from one start sees a repeated eigenvalue such as
+    # the N-fold kernel only through rounding; a subspace that grows
+    # with n keeps the apply count from swinging with roundoff.
+    ncv = min(size - 1, max(20, 5 * (n + 1)))
+    try:
+        vals, vecs = sla.eigsh(a_op, k=n + 1, which="SA", v0=v0,
+                               tol=1e-10, ncv=ncv)
+    except sla.ArpackNoConvergence as exc:
+        # the partial pairs scipy extracts (none when extraction fails)
+        ritz = [float(np.linalg.norm(matvec(vec) - lam * vec))
+                for lam, vec in zip(exc.eigenvalues, exc.eigenvectors.T)]
+        raise EigensolverError(
+            f"Lanczos stagnated ({exc})", ritz_residuals=ritz,
+        ) from exc
     order = np.argsort(np.abs(vals), kind="stable")[:n]
     top = float(np.max(vals))
     if np.any(np.abs(vals[order]) > top):
@@ -138,19 +156,18 @@ def smallest_magnitude(vals: np.ndarray, n: int) -> np.ndarray:
             f"smallest |eigenvalue| not certified: picked {vals[order].tolist()}"
             f" but the largest computed eigenvalue is {top:.6e}",
         )
-    return order
+    return vals[order], vecs[:, order]
 
 
 def kernel_spectrum(op: LinearizedOperator, n: int,
                     method: str = "iterative") -> list[tuple[float, Field]]:
     """The n smallest-magnitude eigenpairs of the discretized operator.
 
-    `iterative` runs Lanczos (ARPACK) on the n+1 lowest eigenvalues with a
-    magnitude certificate (`smallest_magnitude`); it serves operators
-    with few negative eigenvalues such as L+, whose kernel and single
-    negative direction lie among them.  `dense` assembles the matrix
-    column by column and diagonalises it (cross-validation oracle on
-    small grids).  Eigenfields are L2-normalised.
+    `iterative` runs `lanczos_smallest` on the operator's grid values;
+    L+'s kernel and single negative direction lie among its n+1 lowest
+    eigenvalues.  `dense` assembles the matrix column by column and
+    diagonalises it (cross-validation oracle on small grids).
+    Eigenfields are L2-normalised.
     """
     if n < 1 or n > 2 * op.grid.dim + 4:
         raise ParameterError(f"n must lie in [1, 2N+4], got {n}")
@@ -163,37 +180,19 @@ def kernel_spectrum(op: LinearizedOperator, n: int,
             raise ParameterError("dense spectrum limited to small grids")
         vals, vecs = np.linalg.eigh(_dense_matrix(op))
         order = np.argsort(np.abs(vals))[:n]
+        vals, vecs = vals[order], vecs[:, order]
     elif method == "iterative":
-        def matvec(flat):
-            return op.apply_values(flat.reshape(shape)).ravel()
-
-        a_op = sla.LinearOperator((npts, npts), matvec=matvec, dtype=float)
-        v0 = np.cos(np.arange(npts) * 0.37) + 0.5  # fixed deterministic start
-        # A Krylov space from one start sees a repeated eigenvalue such as
-        # the N-fold kernel only through rounding; a subspace that grows
-        # with n keeps the apply count from swinging with roundoff.
-        ncv = min(npts - 1, max(20, 5 * (n + 1)))
-        try:
-            vals, vecs = sla.eigsh(a_op, k=n + 1, which="SA", v0=v0,
-                                   tol=1e-10, ncv=ncv)
-        except sla.ArpackNoConvergence as exc:
-            ritz = []
-            if exc.eigenvalues is not None and exc.eigenvectors is not None:
-                for lam, vec in zip(exc.eigenvalues, exc.eigenvectors.T):
-                    r = np.linalg.norm(matvec(vec) - lam * vec)
-                    ritz.append(float(r))
-            raise EigensolverError(
-                f"Lanczos stagnated ({exc})", ritz_residuals=ritz,
-            ) from exc
-        order = smallest_magnitude(vals, n)
+        vals, vecs = lanczos_smallest(
+            lambda flat: op.apply_values(flat.reshape(shape)).ravel(),
+            npts, n)
     else:
         raise ParameterError(f"unknown method {method!r}")
 
     pairs = []
-    for idx in order:
-        v = vecs[:, idx].reshape(shape)
+    for lam, v in zip(vals, vecs.T):
+        v = v.reshape(shape)
         v = v / np.sqrt(h * (v**2).sum())
-        pairs.append((float(vals[idx]), Field(op.grid, v)))
+        pairs.append((float(lam), Field(op.grid, v)))
     return pairs
 
 

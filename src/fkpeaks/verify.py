@@ -181,6 +181,17 @@ def _pohozaev_terms(u: Field, eps: float, params: ProblemParams, V,
     }
 
 
+def require_ball(grid: GridSpec, center: np.ndarray, radius: float) -> None:
+    """A Pohozaev ball: positive radius, two spacings inside the box."""
+    if radius <= 0:
+        raise ParameterError(f"radius must be positive, got {radius}")
+    if np.any(np.abs(center) + radius >= grid.half_width - 2 * grid.spacing):
+        raise GeometryError(
+            f"ball(center={center}, r={radius}) does not fit strictly "
+            f"inside the box of half-width {grid.half_width}"
+        )
+
+
 def pohozaev_residual(u: Field, eps: float, params: ProblemParams,
                       V: Potential, center, radius: float, axis: int = 0,
                       tol: float = 1e-3) -> CheckReport:
@@ -194,13 +205,7 @@ def pohozaev_residual(u: Field, eps: float, params: ProblemParams,
     """
     grid = u.grid
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    if radius <= 0:
-        raise ParameterError("radius must be positive")
-    if np.any(np.abs(center) + radius >= grid.half_width - 2 * grid.spacing):
-        raise GeometryError(
-            f"ball(center={center}, r={radius}) does not fit strictly "
-            f"inside the box of half-width {grid.half_width}"
-        )
+    require_ball(grid, center, radius)
     main = _pohozaev_terms(u, eps, params, V, center, axis=axis, radius=radius)
 
     series = []

@@ -44,6 +44,34 @@ def manifest_sweep(tmp_path):
     }
 
 
+def refused_before_compute(tmp_path, capsys, monkeypatch, run, change):
+    """Run manifest_sweep as `run` (a command or a verify check) with
+    `change` merged in; assert that validation refuses it (exit 2, no run
+    directory) before anything is solved (not Q, not the pohozaev
+    correction), and return the error's detail."""
+    solved = []
+    monkeypatch.setattr(cli, "solve_Q", lambda *a, **k: solved.append(a))
+    monkeypatch.setattr(rd, "solve_correction",
+                        lambda *a, **k: solved.append(a))
+    spec = manifest_sweep(tmp_path)
+    spec["command"] = run
+    if run in cli.VERIFY_CHECKS:
+        spec["command"], spec["options"] = "verify", {"check": run}
+    if run in cli.ONE_EPS_RUNS:
+        spec["eps"] = [0.1]
+    for name, value in change.items():
+        if isinstance(value, dict):
+            spec.setdefault(name, {}).update(value)
+        else:
+            spec[name] = value
+    status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+    assert (status, run_dir, solved) == (2, None, [])
+    assert not (tmp_path / "sweep").exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    return err["detail"]
+
+
 class TestManifest:
     def test_round_trip_lossless(self, tmp_path):
         m = cli.RunManifest.from_dict(manifest_sweep(tmp_path))
@@ -249,28 +277,35 @@ class TestManifest:
     def test_unparsed_value_refused_before_compute(
             self, tmp_path, capsys, monkeypatch, run, change, named):
         # every value a run reads is parsed at validation: a string is no
-        # flag ("false" would read as true), a misspelt key is no default,
-        # and nothing is solved (not Q, not the pohozaev correction) first
-        solved = []
-        monkeypatch.setattr(cli, "solve_Q", lambda *a, **k: solved.append(a))
-        monkeypatch.setattr(rd, "solve_correction",
-                            lambda *a, **k: solved.append(a))
-        spec = manifest_sweep(tmp_path)
-        spec["command"] = run
-        if run in cli.VERIFY_CHECKS:
-            spec["command"], spec["options"] = "verify", {"check": run}
-        if run in cli.ONE_EPS_RUNS:
-            spec["eps"] = [0.1]
-        for name, value in change.items():
-            if isinstance(value, dict):
-                spec.setdefault(name, {}).update(value)
-            else:
-                spec[name] = value
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
-        assert (status, run_dir, solved) == (2, None, [])
-        assert not (tmp_path / "sweep").exists()
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "validation" and named in err["detail"]
+        # flag ("false" would read as true), a misspelt key is no default
+        assert named in refused_before_compute(tmp_path, capsys, monkeypatch,
+                                               run, change)
+
+    @pytest.mark.parametrize("run, change, named", [
+        ("sobolev", {"options": {"samples": 0}}, "options.samples"),
+        ("interaction", {"options": {"x_i": [0.0], "x_j": [2.0],
+                                     "samples": 0}}, "options.samples"),
+        ("system", {"options": {"peak_values": []}}, "options.peak_values"),
+        ("pohozaev", {"options": {"radius": -0.1}}, "radius must be positive"),
+        ("pohozaev", {"options": {"radius": 2.9}}, "does not fit strictly"),
+    ])
+    def test_out_of_range_value_refused_before_compute(
+            self, tmp_path, capsys, monkeypatch, run, change, named):
+        # unchecked, each fails only at compute: no samples to take the
+        # maximum over, no peak to solve for, or no Pohozaev ball in the
+        # box (after the correction solve)
+        assert named in refused_before_compute(tmp_path, capsys, monkeypatch,
+                                               run, change)
+
+    @pytest.mark.parametrize("run", ["reduce", "groundstate"])
+    def test_potential_of_another_dimension_refused(
+            self, tmp_path, capsys, monkeypatch, run):
+        # unchecked, a 2D well under dim 1 fails on the theta window (of
+        # N = 2) or on the grid
+        change = {"potential": {"center": [0.2, 0.0], "coeffs": [1.0, 1.0]}}
+        detail = refused_before_compute(tmp_path, capsys, monkeypatch, run,
+                                        change)
+        assert "is 2D, but params.dim is 1" in detail
 
     def test_null_leaves_an_unset_option_unset(self, tmp_path):
         spec = manifest_sweep(tmp_path)

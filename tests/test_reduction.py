@@ -366,17 +366,44 @@ class TestApplyLeps:
         assert not fr.orthogonality(v, 0.0).any()
 
     def test_coercive_on_constraint_complement(self, reducer_1d):
-        # min |lambda| on E_{eps,y}; a start off the real-field spectra
-        # would find a spurious ~1e-15 here
+        # min |lambda| on E_{eps,y}; the form's packed null space would
+        # read a spurious ~1e-15 here without the shift
         cfg = rd.PeakConfig(0.05, [[0.3]], delta=0.5, theta=0.8)
         rho = reducer_1d.frame(cfg).coercivity()
         assert rho == pytest.approx(0.44200529882960, rel=1e-6)
 
-    @pytest.mark.filterwarnings("ignore:Exited")
-    def test_unconverged_coercivity_raises(self, reducer_1d):
+    def test_coercive_on_constraint_complement_2d(self, frame_2d):
+        # the packed null space has 2M dimensions in 2D; the eigenvalues
+        # next to the pick are 0.7870 and 0.8574
+        assert frame_2d.coercivity() == pytest.approx(0.43318975727,
+                                                      rel=1e-6)
+
+    def test_shift_below_the_smallest_magnitude_raises(self, frame_2d,
+                                                       monkeypatch):
+        # the shifted null space is then the pick, 0.3, not 0.4332
+        monkeypatch.setattr(rd, "COERCIVITY_SHIFT", 0.3)
+        with pytest.raises(EigensolverError, match="not below the shift"):
+            frame_2d.coercivity()
+
+    def test_unconverged_lanczos_raises_with_ritz_residuals(
+            self, reducer_1d, monkeypatch):
+        # one Lanczos serves the kernel and the inversion constant: a
+        # stagnation reaches both as EigensolverError with the residuals
+        # of the partial pairs
+        def stagnate(a_op, k, **kw):
+            vec = np.ones(a_op.shape[0]) / math.sqrt(a_op.shape[0])
+            raise kn.sla.ArpackNoConvergence("no convergence", np.ones(1),
+                                             vec[:, None])
+
+        monkeypatch.setattr(kn.sla, "eigsh", stagnate)
         cfg = rd.PeakConfig(0.05, [[0.3]], delta=0.5, theta=0.8)
-        with pytest.raises(EigensolverError):
-            reducer_1d.frame(cfg).coercivity(maxiter=2)
+        frame = reducer_1d.frame(cfg)
+        for solve in (frame.coercivity,
+                      lambda: kn.kernel_spectrum(frame.L, 1)):
+            with pytest.raises(EigensolverError) as info:
+                solve()
+            assert len(info.value.ritz_residuals) == 1
+            assert info.value.ritz_residuals[0] > 0.0
 
     def test_quadratic_form_matches_energy_second_difference(self, reducer_1d):
         cfg = rd.PeakConfig(0.1, [[0.3]], delta=0.5, theta=0.8)
