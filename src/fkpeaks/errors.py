@@ -80,7 +80,7 @@ class TruncationError(RuntimeError):
 
 
 class BoundaryMinimizerWarning(UserWarning):
-    """The reduced-energy minimiser sits on the boundary of D_eps_delta."""
+    """The peak search ended on the boundary of D_eps_delta."""
 
 
 # Failures a solve can end in on valid code: a failed start of a

@@ -165,9 +165,10 @@ def kernel_spectrum(op: LinearizedOperator, n: int,
 
     `iterative` runs `lanczos_smallest` on the operator's grid values;
     L+'s kernel and single negative direction lie among its n+1 lowest
-    eigenvalues.  `dense` assembles the matrix column by column and
-    diagonalises it (cross-validation oracle on small grids).
-    Eigenfields are L2-normalised.
+    eigenvalues.  On L+ ask for n >= N+1: at n = N a kernel eigenvalue that
+    roundoff puts below zero is the largest computed, so its pick is refused.
+    `dense` assembles the matrix column by column and diagonalises it
+    (cross-validation oracle on small grids).  Eigenfields are L2-normalised.
     """
     if n < 1 or n > 2 * op.grid.dim + 4:
         raise ParameterError(f"n must lie in [1, 2N+4], got {n}")

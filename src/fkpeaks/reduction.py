@@ -28,7 +28,7 @@ roundoff from feeding the packed components no real field has.
 Each frame builds the kN x kN constraint algebra once: the stacked
 translation modes w_ij, their representatives P w_ij (P = eps^2s a
 (-Delta)^s + V) and the Gram matrix <w_ij, w_kl>_eps, from which the
-multipliers, the orthogonality and the reduced gradient are products.
+multipliers, orthogonality and reduced gradient and Hessian are products.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.sparse import linalg as sla
 
 from . import spectral as sp
@@ -78,10 +79,10 @@ def _min_separation(points) -> float:
 
 
 class Potential:
-    """Potential with k strict local minima and a local power expansion.
+    """Potential with k critical points a_i and a local power expansion.
 
-    V(x) = V(a_i) + sum_j c_ij |x_j - a_ij|^m + O(|x - a_i|^(m+1)) near
-    each peak a_i; evaluable everywhere on the box.
+    V(x) = V(a_i) + sum_j c_ij |x_j - a_ij|^m + O(|x - a_i|^(m+1)), c_ij != 0,
+    near each a_i, evaluable on the box; the peak search solves grad j_eps = 0.
     """
 
     def __init__(self, fn, peaks, coeffs, m: float, holder: float,
@@ -542,12 +543,9 @@ class _Frame:
 
     def energy(self, vals: np.ndarray) -> float:
         """I_eps evaluated at the given field values."""
-        p = self.red.params.p
-        grid, s = self.red.grid, self.red.params.s
-        uhat = sp._fftn(vals)
-        s_u = sp.seminorm_inner(grid, s, uhat)
-        quad = (self.a_eps * sp.seminorm_inner(grid, s, uhat, uhat)
-                + self.h * float((self.V * vals * vals).sum()))
+        grid, s, p = self.red.grid, self.red.params.s, self.red.params.p
+        s_u = sp.seminorm_inner(grid, s, sp._fftn(vals))
+        quad = self.a_eps * s_u + self.h * float((self.V * vals * vals).sum())
         pot = self.h * float(sp.pos_power(vals, p + 1.0).sum())
         return 0.5 * quad + 0.25 * self.C * s_u**2 - pot / (p + 1.0)
 
@@ -630,6 +628,18 @@ class _Frame:
         return np.linalg.solve(self.gram,
                                -self._pairings(self.modes, grad_density))
 
+    def constraint_derivative(self, phi: np.ndarray) -> np.ndarray:
+        """C = <phi, d w / d y>_eps, the derivative of the constraints at
+        phi: d w_aj / d y_ab = -d_b w_aj, with P symmetric and d_b skew on
+        the grid, gives the per-peak blocks C[(a,j),(a,b)] = h <w_aj,
+        d_b P phi>."""
+        k, n = self.cfg.y.shape
+        p_phi = Field(self.red.grid, self._p_apply(phi))
+        cross = np.stack([self._pairings(self.modes,
+                                         sp.derivative(p_phi, b).values)
+                          for b in range(n)], axis=-1).reshape(k, n, n)
+        return block_diag(*cross)
+
     def coercivity(self) -> float:
         """Invertibility constant of the projected, preconditioned quadratic
         form on E_{eps,y}: the smallest |eigenvalue|.
@@ -664,6 +674,7 @@ class _Frame:
 # ---------------------------------------------------------------------------
 
 MAX_CORRECTION_STEPS = 40
+PICARD_STEPS = 3   # contraction steps before a correction's Newton steps
 # the MINRES rtol below which one run gains nothing (its true residual
 # stalls at 5.7e-11 to 6.2e-10 ||xi||): the forcing term of each
 # contraction step and the least forcing term of a Newton step
@@ -695,13 +706,11 @@ def _forcing(bnorm: float, last_bnorm: float, tau: float) -> float:
 def solve_correction(
     red: Reducer,
     cfg: PeakConfig,
-    phi0: Field | None = None,
     outer_tol_factor: float = 1e-10,
-    picard_steps: int = 3,
 ) -> ReducedSolution:
     """Fixed point phi = -L_eps^{-1}(l_eps + R'(phi)) on E_{eps,y}.
 
-    Runs `picard_steps` iterations of the contraction map itself, then
+    Runs PICARD_STEPS iterations of the contraction map itself, then
     switches the increment operator to the second variation at the
     current iterate, which drives the same fixed point quadratically.
     `contraction_ratios` holds the ratio of every significant increment
@@ -714,16 +723,13 @@ def solve_correction(
     raises NoContractionError after MAX_CORRECTION_STEPS steps.
     """
     fr = red.frame(cfg)
-    n = red.params.dim
-    tol = outer_tol_factor * cfg.eps ** (0.5 * n)
+    tol = outer_tol_factor * cfg.eps ** (0.5 * red.params.dim)
     # the outer tolerance in the units of the Krylov right-hand side: the
     # eps-norm carries the quadrature weight sqrt(h), packed norms do not
     tau = tol / math.sqrt(fr.h)
     maxiter = 400 * (2**red.grid.dim)
 
-    phi = np.zeros(red.grid.shape) if phi0 is None else phi0.values.copy()
-    if phi0 is not None:
-        phi = fr.project_field(phi)
+    phi = np.zeros(red.grid.shape)
     ratios: list[float] = []
     increments: list[float] = []
     forcing: list[float] = []
@@ -735,7 +741,7 @@ def solve_correction(
         u = Field(red.grid, fr.U.values + phi)
         b = fr.krylov_rhs(fr.gradient_density(u))
         bnorm = float(np.linalg.norm(b))
-        if it <= picard_steps:
+        if it <= PICARD_STEPS:
             lin, eta = None, CORRECTION_INNER_RTOL
         else:
             lin = fr.second_variation(u)
@@ -804,23 +810,12 @@ def solve_correction(
 
 def reduced_gradient_total(sol: ReducedSolution) -> np.ndarray:
     """Exact total derivative of the reduced energy j_eps at a correction,
-    on the frame it was solved on: envelope term plus the multiplier
-    correction from the y-dependence of the orthogonality constraints;
-    reuses the gradient density the correction ended with."""
+    on the frame it was solved on: -(G - C)^T lam, with lam the multipliers
+    of its gradient density, G the Gram matrix and C the constraint
+    derivative (-G lam is the envelope term, C^T lam the constraints')."""
     fr = sol.frame
-    k, n = fr.cfg.y.shape
-    lam = fr.multipliers(sol.gradient_density).reshape(k, n)
-    out = fr._pairings(fr.modes, sol.gradient_density).reshape(k, n)
-    # I'(u) = -sum lam_ij w_ij on span{w}; differentiating the constraints
-    # <w_aj(y), phi_y> = 0 turns the phi-variation term into
-    # +sum_j lam_aj <d w_aj / d y_ab, phi> with d w_aj / d y_ab =
-    # P d_b d_j W_a.  P is symmetric and d_b skew on the grid, and
-    # w_aj = -d_j W_a, so the term is sum_j lam_aj <w_aj, d_b P phi>
-    p_phi = Field(fr.red.grid, fr._p_apply(sol.correction.values))
-    cross = np.stack([fr._pairings(fr.modes, sp.derivative(p_phi, b).values)
-                      for b in range(n)], axis=-1).reshape(k, n, n)
-    out += np.einsum("aj,ajb->ab", lam, cross)
-    return out.ravel()
+    t = fr.gram - fr.constraint_derivative(sol.correction.values)
+    return -t.T @ fr.multipliers(sol.gradient_density)
 
 
 def energy_constants(sys: SystemSolution) -> tuple[float, list[float]]:
@@ -850,42 +845,67 @@ def energy_constants(sys: SystemSolution) -> tuple[float, list[float]]:
 
 
 # ---------------------------------------------------------------------------
-# peak minimisation
+# peak search
 # ---------------------------------------------------------------------------
 
-# a search that needs more corrections than this is not converging
+# a search that assembles more bordered systems than this is not converging
 MAX_SEARCH_EVALUATIONS = 100
+
+
+def _bordered(fr: _Frame, u: Field, rhs: list, rtol: float,
+              atol: float) -> tuple[np.ndarray, np.ndarray]:
+    """With A = I''_eps(u): the solutions d of A d = -r on E_{eps,y} for r in
+    `rhs`, then r = A w_b (the tangents), and the multipliers of A d + r."""
+    lin = fr.second_variation(u)
+    rhs = rhs + [lin.apply_values(w) for w in fr.modes]
+    d = np.stack([fr.solve_constrained(fr.krylov_rhs(r), rtol, atol,
+                                       400 * 2**fr.red.grid.dim, lin)[0]
+                  for r in rhs])
+    return d, np.column_stack([fr.multipliers(lin.apply_values(x) + r)
+                               for x, r in zip(d, rhs)])
+
+
+def reduced_hessian(sol: ReducedSolution) -> np.ndarray:
+    """Exact Hessian -(G - C)^T H G^-1 (G - C) of j_eps, symmetrised, at a
+    critical point's correction: G the Gram matrix, C the constraint
+    derivative, H the Schur complement (tangents to CORRECTION_INNER_RTOL)."""
+    fr = sol.frame
+    _, h = _bordered(fr, sol.solution, [], CORRECTION_INNER_RTOL, 0.0)
+    t = fr.gram - fr.constraint_derivative(sol.correction.values)
+    hess = -t.T @ h @ np.linalg.solve(fr.gram, t)
+    return 0.5 * (hess + hess.T)
 
 
 def minimize_peaks(
     red: Reducer,
     y0: PeakConfig,
 ) -> tuple[PeakConfig, ReducedSolution, dict]:
-    """Minimise the reduced energy j_eps over D_{eps,delta}.
+    """Solve grad j_eps = 0 in D_{eps,delta} from y0, a critical point of
+    the reduced energy, by one Newton iteration on (phi, y).
 
-    Trust-region Newton from y0 on the exact reduced gradient (multiplier
-    formula) with a symmetrised forward-difference Jacobian.  A step is
-    accepted when it lowers sup|grad j|, not j: near the minimiser the
-    changes of j fall below its roundoff.  Steps are clipped to the trust
-    radius and halved until they stay in D_{eps,delta}; the search ends
-    at the boundary when an accepted halved step leaves less than
-    1e-3 delta of slack or a step is halved below a floor.  It
-    converges when the Newton step solved with a Jacobian built at the
-    current y falls below a floor; that Jacobian's eigenvalues are the
-    certificate (all positive: a strict local minimum).  The returned
-    solution is a fresh full-tolerance solve.
-
-    Raises IterationError on a singular Newton system or when the search
-    needs more than MAX_SEARCH_EVALUATIONS corrections.
+    There the multipliers vanish, so I'_eps(U_y + phi) = 0 with
+    <phi, w_y>_eps = 0 is square.  A step eliminates its blocks (Keller's
+    bordering; Govaerts, SIAM 2000) at the Eisenstat-Walker forcing term:
+    `_bordered` gives d0 and mu0 for I'_eps(U + phi), the tangents d_b and
+    the Schur complement H; e = -H^-1 mu0, dy = (G - C)^-1 G e (G the Gram
+    matrix, C `constraint_derivative`) and phi moves by dphi = d0 +
+    sum_b (e_b d_b + (e_b - dy_b) w_b), projected onto E at y + s dy.  s
+    clips dy to a trust radius (0.05 delta, doubled after a clipped step,
+    at most delta) and is halved into D_{eps,delta}.  The search ends
+    `boundary` when a halved step leaves under 1e-3 delta of slack or falls
+    below 1e-13, and `converged` when |dy| < 1e-13 and ||dphi||_eps is
+    under the correction's tolerance.  It starts from solve_correction at
+    y0 (NoContractionError at once outside the contraction regime) and
+    returns a fresh solve_correction at the found y, history-free so that
+    one y gives one solution across starts, with the eigenvalues of
+    reduced_hessian there.  Raises IterationError on a singular H or past
+    MAX_SEARCH_EVALUATIONS steps.
     """
     y0.require_admissible(red.potential)
     delta, peaks = y0.delta, red.potential.peaks
     k, n = y0.y.shape
-    floor = 1e-13
-    boundary_tol = 1e-3 * delta
-    fd_h = max(1e-3 * delta, 1.6e-7)
+    floor, boundary_tol = 1e-13, 1e-3 * delta
     count = {"evaluations": 0, "newton_steps": 0, "rejected": 0}
-    warm = None
 
     def admissible(y) -> bool:
         return y0.with_y(y.reshape(k, n)).admissibility(red.potential)[0]
@@ -894,105 +914,85 @@ def minimize_peaks(
         return float(delta - np.linalg.norm(y.reshape(k, n) - peaks,
                                             axis=1).max())
 
-    def gradient_at(y) -> np.ndarray:
-        nonlocal warm
-        sol = solve_correction(red, y0.with_y(y.reshape(k, n)), phi0=warm,
-                               picard_steps=1)
-        warm = sol.correction
-        count["evaluations"] += 1
-        return reduced_gradient_total(sol)
-
-    def jacobian_at(y, g) -> np.ndarray:
-        jac = np.empty((y.size, y.size))
-        for idx in range(y.size):
-            yp = y.copy()
-            yp[idx] += fd_h
-            jac[:, idx] = (gradient_at(yp) - g) / fd_h
-        return 0.5 * (jac + jac.T)
-
-    y = y0.y.ravel().copy()
-    g = gradient_at(y)
-    jac, fresh = jacobian_at(y, g), True
-    radius = 0.05 * delta
+    start = solve_correction(red, y0)
+    fr, phi, g = start.frame, start.correction.values, start.gradient_density
+    del start
+    tol = 1e-10 * y0.eps ** (0.5 * red.params.dim)  # solve_correction's
+    tau = tol / math.sqrt(fr.h)         # in the units of the Krylov rhs
+    y, radius, last_bnorm = y0.y.ravel().copy(), 0.05 * delta, math.inf
     termination = None
     while termination is None:
-        gnorm = float(np.abs(g).max())
+        count["evaluations"] += 1
+        resid = float(np.abs(g).max())
         if count["evaluations"] > MAX_SEARCH_EVALUATIONS:
             raise IterationError(
-                f"peak search ran past {MAX_SEARCH_EVALUATIONS} corrections "
-                f"(sup|grad j| = {gnorm:.3e})",
-                residual=gnorm, iterations=count["evaluations"],
+                f"peak search ran past {MAX_SEARCH_EVALUATIONS} Newton steps "
+                f"(sup|I'(u)| = {resid:.3e})",
+                residual=resid, iterations=count["evaluations"],
             )
+        bnorm = float(np.linalg.norm(fr.krylov_rhs(g)))
+        eta, last_bnorm = _forcing(bnorm, last_bnorm, tau), bnorm
+        d, mu = _bordered(fr, Field(red.grid, fr.U.values + phi), [g], eta,
+                          0.01 * tau)
         try:
-            step = np.linalg.solve(jac, -g)
+            e = np.linalg.solve(mu[:, 1:], -mu[:, 0])
         except np.linalg.LinAlgError:
-            step = np.full_like(g, np.nan)
-        if not np.all(np.isfinite(step)):
             raise IterationError(
-                "singular reduced-energy Jacobian: eigenvalues "
-                f"{np.linalg.eigvalsh(jac).tolist()}",
-                residual=gnorm, iterations=count["evaluations"],
-            )
-        norm = float(np.abs(step).max())
-        if norm < floor:
-            if fresh:
-                termination = "converged"
-            else:
-                jac, fresh = jacobian_at(y, g), True
-            continue
+                "singular Schur complement of the bordered Newton system: "
+                f"eigenvalues {np.linalg.eigvals(mu[:, 1:]).tolist()}",
+                residual=resid, iterations=count["evaluations"],
+            ) from None
+        dy = np.linalg.solve(fr.gram - fr.constraint_derivative(phi),
+                             fr.gram @ e)
+        dphi = d[0] + np.tensordot(e, d[1:], 1) + np.tensordot(e - dy,
+                                                              fr.modes, 1)
+        del d, mu           # one frame's fields alive at a time
+        norm = float(np.abs(dy).max())
+        if norm < floor and fr.eps_norm(dphi) < tol:
+            termination = "converged"
+            break
         shortened = norm > radius
-        if shortened:
-            step *= radius / norm
+        step = radius / norm if shortened else 1.0
         halved = False
-        while not admissible(y + step):
+        while not admissible(y + step * dy):
             step *= 0.5
             count["rejected"] += 1
             shortened = halved = True
-            if float(np.abs(step).max()) < floor:
+            if step * norm < floor:
                 termination = "boundary"
                 break
         if termination is not None:
             break
-        g_new = gradient_at(y + step)
-        new_norm = float(np.abs(g_new).max())
-        if new_norm < gnorm:
-            y, g = y + step, g_new
-            count["newton_steps"] += 1
-            fresh = False
-            if halved and slack(y) < boundary_tol:
-                # the minimiser lies beyond D: each further step would
-                # only halve the gap to the boundary
-                termination = "boundary"
-            elif shortened:
-                radius = min(2.0 * radius, delta)
-            elif new_norm > 0.25 * gnorm:
-                jac, fresh = jacobian_at(y, g), True
-        elif not fresh:
-            jac, fresh = jacobian_at(y, g), True
-        else:
-            # shrink below the rejected step, which may be shorter than
-            # the radius
-            radius = 0.5 * float(np.abs(step).max())
+        y = y + step * dy
+        fr = red.frame(y0.with_y(y.reshape(k, n)))
+        phi = fr.project_field(phi + step * dphi)
+        g = fr.gradient_density(Field(red.grid, fr.U.values + phi))
+        count["newton_steps"] += 1
+        if halved and slack(y) < boundary_tol:
+            # the critical point lies beyond D: each further step would
+            # only halve the gap to the boundary
+            termination = "boundary"
+        elif shortened:
+            radius = min(2.0 * radius, delta)
 
     best = y0.with_y(y.reshape(k, n))
     boundary_slack = slack(y)
     if boundary_slack < boundary_tol:
         warnings.warn(
-            "reduced-energy minimiser sits on the D_eps_delta boundary "
-            f"(slack {boundary_slack:.2e}); interior minimum not confirmed",
+            "the peak search ended on the D_eps_delta boundary (slack "
+            f"{boundary_slack:.2e}); no interior critical point confirmed",
             BoundaryMinimizerWarning, stacklevel=2,
         )
-    # fresh final solve: history-free, so identical minimisers give
-    # identical solutions across different starts
+    del fr, phi, g, dphi    # one frame alive at a time, as in the loop
     final = solve_correction(red, best)
-    info = {
+    return best, final, {
         **count,
         "boundary_slack": boundary_slack,
         "termination": termination,
-        "grad_norm": float(np.abs(g).max()),
-        "hessian_eigenvalues": np.linalg.eigvalsh(jac).tolist(),
+        "grad_norm": float(np.abs(reduced_gradient_total(final)).max()),
+        "hessian_eigenvalues": np.linalg.eigvalsh(
+            reduced_hessian(final)).tolist(),
     }
-    return best, final, info
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,15 @@ def test_tracer_installs_and_restores(monkeypatch):
     assert all(getattr(owner, attr) is orig for owner, attr, orig in bound)
 
 
+def tiny_reducer() -> rd.Reducer:
+    return rd.Reducer(sp.GridSpec(1, 4.0, 256),
+                      sp.ProblemParams(1, 0.4, 2.0, 1.0, 0.25),
+                      rd.Potential.single_well([0.3], 1.0, [1.0], m=2.0))
+
+
 def tiny_correction() -> rd.ReducedSolution:
-    red = rd.Reducer(sp.GridSpec(1, 4.0, 256),
-                     sp.ProblemParams(1, 0.4, 2.0, 1.0, 0.25),
-                     rd.Potential.single_well([0.3], 1.0, [1.0], m=2.0))
-    return rd.solve_correction(red, rd.PeakConfig(0.16, [[0.35]], 0.5, 0.8))
+    return rd.solve_correction(tiny_reducer(),
+                               rd.PeakConfig(0.16, [[0.35]], 0.5, 0.8))
 
 
 @TRUNCATES_BY_DESIGN
@@ -66,6 +70,18 @@ def test_correction_attributes_read_by_workloads():
     assert all(r < 1.0 for r in sol.contraction_ratios)
     assert sol.correction_norm > 0.0
     assert np.isfinite(sol.reduced_energy)
+
+
+@TRUNCATES_BY_DESIGN
+def test_search_result_read_by_tracer():
+    # the tracer's search span unpacks the result and adds the info dict's
+    # counts
+    best, sol, info = rd.minimize_peaks(
+        tiny_reducer(), rd.PeakConfig(0.16, [[0.35]], 0.5, 0.8))
+    assert isinstance(best, rd.PeakConfig)
+    assert isinstance(sol, rd.ReducedSolution)
+    for key in ("evaluations", "newton_steps"):
+        assert type(info[key]) is int and info[key] > 0
 
 
 def test_reduce_report_read_by_workloads(tmp_path, monkeypatch):

@@ -628,7 +628,7 @@ class TestSolveCorrection:
 
         monkeypatch.setattr(rd._Frame, "solve_constrained", solve)
         cfg = rd.PeakConfig(0.16, [[0.35]], delta=0.5, theta=0.8)
-        sol = rd.solve_correction(reducer_1d, cfg, picard_steps=3)
+        sol = rd.solve_correction(reducer_1d, cfg)
         assert len(calls) == sol.iterations == len(sol.inner_iterations)
         assert [c[2] for c in calls] == sol.forcing
         assert [c[2] for c in calls[:3]] == [rd.CORRECTION_INNER_RTOL] * 3
@@ -665,16 +665,6 @@ class TestSolveCorrection:
         assert rd._forcing(1e-8, 1.0, 1e-4) == rd.FORCING_MAX
         assert rd._forcing(1e-8, 1.0, 0.0) == rd.CORRECTION_INNER_RTOL
 
-    def test_warm_start_converges_to_same_fixed_point(self, reducer_1d):
-        cfg = rd.PeakConfig(0.08, [[0.35]], delta=0.5, theta=0.8)
-        cold = rd.solve_correction(reducer_1d, cfg, outer_tol_factor=1e-12)
-        seed = sp.random_band_limited(reducer_1d.grid, 10.0, seed=9,
-                                      amplitude=0.01)
-        warm = rd.solve_correction(reducer_1d, cfg, phi0=seed,
-                                   outer_tol_factor=1e-12)
-        diff = np.abs(cold.correction.values - warm.correction.values).max()
-        assert diff < 1e-9
-
 
 def fd_gradient(red, cfg, h=1e-5, **kw):
     """Central differences of j_eps in each coordinate of y."""
@@ -690,6 +680,43 @@ def fd_gradient(red, cfg, h=1e-5, **kw):
     return fd
 
 
+def fd_hessian(red, cfg, h=1e-4):
+    """Central differences of reduced_gradient_total in each coordinate
+    of y, from corrections at outer_tol_factor 1e-12."""
+    cols = []
+    for idx in range(cfg.y.size):
+        grads = []
+        for dy in (h, -h):
+            y = cfg.y.copy()
+            y.flat[idx] += dy
+            grads.append(rd.reduced_gradient_total(rd.solve_correction(
+                red, cfg.with_y(y), outer_tol_factor=1e-12)))
+        cols.append((grads[0] - grads[1]) / (2 * h))
+    return np.column_stack(cols)
+
+
+def problem_2d():
+    """A 64^2 single well and an off-centre configuration."""
+    params = sp.ProblemParams(2, 0.75, 2.0, 1.0, 0.05)
+    grid = sp.GridSpec(2, 2.5, 64)
+    pot = rd.Potential.single_well([0.1, -0.1], 1.0, [1.0, 1.5], m=2.0,
+                                   asym=0.2, asym_power=3.0)
+    cfg = rd.PeakConfig(0.25, [[0.16, -0.05]], delta=0.4, theta=0.8)
+    return rd.Reducer(grid, params, pot), cfg
+
+
+def problem_two_peaks():
+    """A 1D double well of unequal depths and a configuration near it."""
+    params = sp.ProblemParams(1, 0.4, 2.0, 1.0, 0.25)
+    grid = sp.GridSpec(1, 8.0, 1024)
+    pot = rd.Potential.multi_well(
+        centers=[[-1.0], [1.0]], values=[1.0, 1.3],
+        coeffs=[[1.0], [1.0]], m=2.0, far_value=2.0, plateau=0.6,
+    )
+    cfg = rd.PeakConfig(0.05, [[-1.03], [0.98]], delta=0.3, theta=0.8)
+    return rd.Reducer(grid, params, pot), cfg
+
+
 @TRUNCATES_BY_DESIGN
 class TestGradients:
     def test_total_gradient_matches_fd(self, reducer_1d):
@@ -702,13 +729,7 @@ class TestGradients:
     def test_total_gradient_matches_fd_2d(self):
         # the constraint term pairs w_0j with d_b P phi for b != j here (a
         # third of the gradient); the 1D test sees only j = b = 0
-        params = sp.ProblemParams(2, 0.75, 2.0, 1.0, 0.05)
-        grid = sp.GridSpec(2, 2.5, 64)
-        pot = rd.Potential.single_well([0.1, -0.1], 1.0, [1.0, 1.5], m=2.0,
-                                       asym=0.2, asym_power=3.0)
-        red = rd.Reducer(grid, params, pot)
-        y = np.array([[0.16, -0.05]])
-        cfg = rd.PeakConfig(0.25, y, delta=0.4, theta=0.8)
+        red, cfg = problem_2d()
         g = rd.reduced_gradient_total(rd.solve_correction(red, cfg))
         fd = fd_gradient(red, cfg)
         assert np.abs(g - fd).max() < 1e-8 * np.abs(fd).max()
@@ -716,18 +737,31 @@ class TestGradients:
     def test_total_gradient_matches_fd_two_peaks(self):
         # each peak's multipliers weigh its own modes; the constraint term
         # is 9% of the gradient here
-        params = sp.ProblemParams(1, 0.4, 2.0, 1.0, 0.25)
-        grid = sp.GridSpec(1, 8.0, 1024)
-        pot = rd.Potential.multi_well(
-            centers=[[-1.0], [1.0]], values=[1.0, 1.3],
-            coeffs=[[1.0], [1.0]], m=2.0, far_value=2.0, plateau=0.6,
-        )
-        red = rd.Reducer(grid, params, pot)
-        cfg = rd.PeakConfig(0.05, [[-1.03], [0.98]], delta=0.3, theta=0.8)
+        red, cfg = problem_two_peaks()
         g = rd.reduced_gradient_total(
             rd.solve_correction(red, cfg, outer_tol_factor=1e-12))
         fd = fd_gradient(red, cfg, outer_tol_factor=1e-12)
         assert np.abs(g - fd).max() < 1e-8 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("problem", ["1d", "two_peaks", "2d"])
+    def test_certificate_matches_fd_of_the_gradient(self, reducer_1d,
+                                                    problem):
+        # the exact reduced Hessian at the found y against central
+        # differences of the exact gradient: they agree to 2.0e-8, 1.2e-8
+        # and 1.7e-8 of the largest entry
+        red, cfg = {
+            "1d": lambda: (reducer_1d, rd.PeakConfig(0.08, [[0.36]],
+                                                     delta=0.5, theta=0.8)),
+            "two_peaks": problem_two_peaks,
+            "2d": problem_2d,
+        }[problem]()
+        best, sol, info = rd.minimize_peaks(red, cfg)
+        assert info["termination"] == "converged"
+        hess = rd.reduced_hessian(sol)
+        assert np.linalg.eigvalsh(hess).tolist() == pytest.approx(
+            info["hessian_eigenvalues"], rel=1e-12)
+        fd = fd_hessian(red, best)
+        assert np.abs(hess - fd).max() < 1e-5 * np.abs(fd).max()
 
 
 @TRUNCATES_BY_DESIGN
@@ -778,26 +812,47 @@ class TestMinimizePeaks:
         ok, _ = best.admissibility(reducer_1d.potential)
         assert ok
 
-    def test_rejected_trial_steps_reach_the_same_minimizer(self, reducer_1d,
-                                                           monkeypatch):
-        # from this start, evaluation 3 is the first trial step (with the
-        # Jacobian just built) and evaluation 5 the trial after an accepted
-        # step (with a stale one); inflating their gradients rejects both
-        y0 = rd.PeakConfig(0.05, [[0.36]], delta=0.5, theta=0.8)
-        plain, _, _ = rd.minimize_peaks(reducer_1d, y0)
-        orig = rd.reduced_gradient_total
+    def test_clipped_steps_reach_the_unclipped_minimizer(self, reducer_1d,
+                                                        monkeypatch):
+        # from 0.6 the trust radius (0.05 delta = 0.025 at the start,
+        # doubled after each clipped step) clips the first Newton steps;
+        # from 0.31 no step is clipped
+        orig = rd.Reducer.frame
+        visited = []
+
+        def frame(self, cfg):
+            visited.append(float(cfg.y[0, 0]))
+            return orig(self, cfg)
+
+        monkeypatch.setattr(rd.Reducer, "frame", frame)
+        runs = []
+        for y in (0.31, 0.6):
+            visited.clear()
+            best, _, info = rd.minimize_peaks(
+                reducer_1d, rd.PeakConfig(0.05, [[y]], delta=0.5, theta=0.8))
+            assert info["termination"] == "converged"
+            runs.append((best, np.abs(np.diff(visited))))
+        (near, near_steps), (far, far_steps) = runs
+        assert near_steps.max() < 0.025
+        assert far_steps[:2] == pytest.approx([0.025, 0.05], rel=1e-12)
+        assert np.abs(far.y - near.y).max() < 1e-12
+
+    def test_one_correction_to_start_and_one_to_record(self, reducer_1d,
+                                                       monkeypatch):
+        orig = rd.solve_correction
         calls = []
 
-        def inflated(sol):
-            calls.append(None)
-            g = orig(sol)
-            return 10.0 * g if len(calls) in (3, 5) else g
+        def counted(red, cfg, **kwargs):
+            calls.append(cfg.y.copy())
+            return orig(red, cfg, **kwargs)
 
-        monkeypatch.setattr(rd, "reduced_gradient_total", inflated)
+        monkeypatch.setattr(rd, "solve_correction", counted)
+        y0 = rd.PeakConfig(0.05, [[0.36]], delta=0.5, theta=0.8)
         best, _, info = rd.minimize_peaks(reducer_1d, y0)
-        assert info["termination"] == "converged"
-        assert len(calls) > 5
-        assert np.abs(best.y - plain.y).max() < 1e-12
+        assert info["newton_steps"] > 0
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], y0.y)
+        assert np.array_equal(calls[1], best.y)
 
     def test_evaluation_bound_raises(self, reducer_1d, monkeypatch):
         monkeypatch.setattr(rd, "MAX_SEARCH_EVALUATIONS", 3)

@@ -325,9 +325,10 @@ class TestUniquenessProbe:
 
     def test_singular_search_is_a_failed_start(self, quick_reducer,
                                                monkeypatch):
-        # a constant reduced gradient has a zero Jacobian
-        monkeypatch.setattr(rd, "reduced_gradient_total",
-                            lambda *a, **kw: np.ones(1))
+        # zero multipliers make the Schur complement of the bordered
+        # Newton system zero
+        monkeypatch.setattr(rd._Frame, "multipliers",
+                            lambda self, g: np.zeros(len(self.modes)))
         cfg = rd.PeakConfig(0.1, [[0.25]], delta=0.4, theta=0.8)
         with pytest.raises(IterationError, match="eigenvalues"):
             rd.minimize_peaks(quick_reducer, cfg)
