@@ -133,11 +133,11 @@ iterations.jsonl  per-iteration log, with options.verbose
 iterations.jsonl
 ----------------
 groundstate: iteration, gamma
-reduce:      iteration, increment_eps_norm (||phi_{n+1} - phi_n||_eps),
-             inner_iterations (MINRES iterations of the step, restarts
-             included), forcing (the step's forcing term eta: the true
-             residual of its linear solve is at most eta times the
-             right-hand side norm; 1e-11 for the contraction steps)
+reduce:      per step of the correction at the returned y: iteration,
+             increment_eps_norm (||phi_{n+1} - phi_n||_eps), inner_iterations
+             (MINRES iterations, restarts included), forcing (the step's
+             forcing term eta, the bound on its linear solve's true residual
+             relative to the right-hand side; 1e-11 for the contraction steps)
 
 CSV columns
 -----------

@@ -434,13 +434,13 @@ class Reducer:
     def frame(self, cfg: PeakConfig) -> "_Frame":
         """The public entry to the operations at one configuration (eps, y).
 
-        The frame holds U_{eps,y} (`U`), L_eps (`L`) and the constraint
-        algebra of E_{eps,y} (`modes`, `mode_densities`, `gram`), and
-        evaluates I_eps (`energy`), its gradient density
-        (`gradient_density`, l_eps at U), the eps-norm (`eps_norm`), the
-        multipliers, the orthogonality and the inversion constant min
-        |lambda| on E_{eps,y} (`coercivity`, by the kernel module's one
-        Lanczos).  Raises ParameterError for y outside D_{eps,delta}.
+        The frame holds U_{eps,y} (`U`) and the constraint algebra of
+        E_{eps,y} (`modes`, `mode_densities`, `gram`), and evaluates I_eps
+        (`energy`), its gradient density and second variation (l_eps and
+        L_eps at U), the eps-norm, the multipliers, the orthogonality and
+        the inversion constant min |lambda| on E_{eps,y} (`coercivity`, by
+        the kernel module's one Lanczos).  Raises ParameterError for y
+        outside D_{eps,delta}.
         The class keeps its private name while the benchmark in perfbench/
         rebinds `_Frame` methods to trace them, until the package records
         its own trace.
@@ -461,7 +461,7 @@ class _Frame:
         self.V = red.V
         self.a_eps, self.C = params.scaled(eps)  # C: Kirchhoff weight
         self.h = grid.spacing**n
-        self.L = self.second_variation(self.U)              # L_eps
+        self.minres_budget = 400 * 2**n     # MINRES iterations per solve
 
         # translation modes w_ij = dU/dy_ij, their eps-inner representatives
         # P w_ij, stacked (kN, *grid), and their Gram matrix <w, w>_eps
@@ -569,12 +569,12 @@ class _Frame:
         return self.project(-self.precondition(rhs_density))
 
     def solve_constrained(self, b: np.ndarray, rtol: float, atol: float,
-                          maxiter: int, lin: LinearizedOperator | None = None
+                          maxiter: int, lin: LinearizedOperator
                           ) -> tuple[np.ndarray, int]:
         """Solve the constrained symmetric system A phi = -rhs on E_{eps,y}
-        for b = krylov_rhs(rhs); A is L_eps by default, or the second
-        variation `lin`.  Returns phi and the MINRES iterations spent,
-        restarts included.
+        for b = krylov_rhs(rhs), with A the second variation `lin` (L_eps
+        is second_variation(U)).  Returns phi and the MINRES iterations
+        spent, restarts included.
 
         Projected MINRES on Q m A m Q, m = P0^(-1/2), over the packed
         spectra of xi = P0^(1/2) phi; packing is an isometry, so norms are
@@ -590,7 +590,6 @@ class _Frame:
         Raises LinearSolveError when a restart no longer reduces the
         residual or `maxiter` iterations are spent in all.
         """
-        lin = self.L if lin is None else lin
         bnorm = float(np.linalg.norm(b))
         op = sla.LinearOperator((b.size, b.size), dtype=float,
                                 matvec=lambda v: self.apply_hat(v, lin))
@@ -654,12 +653,13 @@ class _Frame:
         a pick not below the shift raises EigensolverError.
         """
         grid = self.red.grid
+        l_eps = self.second_variation(self.U)
 
         def form(z):
             hz = sp.packed_spectrum(grid, z).copy()
             sp.make_hermitian(grid, hz)
             off = z - hz.view(float).ravel() + self.Qc.T @ (self.Qc @ z)
-            return self.apply_hat(z, self.L) + COERCIVITY_SHIFT * off
+            return self.apply_hat(z, l_eps) + COERCIVITY_SHIFT * off
 
         vals, _ = lanczos_smallest(form, 2 * self.p0.size, 1)
         rho = float(abs(vals[0]))
@@ -674,6 +674,7 @@ class _Frame:
 # ---------------------------------------------------------------------------
 
 MAX_CORRECTION_STEPS = 40
+OUTER_TOL_FACTOR = 1e-10   # outer tolerance on ||dphi||_eps / eps^(N/2)
 PICARD_STEPS = 3   # contraction steps before a correction's Newton steps
 # the MINRES rtol below which one run gains nothing (its true residual
 # stalls at 5.7e-11 to 6.2e-10 ||xi||): the forcing term of each
@@ -706,7 +707,7 @@ def _forcing(bnorm: float, last_bnorm: float, tau: float) -> float:
 def solve_correction(
     red: Reducer,
     cfg: PeakConfig,
-    outer_tol_factor: float = 1e-10,
+    outer_tol_factor: float = OUTER_TOL_FACTOR,
 ) -> ReducedSolution:
     """Fixed point phi = -L_eps^{-1}(l_eps + R'(phi)) on E_{eps,y}.
 
@@ -727,7 +728,7 @@ def solve_correction(
     # the outer tolerance in the units of the Krylov right-hand side: the
     # eps-norm carries the quadrature weight sqrt(h), packed norms do not
     tau = tol / math.sqrt(fr.h)
-    maxiter = 400 * (2**red.grid.dim)
+    l_eps = fr.second_variation(fr.U)
 
     phi = np.zeros(red.grid.shape)
     ratios: list[float] = []
@@ -742,15 +743,15 @@ def solve_correction(
         b = fr.krylov_rhs(fr.gradient_density(u))
         bnorm = float(np.linalg.norm(b))
         if it <= PICARD_STEPS:
-            lin, eta = None, CORRECTION_INNER_RTOL
+            lin, eta = l_eps, CORRECTION_INNER_RTOL
         else:
             lin = fr.second_variation(u)
             eta = _forcing(bnorm, last_bnorm, tau)
         last_bnorm = bnorm
         forcing.append(eta)
         try:
-            delta, its = fr.solve_constrained(b, rtol=eta, atol=0.01 * tau,
-                                              maxiter=maxiter, lin=lin)
+            delta, its = fr.solve_constrained(b, eta, 0.01 * tau,
+                                              fr.minres_budget, lin)
         except LinearSolveError:
             if ratios and ratios[-1] >= 1.0:
                 raise NoContractionError(
@@ -859,7 +860,7 @@ def _bordered(fr: _Frame, u: Field, rhs: list, rtol: float,
     lin = fr.second_variation(u)
     rhs = rhs + [lin.apply_values(w) for w in fr.modes]
     d = np.stack([fr.solve_constrained(fr.krylov_rhs(r), rtol, atol,
-                                       400 * 2**fr.red.grid.dim, lin)[0]
+                                       fr.minres_budget, lin)[0]
                   for r in rhs])
     return d, np.column_stack([fr.multipliers(lin.apply_values(x) + r)
                                for x, r in zip(d, rhs)])
@@ -894,14 +895,13 @@ def minimize_peaks(
     at most delta) and is halved into D_{eps,delta}.  The search ends
     `boundary` when a halved step leaves under 1e-3 delta of slack or falls
     below 1e-13, and `converged` when |dy| < 1e-13 and ||dphi||_eps is
-    under the correction's tolerance.  It starts from solve_correction at
-    y0 (NoContractionError at once outside the contraction regime) and
-    returns a fresh solve_correction at the found y, history-free so that
-    one y gives one solution across starts, with the eigenvalues of
-    reduced_hessian there.  Raises IterationError on a singular H or past
-    MAX_SEARCH_EVALUATIONS steps.
+    under the correction's tolerance.  It starts at phi = 0, y0 and returns
+    a fresh solve_correction at the found y, history-free so that one y
+    gives one solution across starts, with the eigenvalues of
+    reduced_hessian there; a start outside the contraction regime fails
+    there (NoContractionError, or ratios above 1).  Raises IterationError
+    on a singular H or past MAX_SEARCH_EVALUATIONS steps.
     """
-    y0.require_admissible(red.potential)
     delta, peaks = y0.delta, red.potential.peaks
     k, n = y0.y.shape
     floor, boundary_tol = 1e-13, 1e-3 * delta
@@ -914,15 +914,15 @@ def minimize_peaks(
         return float(delta - np.linalg.norm(y.reshape(k, n) - peaks,
                                             axis=1).max())
 
-    start = solve_correction(red, y0)
-    fr, phi, g = start.frame, start.correction.values, start.gradient_density
-    del start
-    tol = 1e-10 * y0.eps ** (0.5 * red.params.dim)  # solve_correction's
+    fr, phi = red.frame(y0), np.zeros(red.grid.shape)
+    tol = OUTER_TOL_FACTOR * y0.eps ** (0.5 * red.params.dim)
     tau = tol / math.sqrt(fr.h)         # in the units of the Krylov rhs
     y, radius, last_bnorm = y0.y.ravel().copy(), 0.05 * delta, math.inf
     termination = None
     while termination is None:
         count["evaluations"] += 1
+        u = Field(red.grid, fr.U.values + phi)
+        g = fr.gradient_density(u)
         resid = float(np.abs(g).max())
         if count["evaluations"] > MAX_SEARCH_EVALUATIONS:
             raise IterationError(
@@ -932,8 +932,7 @@ def minimize_peaks(
             )
         bnorm = float(np.linalg.norm(fr.krylov_rhs(g)))
         eta, last_bnorm = _forcing(bnorm, last_bnorm, tau), bnorm
-        d, mu = _bordered(fr, Field(red.grid, fr.U.values + phi), [g], eta,
-                          0.01 * tau)
+        d, mu = _bordered(fr, u, [g], eta, 0.01 * tau)
         try:
             e = np.linalg.solve(mu[:, 1:], -mu[:, 0])
         except np.linalg.LinAlgError:
@@ -946,7 +945,7 @@ def minimize_peaks(
                              fr.gram @ e)
         dphi = d[0] + np.tensordot(e, d[1:], 1) + np.tensordot(e - dy,
                                                               fr.modes, 1)
-        del d, mu           # one frame's fields alive at a time
+        del d, mu, u        # one frame's fields alive at a time
         norm = float(np.abs(dy).max())
         if norm < floor and fr.eps_norm(dphi) < tol:
             termination = "converged"
@@ -966,7 +965,6 @@ def minimize_peaks(
         y = y + step * dy
         fr = red.frame(y0.with_y(y.reshape(k, n)))
         phi = fr.project_field(phi + step * dphi)
-        g = fr.gradient_density(Field(red.grid, fr.U.values + phi))
         count["newton_steps"] += 1
         if halved and slack(y) < boundary_tol:
             # the critical point lies beyond D: each further step would

@@ -181,11 +181,17 @@ def _pohozaev_terms(u: Field, eps: float, params: ProblemParams, V,
     }
 
 
+def _ball_fits(grid: GridSpec, center: np.ndarray, radius: float) -> bool:
+    """The ball lies two spacings inside the box."""
+    return not np.any(np.abs(center) + radius
+                      >= grid.half_width - 2 * grid.spacing)
+
+
 def require_ball(grid: GridSpec, center: np.ndarray, radius: float) -> None:
     """A Pohozaev ball: positive radius, two spacings inside the box."""
     if radius <= 0:
         raise ParameterError(f"radius must be positive, got {radius}")
-    if np.any(np.abs(center) + radius >= grid.half_width - 2 * grid.spacing):
+    if not _ball_fits(grid, center, radius):
         raise GeometryError(
             f"ball(center={center}, r={radius}) does not fit strictly "
             f"inside the box of half-width {grid.half_width}"
@@ -212,7 +218,7 @@ def pohozaev_residual(u: Field, eps: float, params: ProblemParams,
     best = (radius, abs(main["residual"]))
     for fac in np.linspace(0.6, 1.3, POHOZAEV_SCAN):
         r2 = radius * fac
-        if np.any(np.abs(center) + r2 >= grid.half_width - 2 * grid.spacing):
+        if not _ball_fits(grid, center, r2):
             continue
         t = _pohozaev_terms(u, eps, params, V, center, axis=axis, radius=r2)
         series.append({"radius": r2, "residual": t["residual"]})

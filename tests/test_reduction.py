@@ -281,8 +281,9 @@ class TestApplyLeps:
         f = sp.random_band_limited(reducer_1d.grid, 10.0, seed=51)
         g = sp.random_band_limited(reducer_1d.grid, 10.0, seed=52)
         fr = reducer_1d.frame(cfg)
-        lf = sp.Field(reducer_1d.grid, fr.L.apply_values(f.values))
-        lg = sp.Field(reducer_1d.grid, fr.L.apply_values(g.values))
+        l_eps = fr.second_variation(fr.U)
+        lf = sp.Field(reducer_1d.grid, l_eps.apply_values(f.values))
+        lg = sp.Field(reducer_1d.grid, l_eps.apply_values(g.values))
         lhs = sp.inner(lf, g)
         rhs = sp.inner(lg, f)
         assert abs(lhs - rhs) < 1e-9 * abs(lhs)
@@ -300,7 +301,7 @@ class TestApplyLeps:
             profile=fr.U, s=0.4, p=2.0, coefficient=1.0, b=0.0, c=1.3,
         )
         phi = sp.random_band_limited(grid, 3.0, seed=61)
-        via_reduction = fr.L.apply_values(phi.values)
+        via_reduction = fr.second_variation(fr.U).apply_values(phi.values)
         via_kernel = op.apply_values(phi.values)
         diff = np.abs(via_reduction - via_kernel).max()
         assert diff < 1e-12 * np.abs(via_kernel).max()
@@ -323,12 +324,13 @@ class TestApplyLeps:
         z = fr.project(sp.pack(grid, sp._fftn(v)))
         v = sp._ifftn(sp.unpack(grid, z))
         m = fr.p0_isqrt
+        l_eps = fr.second_variation(fr.U)
 
         def mult(x):
             return sp._ifftn(m * sp._fftn(x))
 
-        packed = sp._ifftn(sp.unpack(grid, fr.L.apply_conjugated(z, m)))
-        plain = mult(fr.L.apply_values(mult(v)))
+        packed = sp._ifftn(sp.unpack(grid, l_eps.apply_conjugated(z, m)))
+        plain = mult(l_eps.apply_values(mult(v)))
         assert np.abs(packed - plain).max() < 1e-12 * np.abs(plain).max()
 
     def test_packed_apply_is_hermitian_consistent(self, frame_2d):
@@ -338,7 +340,8 @@ class TestApplyLeps:
         fr = frame_2d
         grid = fr.red.grid
         z = np.random.default_rng(11).standard_normal(2 * fr.p0.size)
-        out = fr.L.apply_conjugated(z, fr.p0_isqrt).view(complex)
+        out = fr.second_variation(fr.U).apply_conjugated(
+            z, fr.p0_isqrt).view(complex)
         out = out.reshape(grid.shape[:-1] + (-1,))
         flip = (-np.arange(grid.points_per_dim)) % grid.points_per_dim
         for col in (0, grid.points_per_dim // 2):
@@ -399,7 +402,8 @@ class TestApplyLeps:
         cfg = rd.PeakConfig(0.05, [[0.3]], delta=0.5, theta=0.8)
         frame = reducer_1d.frame(cfg)
         for solve in (frame.coercivity,
-                      lambda: kn.kernel_spectrum(frame.L, 1)):
+                      lambda: kn.kernel_spectrum(
+                          frame.second_variation(frame.U), 1)):
             with pytest.raises(EigensolverError) as info:
                 solve()
             assert len(info.value.ritz_residuals) == 1
@@ -416,7 +420,8 @@ class TestApplyLeps:
         um = fr.energy(fr.U.values - t * phi.values)
         fd = (up - 2 * u0 + um) / t**2
         quad = fr.h * float(
-            (fr.L.apply_values(phi.values) * phi.values).sum()
+            (fr.second_variation(fr.U).apply_values(phi.values)
+             * phi.values).sum()
         )
         assert fd == pytest.approx(quad, rel=1e-4)
 
@@ -428,9 +433,10 @@ class TestApplyLeps:
         phi = sp.random_band_limited(reducer_1d.grid, 10.0, seed=8)
         power = min(3.0, reducer_1d.params.p + 1.0)
         u = fr.U.values
+        l_eps = fr.second_variation(fr.U)
 
         def remainder(v):
-            quad = fr.h * float((fr.L.apply_values(v) * v).sum())
+            quad = fr.h * float((l_eps.apply_values(v) * v).sum())
             return fr.energy(u + v) - fr.energy(u) - ell(fr, v) - 0.5 * quad
 
         ratios = [
@@ -543,7 +549,8 @@ class TestSolveConstrained:
         # MINRES returns x = 0 for b = 0, and the true residual accepts it
         fr = reducer_2d.frame(self.CFG)
         b = np.zeros_like(fr.krylov_rhs(fr.gradient_density(fr.U)))
-        phi, _ = fr.solve_constrained(b, rtol=1e-11, atol=0.0, maxiter=10)
+        phi, _ = fr.solve_constrained(b, rtol=1e-11, atol=0.0, maxiter=10,
+                                      lin=fr.second_variation(fr.U))
         assert phi.shape == fr.U.values.shape
         assert not np.any(phi)
 
@@ -551,7 +558,8 @@ class TestSolveConstrained:
         fr = reducer_2d.frame(self.CFG)
         with pytest.raises(LinearSolveError, match="stalled"):
             fr.solve_constrained(fr.krylov_rhs(fr.gradient_density(fr.U)),
-                                 rtol=1e-12, atol=0.0, maxiter=2)
+                                 rtol=1e-12, atol=0.0, maxiter=2,
+                                 lin=fr.second_variation(fr.U))
 
 
 @TRUNCATES_BY_DESIGN
@@ -621,7 +629,7 @@ class TestSolveCorrection:
         orig = rd._Frame.solve_constrained
         calls = []
 
-        def solve(self, b, rtol, atol, maxiter, lin=None):
+        def solve(self, b, rtol, atol, maxiter, lin):
             delta, its = orig(self, b, rtol, atol, maxiter, lin)
             calls.append((self, b, rtol, atol, lin, delta, its))
             return delta, its
@@ -632,9 +640,12 @@ class TestSolveCorrection:
         assert len(calls) == sol.iterations == len(sol.inner_iterations)
         assert [c[2] for c in calls] == sol.forcing
         assert [c[2] for c in calls[:3]] == [rd.CORRECTION_INNER_RTOL] * 3
-        assert all(c[4] is None for c in calls[:3])
+        # the contraction steps share one L_eps, built at U
+        l_eps = calls[0][4]
+        assert l_eps.profile is calls[0][0].U
+        assert all(c[4] is l_eps for c in calls[:3])
         newton = calls[3:]
-        assert newton and all(c[4] is not None for c in newton)
+        assert newton and all(c[4] is not l_eps for c in newton)
         assert max(c[2] for c in newton) > 1e3 * rd.CORRECTION_INNER_RTOL
         assert all(n > 0 for n in sol.inner_iterations)
         assert [c[6] for c in calls] == sol.inner_iterations
@@ -816,7 +827,8 @@ class TestMinimizePeaks:
                                                         monkeypatch):
         # from 0.6 the trust radius (0.05 delta = 0.025 at the start,
         # doubled after each clipped step) clips the first Newton steps;
-        # from 0.31 no step is clipped
+        # from the well bottom 0.3 no step is clipped (the largest is
+        # 0.0039)
         orig = rd.Reducer.frame
         visited = []
 
@@ -826,7 +838,7 @@ class TestMinimizePeaks:
 
         monkeypatch.setattr(rd.Reducer, "frame", frame)
         runs = []
-        for y in (0.31, 0.6):
+        for y in (0.3, 0.6):
             visited.clear()
             best, _, info = rd.minimize_peaks(
                 reducer_1d, rd.PeakConfig(0.05, [[y]], delta=0.5, theta=0.8))
@@ -837,22 +849,41 @@ class TestMinimizePeaks:
         assert far_steps[:2] == pytest.approx([0.025, 0.05], rel=1e-12)
         assert np.abs(far.y - near.y).max() < 1e-12
 
-    def test_one_correction_to_start_and_one_to_record(self, reducer_1d,
-                                                       monkeypatch):
-        orig = rd.solve_correction
-        calls = []
+    def test_one_correction_at_the_returned_y(self, reducer_1d,
+                                              monkeypatch):
+        # the search starts at phi = 0; its work is kN + 1 constrained
+        # solves per Newton system, kN for the certificate's tangents and
+        # the record's correction steps
+        orig, orig_solve = rd.solve_correction, rd._Frame.solve_constrained
+        calls, solves = [], []
 
         def counted(red, cfg, **kwargs):
             calls.append(cfg.y.copy())
             return orig(red, cfg, **kwargs)
 
+        def solve(self, *args, **kwargs):
+            solves.append(1)
+            return orig_solve(self, *args, **kwargs)
+
         monkeypatch.setattr(rd, "solve_correction", counted)
+        monkeypatch.setattr(rd._Frame, "solve_constrained", solve)
         y0 = rd.PeakConfig(0.05, [[0.36]], delta=0.5, theta=0.8)
-        best, _, info = rd.minimize_peaks(reducer_1d, y0)
+        best, sol, info = rd.minimize_peaks(reducer_1d, y0)
         assert info["newton_steps"] > 0
-        assert len(calls) == 2
-        assert np.array_equal(calls[0], y0.y)
-        assert np.array_equal(calls[1], best.y)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], best.y)
+        modes = best.y.size     # kN
+        assert len(solves) == ((modes + 1) * info["evaluations"] + modes
+                               + sol.iterations)
+
+    @pytest.mark.filterwarnings(
+        "ignore::fkpeaks.errors.BoundaryMinimizerWarning")
+    def test_start_out_of_regime_fails_typed(self, reducer_1d):
+        # at eps 1.5 the correction does not contract: the search ends on
+        # the boundary of D, and the record's correction raises
+        y0 = rd.PeakConfig(1.5, [[0.4]], delta=0.5, theta=0.8)
+        with pytest.raises(NoContractionError):
+            rd.minimize_peaks(reducer_1d, y0)
 
     def test_evaluation_bound_raises(self, reducer_1d, monkeypatch):
         monkeypatch.setattr(rd, "MAX_SEARCH_EVALUATIONS", 3)
