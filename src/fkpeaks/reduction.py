@@ -693,11 +693,14 @@ def _forcing(bnorm: float, last_bnorm: float, tau: float) -> float:
     the floor 0.5 tau / bnorm of Kelley (Iterative Methods for Linear and
     Nonlinear Equations, SIAM 1995, sec. 6.3) that keeps the residual
     asked for above half the outer tolerance tau; never below
-    CORRECTION_INNER_RTOL.
+    CORRECTION_INNER_RTOL.  With no previous step (`last_bnorm` inf) it
+    is their opening term 0.5, that is FORCING_MAX.
 
     Their safeguard max(eta, gamma eta_prev^alpha), applied when
     gamma eta_prev^alpha > 0.1, never binds here: eta_prev <= FORCING_MAX
     gives gamma eta_prev^alpha <= 0.009."""
+    if last_bnorm == math.inf:
+        return FORCING_MAX
     eta = FORCING_GAMMA * (bnorm / last_bnorm) ** FORCING_ALPHA
     if bnorm > 0.0:
         eta = max(eta, 0.5 * tau / bnorm)
@@ -735,7 +738,7 @@ def solve_correction(
     increments: list[float] = []
     forcing: list[float] = []
     inner: list[int] = []
-    last_bnorm = math.inf       # with no previous step eta is its floor
+    last_bnorm = math.inf       # set by the contraction steps
 
     bad_streak = 0
     for it in range(1, MAX_CORRECTION_STEPS + 1):
@@ -853,17 +856,26 @@ def energy_constants(sys: SystemSolution) -> tuple[float, list[float]]:
 MAX_SEARCH_EVALUATIONS = 100
 
 
-def _bordered(fr: _Frame, u: Field, rhs: list, rtol: float,
-              atol: float) -> tuple[np.ndarray, np.ndarray]:
-    """With A = I''_eps(u): the solutions d of A d = -r on E_{eps,y} for r in
-    `rhs`, then r = A w_b (the tangents), and the multipliers of A d + r."""
+def _bordered(fr: _Frame, u: Field, rtol: float, atol: float,
+              g: np.ndarray | None = None, b: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray, int]:
+    """With A = I''_eps(u): the solutions d of A d = -r on E_{eps,y}, for
+    r = g (given with b = krylov_rhs(g)) if any, then for r = A w_b (the
+    tangents); the multipliers of each A d + r; and the MINRES iterations
+    spent.  A is symmetric on the grid, so <w_a, A d> = <A w_a, d> takes
+    the multipliers from the tangents without applying A to d."""
     lin = fr.second_variation(u)
-    rhs = rhs + [lin.apply_values(w) for w in fr.modes]
-    d = np.stack([fr.solve_constrained(fr.krylov_rhs(r), rtol, atol,
-                                       fr.minres_budget, lin)[0]
-                  for r in rhs])
-    return d, np.column_stack([fr.multipliers(lin.apply_values(x) + r)
-                               for x, r in zip(d, rhs)])
+    tangents = np.stack([lin.apply_values(w) for w in fr.modes])
+    rhs, bs = list(tangents), [fr.krylov_rhs(r) for r in tangents]
+    if g is not None:
+        rhs, bs = [g, *rhs], [b, *bs]
+    d, its = zip(*[fr.solve_constrained(x, rtol, atol, fr.minres_budget,
+                                        lin) for x in bs])
+    d = np.stack(d)
+    pairings = np.column_stack([fr._pairings(tangents, x)
+                                + fr._pairings(fr.modes, r)
+                                for x, r in zip(d, rhs)])
+    return d, np.linalg.solve(fr.gram, -pairings), sum(its)
 
 
 def reduced_hessian(sol: ReducedSolution) -> np.ndarray:
@@ -871,7 +883,7 @@ def reduced_hessian(sol: ReducedSolution) -> np.ndarray:
     critical point's correction: G the Gram matrix, C the constraint
     derivative, H the Schur complement (tangents to CORRECTION_INNER_RTOL)."""
     fr = sol.frame
-    _, h = _bordered(fr, sol.solution, [], CORRECTION_INNER_RTOL, 0.0)
+    _, h, _ = _bordered(fr, sol.solution, CORRECTION_INNER_RTOL, 0.0)
     t = fr.gram - fr.constraint_derivative(sol.correction.values)
     hess = -t.T @ h @ np.linalg.solve(fr.gram, t)
     return 0.5 * (hess + hess.T)
@@ -905,7 +917,9 @@ def minimize_peaks(
     delta, peaks = y0.delta, red.potential.peaks
     k, n = y0.y.shape
     floor, boundary_tol = 1e-13, 1e-3 * delta
-    count = {"evaluations": 0, "newton_steps": 0, "rejected": 0}
+    # per Newton system: its forcing term and its MINRES iterations
+    info = {"evaluations": 0, "newton_steps": 0, "rejected": 0,
+            "forcing": [], "minres_iterations": []}
 
     def admissible(y) -> bool:
         return y0.with_y(y.reshape(k, n)).admissibility(red.potential)[0]
@@ -920,32 +934,35 @@ def minimize_peaks(
     y, radius, last_bnorm = y0.y.ravel().copy(), 0.05 * delta, math.inf
     termination = None
     while termination is None:
-        count["evaluations"] += 1
+        info["evaluations"] += 1
         u = Field(red.grid, fr.U.values + phi)
         g = fr.gradient_density(u)
         resid = float(np.abs(g).max())
-        if count["evaluations"] > MAX_SEARCH_EVALUATIONS:
+        if info["evaluations"] > MAX_SEARCH_EVALUATIONS:
             raise IterationError(
                 f"peak search ran past {MAX_SEARCH_EVALUATIONS} Newton steps "
                 f"(sup|I'(u)| = {resid:.3e})",
-                residual=resid, iterations=count["evaluations"],
+                residual=resid, iterations=info["evaluations"],
             )
-        bnorm = float(np.linalg.norm(fr.krylov_rhs(g)))
+        b = fr.krylov_rhs(g)
+        bnorm = float(np.linalg.norm(b))
         eta, last_bnorm = _forcing(bnorm, last_bnorm, tau), bnorm
-        d, mu = _bordered(fr, u, [g], eta, 0.01 * tau)
+        d, mu, its = _bordered(fr, u, eta, 0.01 * tau, g, b)
+        info["forcing"].append(eta)
+        info["minres_iterations"].append(its)
         try:
             e = np.linalg.solve(mu[:, 1:], -mu[:, 0])
         except np.linalg.LinAlgError:
             raise IterationError(
                 "singular Schur complement of the bordered Newton system: "
                 f"eigenvalues {np.linalg.eigvals(mu[:, 1:]).tolist()}",
-                residual=resid, iterations=count["evaluations"],
+                residual=resid, iterations=info["evaluations"],
             ) from None
         dy = np.linalg.solve(fr.gram - fr.constraint_derivative(phi),
                              fr.gram @ e)
         dphi = d[0] + np.tensordot(e, d[1:], 1) + np.tensordot(e - dy,
                                                               fr.modes, 1)
-        del d, mu, u        # one frame's fields alive at a time
+        del d, mu, u, b     # one frame's fields alive at a time
         norm = float(np.abs(dy).max())
         if norm < floor and fr.eps_norm(dphi) < tol:
             termination = "converged"
@@ -955,7 +972,7 @@ def minimize_peaks(
         halved = False
         while not admissible(y + step * dy):
             step *= 0.5
-            count["rejected"] += 1
+            info["rejected"] += 1
             shortened = halved = True
             if step * norm < floor:
                 termination = "boundary"
@@ -965,7 +982,7 @@ def minimize_peaks(
         y = y + step * dy
         fr = red.frame(y0.with_y(y.reshape(k, n)))
         phi = fr.project_field(phi + step * dphi)
-        count["newton_steps"] += 1
+        info["newton_steps"] += 1
         if halved and slack(y) < boundary_tol:
             # the critical point lies beyond D: each further step would
             # only halve the gap to the boundary
@@ -984,7 +1001,7 @@ def minimize_peaks(
     del fr, phi, g, dphi    # one frame alive at a time, as in the loop
     final = solve_correction(red, best)
     return best, final, {
-        **count,
+        **info,
         "boundary_slack": boundary_slack,
         "termination": termination,
         "grad_norm": float(np.abs(reduced_gradient_total(final)).max()),

@@ -82,6 +82,10 @@ def test_search_result_read_by_tracer():
     assert isinstance(sol, rd.ReducedSolution)
     for key in ("evaluations", "newton_steps"):
         assert type(info[key]) is int and info[key] > 0
+    # per Newton system: its forcing term and its MINRES iterations
+    for key, kind in (("forcing", float), ("minres_iterations", int)):
+        assert len(info[key]) == info["evaluations"]
+        assert all(type(v) is kind and v > 0 for v in info[key])
 
 
 def test_reduce_report_read_by_workloads(tmp_path, monkeypatch):

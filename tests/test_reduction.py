@@ -675,6 +675,8 @@ class TestSolveCorrection:
         assert rd._forcing(1e-2, 1.0, 1e-4) == pytest.approx(5e-3)
         assert rd._forcing(1e-8, 1.0, 1e-4) == rd.FORCING_MAX
         assert rd._forcing(1e-8, 1.0, 0.0) == rd.CORRECTION_INNER_RTOL
+        # with no previous step: Eisenstat-Walker's opening term, capped
+        assert rd._forcing(1e-2, math.inf, 1e-4) == rd.FORCING_MAX
 
 
 def fd_gradient(red, cfg, h=1e-5, **kw):
@@ -726,6 +728,25 @@ def problem_two_peaks():
     )
     cfg = rd.PeakConfig(0.05, [[-1.03], [0.98]], delta=0.3, theta=0.8)
     return rd.Reducer(grid, params, pot), cfg
+
+
+@TRUNCATES_BY_DESIGN
+@pytest.mark.parametrize("problem", [problem_2d, problem_two_peaks])
+def test_bordered_multipliers_need_no_apply(problem):
+    # <w_a, A d> = <A w_a, d>: the multipliers read off the tangents
+    # against those of the assembled residuals A d + r
+    red, cfg = problem()
+    fr = red.frame(cfg)
+    u = sp.Field(red.grid, fr.U.values + 1e-3 * sp.random_band_limited(
+        red.grid, 4.0, seed=5).values)
+    g = fr.gradient_density(u)
+    d, mu, its = rd._bordered(fr, u, 1e-6, 0.0, g, fr.krylov_rhs(g))
+    lin = fr.second_variation(u)
+    rhs = [g, *(lin.apply_values(w) for w in fr.modes)]
+    ref = np.column_stack([fr.multipliers(lin.apply_values(x) + r)
+                           for x, r in zip(d, rhs)])
+    assert mu.shape == (cfg.y.size, cfg.y.size + 1) and its > 0
+    assert np.abs(mu - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @TRUNCATES_BY_DESIGN
@@ -861,9 +882,10 @@ class TestMinimizePeaks:
             calls.append(cfg.y.copy())
             return orig(red, cfg, **kwargs)
 
-        def solve(self, *args, **kwargs):
-            solves.append(1)
-            return orig_solve(self, *args, **kwargs)
+        def solve(self, b, rtol, *args):
+            delta, its = orig_solve(self, b, rtol, *args)
+            solves.append((rtol, its))
+            return delta, its
 
         monkeypatch.setattr(rd, "solve_correction", counted)
         monkeypatch.setattr(rd._Frame, "solve_constrained", solve)
@@ -875,6 +897,15 @@ class TestMinimizePeaks:
         modes = best.y.size     # kN
         assert len(solves) == ((modes + 1) * info["evaluations"] + modes
                                + sol.iterations)
+        # the info holds each system's forcing term, the first at the cap,
+        # and the MINRES iterations of its solves
+        systems = [solves[i:i + modes + 1] for i in
+                   range(0, (modes + 1) * info["evaluations"], modes + 1)]
+        assert info["forcing"][0] == rd.FORCING_MAX
+        assert info["forcing"] == [s[0][0] for s in systems]
+        assert all(rtol == s[0][0] for s in systems for rtol, _ in s)
+        assert info["minres_iterations"] == [sum(its for _, its in s)
+                                             for s in systems]
 
     @pytest.mark.filterwarnings(
         "ignore::fkpeaks.errors.BoundaryMinimizerWarning")
