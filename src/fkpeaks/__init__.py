@@ -9,7 +9,6 @@ from .spectral import (  # noqa: F401
     ProblemParams,
     fractional_laplacian,
     half_laplacian,
-    integrate,
 )
 from .groundstate import (  # noqa: F401
     KirchhoffGroundState,
@@ -17,7 +16,6 @@ from .groundstate import (  # noqa: F401
     SystemSolution,
     decay_fit,
     kirchhoff_scale,
-    pde_residual,
     solve_Q,
     solve_system,
 )

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from . import io as fio
 from . import reduction as rd
 from . import spectral as sp
 from . import verify as vf
-from .errors import ParameterError
+from .errors import ParameterError, TailTruncationWarning
 from .groundstate import (DEFAULT_TOL, decay_fit, kirchhoff_scale, solve_Q,
                           solve_system)
 
@@ -401,7 +402,7 @@ def _stage_system(values, params, grid, potential, starts, run_dir) -> dict:
 
 def _stage_reduce(values, params, grid, potential, starts, run_dir) -> dict:
     eps = starts[0].eps
-    red = rd.Reducer(grid, params, potential, strict=values["strict"])
+    red = rd.Reducer(grid, params, potential)
     report, sol = rd.reduce_at(red, starts[0], values["options"]["minimize"])
     if values["options"]["verbose"]:
         _log_iterations(run_dir, (
@@ -418,7 +419,7 @@ def _stage_reduce(values, params, grid, potential, starts, run_dir) -> dict:
 
 def _stage_sweep(values, params, grid, potential, starts, run_dir) -> dict:
     minimize = values["options"]["minimize"]
-    red = rd.Reducer(grid, params, potential, strict=values["strict"])
+    red = rd.Reducer(grid, params, potential)
     records = rd.sweep_reduction(red, starts, minimize)
     with open(run_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -455,7 +456,7 @@ def _stage_verify(values, params, grid, potential, starts, run_dir) -> dict:
         rep = vf.wrong_ansatz_gap(grid, params, potential,
                                   eps_list=values["eps"], **options)
     elif check == "uniqueness":
-        red = rd.Reducer(grid, params, potential, strict=values["strict"])
+        red = rd.Reducer(grid, params, potential)
         rep = vf.uniqueness_probe(red, starts, tol=options["tol"])
     else:
         # pohozaev: solution from a snapshot if given, else the correction
@@ -463,8 +464,7 @@ def _stage_verify(values, params, grid, potential, starts, run_dir) -> dict:
         if (solution := options.pop("solution")) is not None:
             u, _ = fio.load_field(solution)
         else:
-            red = rd.Reducer(grid, params, potential,
-                             strict=values["strict"])
+            red = rd.Reducer(grid, params, potential)
             u = rd.solve_correction(red, starts[0]).solution
         rep = vf.pohozaev_residual(u, starts[0].eps, params, potential,
                                    **options)
@@ -497,8 +497,12 @@ def run(manifest: RunManifest, out_override=None) -> tuple[int, Path | None]:
     run_dir = _prepare_run_dir(manifest, out_override)
     t0 = time.time()
     try:
-        report = STAGES[manifest.command](values, params, grid, potential,
-                                          starts, run_dir)
+        with warnings.catch_warnings():
+            if values["strict"]:
+                # a box that cuts a profile's tail fails the stage
+                warnings.simplefilter("error", TailTruncationWarning)
+            report = STAGES[manifest.command](values, params, grid,
+                                              potential, starts, run_dir)
     except Exception as exc:
         sys.stderr.write(json.dumps({
             "error": "compute", "stage": manifest.command,

@@ -75,15 +75,12 @@ class TailTruncationWarning(UserWarning):
     """A rescaled profile does not fit the periodic box at the set threshold."""
 
 
-class TruncationError(RuntimeError):
-    """Strict-mode escalation of TailTruncationWarning."""
-
-
 class BoundaryMinimizerWarning(UserWarning):
     """The peak search ended on the boundary of D_eps_delta."""
 
 
 # Failures a solve can end in on valid code: a failed start of a
-# multi-start run, as opposed to a programming error
+# multi-start run, as opposed to a programming error; a
+# TailTruncationWarning is one where a warning filter escalates it
 SOLVER_ERRORS = (ParameterError, IterationError, NoContractionError,
-                 LinearSolveError, BracketError, TruncationError)
+                 LinearSolveError, BracketError, TailTruncationWarning)

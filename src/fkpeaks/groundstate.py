@@ -261,7 +261,8 @@ def kirchhoff_scale(base: SchrodingerGroundState, params: ProblemParams,
     the one-peak limiting system, with the residual of the full equation."""
     system = solve_system(base, params, [c])
     profile = system.profiles[0]
-    sup_res, _ = pde_residual(profile, params, c, 1.0)
+    sup_res = float(np.abs(residual_density(
+        profile, params.s, params.p, params.a, params.b, c)).max())
     return KirchhoffGroundState(
         alpha=system.alphas[0], beta=system.betas[0], base=base,
         params=params, c=c, profile=profile, residual=sup_res,
@@ -376,19 +377,3 @@ def residual_density(u: Field, s: float, p: float, a_eps: float,
     return (coef * sp.fractional_laplacian(u, s).values
             + V * u.values - sp.pos_power(u.values, p))
 
-
-def pde_residual(u: Field, params: ProblemParams, V, eps: float = 1.0):
-    """Residual of the eps-scaled Kirchhoff equation.
-
-    (eps^2s a + eps^(4s-N) b ||(-Delta)^(s/2) u||^2) (-Delta)^s u
-        + V u - u_+^p,   reduced to (sup, L2) norms.
-
-    eps = 1 covers the unscaled equations; V is a scalar or grid values.
-    """
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
-    density = residual_density(u, params.s, params.p, *params.scaled(eps), V)
-    h = u.grid.spacing ** params.dim
-    sup = float(np.abs(density).max())
-    l2 = float(np.sqrt(h * (density**2).sum()))
-    return sup, l2

@@ -106,11 +106,6 @@ class LinearizedOperator:
         return out
 
 
-def translation_modes(op: LinearizedOperator) -> list[Field]:
-    """Spectral derivatives d_j U, the expected kernel directions."""
-    return [sp.derivative(op.profile, j) for j in range(op.grid.dim)]
-
-
 def _dense_matrix(op: LinearizedOperator) -> np.ndarray:
     npts = op.grid.points_per_dim**op.grid.dim
     mat = np.empty((npts, npts))
@@ -199,9 +194,10 @@ def kernel_spectrum(op: LinearizedOperator, n: int,
 
 def subspace_cosines(op: LinearizedOperator,
                      fields: list[Field]) -> list[float]:
-    """Cosine of each field against span{d_j U} (orthogonal projection)."""
-    modes = translation_modes(op)
-    basis = np.stack([m.values.ravel() for m in modes])
+    """Cosine of each field against span{d_j U}, the translation modes
+    (orthogonal projection)."""
+    basis = np.stack([sp.derivative(op.profile, j).values.ravel()
+                      for j in range(op.grid.dim)])
     q, _ = np.linalg.qr(basis.T)
     out = []
     for f in fields:

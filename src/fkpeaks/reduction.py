@@ -51,7 +51,6 @@ from .errors import (
     NoContractionError,
     ParameterError,
     TailTruncationWarning,
-    TruncationError,
 )
 from .groundstate import SystemSolution, residual_density, solve_profile
 from .kernel import LinearizedOperator, lanczos_smallest
@@ -402,13 +401,12 @@ class Reducer:
     """
 
     def __init__(self, grid: GridSpec, params: ProblemParams,
-                 potential: Potential, strict: bool = False):
+                 potential: Potential):
         if potential.dim != grid.dim:
             raise GridMismatchError("potential dimension does not match grid")
         self.grid = grid
         self.params = params
         self.potential = potential
-        self.strict = strict
         self.V = potential.on_grid(grid)
         self._systems: dict[float, GridSystem] = {}
 
@@ -425,11 +423,10 @@ class Reducer:
         for i in range(len(gs.profiles)):
             frac = gs.tail_fraction(i)
             if frac > TAIL_THRESHOLD:
-                msg = (f"peak {i} tail at the box boundary is {frac:.2e} of "
-                       f"its maximum (threshold {TAIL_THRESHOLD:.1e})")
-                if self.strict:
-                    raise TruncationError(msg)
-                warnings.warn(msg, TailTruncationWarning, stacklevel=3)
+                warnings.warn(
+                    f"peak {i} tail at the box boundary is {frac:.2e} of its "
+                    f"maximum (threshold {TAIL_THRESHOLD:.1e})",
+                    TailTruncationWarning, stacklevel=3)
 
     def frame(self, cfg: PeakConfig) -> "_Frame":
         """The public entry to the operations at one configuration (eps, y).
@@ -569,8 +566,7 @@ class _Frame:
         return self.project(-self.precondition(rhs_density))
 
     def solve_constrained(self, b: np.ndarray, rtol: float, atol: float,
-                          maxiter: int, lin: LinearizedOperator
-                          ) -> tuple[np.ndarray, int]:
+                          lin: LinearizedOperator) -> tuple[np.ndarray, int]:
         """Solve the constrained symmetric system A phi = -rhs on E_{eps,y}
         for b = krylov_rhs(rhs), with A the second variation `lin` (L_eps
         is second_variation(U)).  Returns phi and the MINRES iterations
@@ -588,7 +584,7 @@ class _Frame:
         at rtol/10 (but not below CORRECTION_INNER_RTOL) and restarts from
         xi at a tenth of its last rtol while the true residual misses.
         Raises LinearSolveError when a restart no longer reduces the
-        residual or `maxiter` iterations are spent in all.
+        residual or `minres_budget` iterations are spent in all.
         """
         bnorm = float(np.linalg.norm(b))
         op = sla.LinearOperator((b.size, b.size), dtype=float,
@@ -605,7 +601,8 @@ class _Frame:
         xi, resid = None, bnorm
         while True:
             xi, info = sla.minres(op, b, x0=xi, rtol=inner_rtol,
-                                  maxiter=maxiter - spent, callback=count)
+                                  maxiter=self.minres_budget - spent,
+                                  callback=count)
             last, resid = resid, float(np.linalg.norm(b - op.matvec(xi)))
             # the true residual one MINRES run can reach grows with the
             # solution (up to 6.2e-10 ||xi|| measured on 64^2 to 256^2
@@ -613,7 +610,7 @@ class _Frame:
             xnorm = float(np.linalg.norm(xi))
             if resid <= max(target, 1e-8 * xnorm):
                 return self.to_field(self.project(xi)), spent
-            if resid >= last or spent >= maxiter:
+            if resid >= last or spent >= self.minres_budget:
                 raise LinearSolveError(
                     f"projected MINRES stalled: true residual {resid:.3e} "
                     f"misses eta = {rtol:.3e} of the rhs norm {bnorm:.3e} "
@@ -753,8 +750,7 @@ def solve_correction(
         last_bnorm = bnorm
         forcing.append(eta)
         try:
-            delta, its = fr.solve_constrained(b, eta, 0.01 * tau,
-                                              fr.minres_budget, lin)
+            delta, its = fr.solve_constrained(b, eta, 0.01 * tau, lin)
         except LinearSolveError:
             if ratios and ratios[-1] >= 1.0:
                 raise NoContractionError(
@@ -841,9 +837,10 @@ def energy_constants(sys: SystemSolution) -> tuple[float, list[float]]:
     semis = 0.0
     bs = []
     for u in sys.profiles:
-        pots += sp.integrate(Field(u.grid, sp.pos_power(u.values, p + 1.0)))
+        h = u.grid.spacing ** u.grid.dim
+        pots += float(h * sp.pos_power(u.values, p + 1.0).sum())
         semis += sp.seminorm_sq(u, s)
-        bs.append(0.5 * sp.integrate(Field(u.grid, u.values**2)))
+        bs.append(0.5 * float(h * (u.values**2).sum()))
     a_const = (0.5 - 1.0 / (p + 1.0)) * pots - 0.25 * b * semis**2
     return a_const, bs
 
@@ -869,8 +866,7 @@ def _bordered(fr: _Frame, u: Field, rtol: float, atol: float,
     rhs, bs = list(tangents), [fr.krylov_rhs(r) for r in tangents]
     if g is not None:
         rhs, bs = [g, *rhs], [b, *bs]
-    d, its = zip(*[fr.solve_constrained(x, rtol, atol, fr.minres_budget,
-                                        lin) for x in bs])
+    d, its = zip(*[fr.solve_constrained(x, rtol, atol, lin) for x in bs])
     d = np.stack(d)
     pairings = np.column_stack([fr._pairings(tangents, x)
                                 + fr._pairings(fr.modes, r)

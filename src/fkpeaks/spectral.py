@@ -189,17 +189,9 @@ class Field:
         self._flap = None  # (s, (-Delta)^s of this field)
 
     @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "Field":
-        return cls(grid, fn(*grid.coords))
-
-    @classmethod
     def from_spectral(cls, grid: GridSpec, coeffs: np.ndarray) -> "Field":
         vals = _ifftn(coeffs)
         return cls(grid, vals, _spectral=np.asarray(coeffs, dtype=complex))
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "Field":
-        return cls(grid, np.zeros(grid.shape))
 
     def spectral(self) -> np.ndarray:
         """The half spectrum rfftn(values) (see the module conventions)."""
@@ -272,11 +264,6 @@ def _check_s(s: float) -> None:
         raise ParameterError(f"s must lie in (0, 1], got {s}")
 
 
-def _same_grid(f: Field, g: Field) -> None:
-    if f.grid != g.grid:
-        raise GridMismatchError("fields live on different grids")
-
-
 def fractional_laplacian(f: Field, s: float) -> Field:
     """(-Delta)^s f via the |xi|^(2s) multiplier.  Memoised on f for the
     last s asked, so the residual and the second variation at one field
@@ -294,17 +281,6 @@ def half_laplacian(f: Field, s: float) -> Field:
     _check_s(s)
     coeffs = f.spectral() * f.grid.symbol(0.5 * s)
     return Field.from_spectral(f.grid, coeffs)
-
-
-def integrate(f: Field) -> float:
-    """Rectangle-rule integral h^N * sum(values)."""
-    return float(f.grid.spacing ** f.grid.dim * f.values.sum())
-
-
-def inner(f: Field, g: Field) -> float:
-    """L2 inner product on the box."""
-    _same_grid(f, g)
-    return float(f.grid.spacing ** f.grid.dim * np.vdot(f.values, g.values).real)
 
 
 def lq_norm(f: Field, q: float) -> float:
@@ -439,9 +415,9 @@ def pos_power(values: np.ndarray, p: float) -> np.ndarray:
     return np.maximum(values, 0.0) ** p
 
 
-def random_band_limited(grid: GridSpec, cutoff: float, seed,
-                        amplitude: float = 1.0) -> Field:
-    """Seeded random real field supported on modes with |xi| <= cutoff."""
+def random_band_limited(grid: GridSpec, cutoff: float, seed) -> Field:
+    """Seeded random real field supported on modes with |xi| <= cutoff,
+    scaled to sup |values| = 1."""
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(grid.shape)
     coeffs = _fftn(vals)
@@ -451,5 +427,5 @@ def random_band_limited(grid: GridSpec, cutoff: float, seed,
     out = _ifftn(coeffs)
     peak = np.abs(out).max()
     if peak > 0:
-        out = out * (amplitude / peak)
+        out = out * (1.0 / peak)
     return Field(grid, out)

@@ -10,11 +10,13 @@ from fkpeaks import cli
 from fkpeaks import io as fio
 from fkpeaks import reduction as rd
 from fkpeaks import spectral as sp
+from fkpeaks import verify as vf
 from fkpeaks.errors import (
     BoundaryMinimizerWarning,
     NoContractionError,
     ParameterError,
 )
+from fkpeaks.groundstate import kirchhoff_scale, solve_Q
 from tests_support import TRUNCATES_BY_DESIGN
 
 
@@ -397,6 +399,32 @@ class TestGroundstateCommand:
         copied = json.loads((run_dir / "manifest.json").read_text())
         assert cli.RunManifest.from_dict(copied) == m
 
+    def test_kirchhoff_scale_and_gamma_log(self, tmp_path):
+        spec = manifest_groundstate(tmp_path)
+        spec["params"]["b"] = 0.25
+        spec["options"] = {"c": 2.0, "verbose": True}
+        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        assert status == 0
+        report = json.loads((run_dir / "report.json").read_text())
+        assert report["passed"] is True
+        params = sp.ProblemParams(**spec["params"])
+        base = solve_Q(sp.GridSpec(1, 20.0, 1024), params.s, params.p)
+        ground = kirchhoff_scale(base, params, 2.0)
+        assert report["kirchhoff"] == {"alpha": ground.alpha,
+                                       "beta": ground.beta,
+                                       "residual": ground.residual}
+        field, meta = fio.load_field(run_dir / "kirchhoff")
+        assert np.array_equal(field.values, ground.profile.values)
+        assert field.grid == ground.profile.grid
+        assert {k: meta[k] for k in ("alpha", "beta", "c", "residual")} == {
+            "alpha": ground.alpha, "beta": ground.beta, "c": 2.0,
+            "residual": ground.residual}
+        rows = [json.loads(line) for line in
+                (run_dir / "iterations.jsonl").read_text().splitlines()]
+        assert rows == [{"iteration": i + 1, "gamma": g}
+                        for i, g in enumerate(base.gammas)]
+        assert [r["gamma"] for r in rows[-3:]] == report["gamma_tail"]
+
 
 class TestSystemCommand:
     def test_system_report(self, tmp_path):
@@ -502,9 +530,23 @@ class TestReduceCommand:
         status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
         assert status == 3
         report = json.loads((run_dir / "report.json").read_text())
-        assert "TruncationError" in report["failed"]
+        assert report["failed"].startswith(
+            "TailTruncationWarning('peak 0 tail at the box boundary is")
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "compute" and err["stage"] == "reduce"
+
+    def test_strict_truncating_uniqueness_starts_are_failed(self, tmp_path):
+        spec = self.truncating_reduce(tmp_path)
+        spec["command"], spec["strict"] = "verify", True
+        spec["options"] = {"check": "uniqueness",
+                           "start_offsets": [0.0, 0.05]}
+        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        assert status == 1
+        failed = json.loads(
+            (run_dir / "report.json").read_text())["measured"]["failed"]
+        assert [f["start"] for f in failed] == [0, 1]
+        assert all(f["error"].startswith("TailTruncationWarning('peak 0 tail")
+                   for f in failed)
 
     def test_strict_flag_escalates(self, tmp_path):
         path = tmp_path / "reduce.json"
@@ -554,8 +596,9 @@ class TestVerifyCommand:
                          str(path)]) == 0
         assert (tmp_path / "verify" / "checks.jsonl").exists()
 
-    def test_pohozaev_check_on_pipeline_solution(self, tmp_path):
-        m = cli.RunManifest.from_dict({
+    @staticmethod
+    def pohozaev(tmp_path, name, **options) -> dict:
+        return {
             "command": "verify",
             "params": {"dim": 1, "s": 1.0, "p": 3.0, "a": 1.0, "b": 0.25,
                        "validation_mode": True},
@@ -563,13 +606,79 @@ class TestVerifyCommand:
             "potential": {"kind": "single_well", "center": [0.2],
                           "value": 1.0, "coeffs": [1.0], "m": 2.0},
             "eps": [0.1],
-            "options": {"check": "pohozaev", "radius": 0.6},
-            "output_dir": str(tmp_path / "poho"),
-        })
+            "options": {"check": "pohozaev", "radius": 0.6, **options},
+            "output_dir": str(tmp_path / name),
+        }
+
+    def test_pohozaev_check_on_pipeline_solution(self, tmp_path):
+        m = cli.RunManifest.from_dict(self.pohozaev(tmp_path, "poho"))
         status, run_dir = cli.run(m)
         assert status == 0
         report = json.loads((run_dir / "report.json").read_text())
         assert report["check"] == "pohozaev_residual"
+
+    def test_pohozaev_from_a_snapshot_matches_the_correction(self, tmp_path):
+        # the snapshot holds the solution the check otherwise computes
+        params, grid, pot, starts, _ = cli.RunManifest.from_dict(
+            self.pohozaev(tmp_path, "computed")).validate()
+        red = rd.Reducer(grid, params, pot)
+        fio.save_field(rd.solve_correction(red, starts[0]).solution,
+                       tmp_path / "u")
+        reports = []
+        for name, options in (("computed", {}),
+                              ("snapshot", {"solution": str(tmp_path / "u")})):
+            status, run_dir = cli.run(cli.RunManifest.from_dict(
+                self.pohozaev(tmp_path, name, **options)))
+            assert status == 0
+            report = json.loads((run_dir / "report.json").read_text())
+            reports.append({k: v for k, v in report.items()
+                            if k != "wall_seconds"})
+        assert reports[0] == reports[1]
+
+    def test_sobolev_check_via_cli(self, tmp_path):
+        # no eps list: the check runs at its default eps
+        spec = {
+            "command": "verify",
+            "params": {"dim": 1, "s": 0.4, "p": 2.0, "a": 1.0, "b": 0.0},
+            "grid": {"half_width": 6.0, "points_per_dim": 256},
+            "seeds": {"master": 77},
+            "options": {"check": "sobolev", "samples": 6},
+            "output_dir": str(tmp_path / "sobolev"),
+        }
+        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        assert status == 0
+        report = json.loads((run_dir / "report.json").read_text())
+        grid = sp.GridSpec(1, 6.0, 256)
+        rep = vf.sobolev_scaling_check(
+            grid, sp.ProblemParams(**spec["params"]),
+            rd.Potential.constant(1.0, dim=1),
+            eps_list=[0.4, 0.2, 0.1, 0.05], q=2.0, samples=6, seed=77)
+        assert report["report"] == json.loads(json.dumps(rep.as_dict()))
+        assert report["passed"] is True
+
+    def test_wrong_ansatz_check_via_cli(self, tmp_path):
+        # eps this large leaves the system contrast above its gate, so the
+        # check fails the run
+        spec = {
+            "command": "verify",
+            "params": {"dim": 1, "s": 0.4, "p": 2.0, "a": 1.0, "b": 0.25},
+            "grid": {"half_width": 8.0, "points_per_dim": 1024},
+            "potential": {"kind": "multi_well", "centers": [[-1.0], [1.0]],
+                          "values": [1.0, 1.5], "coeffs": [[1.0], [1.0]],
+                          "m": 2.0, "far_value": 2.2, "plateau": 0.7},
+            "eps": [0.06, 0.03],
+            "options": {"check": "wrong_ansatz", "tol": 0.3},
+            "output_dir": str(tmp_path / "wrong"),
+        }
+        m = cli.RunManifest.from_dict(spec)
+        status, run_dir = cli.run(m)
+        report = json.loads((run_dir / "report.json").read_text())
+        params, grid, pot, _, _ = m.validate()
+        rep = vf.wrong_ansatz_gap(grid, params, pot, eps_list=[0.06, 0.03],
+                                  tol=0.3)
+        assert report["report"] == json.loads(json.dumps(rep.as_dict()))
+        assert rep.tolerance == 0.3 and rep.passed is False
+        assert status == 1 and report["passed"] is False
 
     def test_failed_uniqueness_start_fails_the_run(self, tmp_path,
                                                    monkeypatch):
@@ -621,6 +730,19 @@ class TestThreadsAndVerbose:
         assert "increment_eps_norm" in rows[0]
 
 
+class TestMain:
+    @pytest.mark.parametrize("text", [None, "{not json"])
+    def test_unreadable_manifest_is_a_validation_error(self, tmp_path,
+                                                       capsys, text):
+        path = tmp_path / "manifest.json"
+        if text is not None:
+            path.write_text(text)
+        assert cli.main(["reduce", "--manifest", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert list(tmp_path.iterdir()) == ([] if text is None else [path])
+
+
 class TestEnvOutputRoot:
     def test_env_var_used_when_no_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_OUTPUT_ROOT, str(tmp_path / "envroot"))
@@ -644,7 +766,7 @@ class TestSnapshots:
 
     def test_csv_round_trip(self, tmp_path):
         grid = sp.GridSpec(1, 3.0, 32)
-        f = sp.Field.from_function(grid, lambda x: np.exp(-x**2))
+        f = sp.Field(grid, np.exp(-grid.axis**2))
         fio.save_profile_csv(f, tmp_path / "p.csv")
         with open(tmp_path / "p.csv", newline="") as fh:
             header, *rows = csv.reader(fh)

@@ -231,7 +231,7 @@ class TestWorkAndResiduals:
 class TestDecayFit:
     def test_synthetic_power_law(self):
         grid = sp.GridSpec(1, 40.0, 2048)
-        f = sp.Field.from_function(grid, lambda x: (1.0 + np.abs(x)) ** -3)
+        f = sp.Field(grid, (1.0 + np.abs(grid.axis)) ** -3)
         slope = gs.decay_fit(f, (5.0, 15.0))
         # oracle: unweighted LS of log(1+x)^-3 against log x on [5, 15]
         # gives -2.6937 (the local slope is -3x/(1+x), between -2.5 and -2.81)
@@ -240,15 +240,13 @@ class TestDecayFit:
 
     def test_pure_power_law_exact(self):
         grid = sp.GridSpec(1, 40.0, 2048)
-        f = sp.Field.from_function(
-            grid, lambda x: np.where(np.abs(x) > 0.1, np.abs(x), 0.1) ** -3.0
-        )
+        f = sp.Field(grid, np.maximum(np.abs(grid.axis), 0.1) ** -3.0)
         slope = gs.decay_fit(f, (5.0, 15.0))
         assert slope == pytest.approx(-3.0, abs=1e-6)
 
     def test_gaussian_flagged_super_polynomial(self):
         grid = sp.GridSpec(1, 40.0, 2048)
-        f = sp.Field.from_function(grid, lambda x: np.exp(-x**2))
+        f = sp.Field(grid, np.exp(-grid.axis**2))
         slope = gs.decay_fit(f, (5.0, 15.0))
         # far steeper than any -(N+2s): caller flags "faster than polynomial"
         assert slope < -1.8 * 1.5
@@ -267,7 +265,7 @@ class TestDecayFit:
 
     def test_nonpositive_window_rejected(self):
         grid = sp.GridSpec(1, 40.0, 2048)
-        f = sp.Field.from_function(grid, lambda x: np.cos(x))
+        f = sp.Field(grid, np.cos(grid.axis))
         with pytest.raises(ParameterError):
             gs.decay_fit(f, (5.0, 15.0))
 
@@ -387,27 +385,26 @@ class TestPdeResidual:
     def test_manufactured_plane_wave(self):
         grid = sp.GridSpec(1, 10.0, 256)
         xi0 = grid.wavenumbers_axis[6]
-        u = sp.Field.from_function(grid, lambda x: np.cos(xi0 * x))
-        params = sp.ProblemParams(1, 0.4, 2.0, 1.0, 1.0)
+        u = sp.Field(grid, np.cos(xi0 * grid.axis))
         dens = gs.residual_density(u, 0.4, 2.0, 1.0, 1.0, 1.0)
-        sup, _ = gs.pde_residual(u, params, 1.0, eps=1.0)
         s_val = sp.seminorm_sq(u, 0.4)
         coef = 1.0 + s_val
         expected = (coef * abs(xi0) ** 0.8 * u.values + u.values
                     - sp.pos_power(u.values, 2.0))
         assert np.abs(dens - expected).max() < 1e-11
-        assert sup == np.abs(dens).max()
 
     def test_zero_field(self):
         grid = sp.GridSpec(1, 10.0, 64)
-        params = sp.ProblemParams(1, 0.4, 2.0, 1.0, 1.0)
-        sup, l2 = gs.pde_residual(sp.Field.zeros(grid), params, 1.0)
-        assert sup == 0.0 and l2 == 0.0
+        zero = sp.Field(grid, np.zeros(grid.shape))
+        assert not np.any(gs.residual_density(zero, 0.4, 2.0, 1.0, 1.0, 1.0))
 
     def test_scaled_ground_state(self, frac_q, frac_params):
+        # the residual of the full equation, with V = c
         ground = gs.kirchhoff_scale(frac_q, frac_params, c=1.0)
-        sup, _ = gs.pde_residual(ground.profile, frac_params, 1.0, eps=1.0)
-        assert sup < 10.0 * frac_q.residual
+        p = frac_params
+        dens = gs.residual_density(ground.profile, p.s, p.p, p.a, p.b, 1.0)
+        assert ground.residual == np.abs(dens).max()
+        assert ground.residual < 10.0 * frac_q.residual
 
 
 class TestBoxDoubling:

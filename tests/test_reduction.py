@@ -10,7 +10,7 @@ from fkpeaks import spectral as sp
 from fkpeaks.errors import (BoundaryMinimizerWarning, EigensolverError,
                             IterationError, LinearSolveError,
                             NoContractionError, ParameterError)
-from tests_support import TRUNCATES_BY_DESIGN
+from tests_support import TRUNCATES_BY_DESIGN, integrate
 
 
 @pytest.fixture(scope="module")
@@ -165,15 +165,15 @@ class TestEpsInner:
         fr = eps_frame(grid, params_1d, rd.Potential.constant(1.0), 1.0)
         val = fr.eps_norm(f.values) ** 2
         expected = (params_1d.a * sp.seminorm_sq(f, params_1d.s)
-                    + sp.integrate(sp.Field(grid, f.values**2)))
+                    + integrate(grid, f.values**2))
         assert val == pytest.approx(expected, rel=1e-12)
 
     def test_orthogonal_plane_waves(self, params_1d):
         grid = sp.GridSpec(1, 10.0, 256)
         x1 = grid.wavenumbers_axis[3]
         x2 = grid.wavenumbers_axis[7]
-        f = sp.Field.from_function(grid, lambda x: np.cos(x1 * x))
-        g = sp.Field.from_function(grid, lambda x: np.cos(x2 * x))
+        f = sp.Field(grid, np.cos(x1 * grid.axis))
+        g = sp.Field(grid, np.cos(x2 * grid.axis))
         fr = eps_frame(grid, params_1d, rd.Potential.constant(1.0), 0.3)
         # polarization: <f, g> = (||f + g||^2 - ||f - g||^2) / 4
         inner = 0.25 * (fr.eps_norm(f.values + g.values) ** 2
@@ -185,7 +185,7 @@ class TestEpsInner:
         f = sp.random_band_limited(grid, 6.0, seed=5)
         norm_sq = eps_frame(grid, params_1d, well_1d, 0.1).eps_norm(
             f.values) ** 2
-        mass = sp.integrate(sp.Field(grid, f.values**2))
+        mass = integrate(grid, f.values**2)
         inf_v = well_1d.on_grid(grid).min()
         assert norm_sq >= inf_v * mass - 1e-12
 
@@ -214,12 +214,9 @@ class TestBuildAnsatz:
         )
         red = rd.Reducer(grid, params, pot)
         peaks, u = red.system(0.02).ansatz(pot.peaks)
-        total_sq = sp.integrate(sp.Field(grid, u.values**2))
-        parts_sq = sum(
-            sp.integrate(sp.Field(grid, f.values**2)) for f in peaks
-        )
-        cross = sp.integrate(sp.Field(
-            grid, peaks[0].values * peaks[1].values))
+        total_sq = integrate(grid, u.values**2)
+        parts_sq = sum(integrate(grid, f.values**2) for f in peaks)
+        cross = integrate(grid, peaks[0].values * peaks[1].values)
         assert total_sq == pytest.approx(parts_sq + 2 * cross, rel=1e-12)
         assert abs(cross) < 0.01 * parts_sq
 
@@ -243,8 +240,8 @@ def ell(fr, vals):
 class TestEll:
     def test_zero_phi(self, reducer_1d):
         cfg = rd.PeakConfig(0.1, [[0.3]], delta=0.5, theta=0.8)
-        z = sp.Field.zeros(reducer_1d.grid)
-        assert ell(reducer_1d.frame(cfg), z.values) == 0.0
+        z = np.zeros(reducer_1d.grid.shape)
+        assert ell(reducer_1d.frame(cfg), z) == 0.0
 
     def test_frozen_potential_critical_point(self, params_1d, grid_1d):
         pot = rd.Potential.constant(1.0, dim=1)
@@ -282,10 +279,9 @@ class TestApplyLeps:
         g = sp.random_band_limited(reducer_1d.grid, 10.0, seed=52)
         fr = reducer_1d.frame(cfg)
         l_eps = fr.second_variation(fr.U)
-        lf = sp.Field(reducer_1d.grid, l_eps.apply_values(f.values))
-        lg = sp.Field(reducer_1d.grid, l_eps.apply_values(g.values))
-        lhs = sp.inner(lf, g)
-        rhs = sp.inner(lg, f)
+        grid = reducer_1d.grid
+        lhs = integrate(grid, l_eps.apply_values(f.values) * g.values)
+        rhs = integrate(grid, l_eps.apply_values(g.values) * f.values)
         assert abs(lhs - rhs) < 1e-9 * abs(lhs)
 
     def test_matches_kernel_operator_when_b_zero(self):
@@ -412,17 +408,15 @@ class TestApplyLeps:
     def test_quadratic_form_matches_energy_second_difference(self, reducer_1d):
         cfg = rd.PeakConfig(0.1, [[0.3]], delta=0.5, theta=0.8)
         fr = reducer_1d.frame(cfg)
-        phi = sp.random_band_limited(reducer_1d.grid, 10.0, seed=7,
-                                     amplitude=0.1)
+        phi = 0.1 * sp.random_band_limited(reducer_1d.grid, 10.0,
+                                           seed=7).values
         t = 1e-3
-        up = fr.energy(fr.U.values + t * phi.values)
+        up = fr.energy(fr.U.values + t * phi)
         u0 = fr.energy(fr.U.values)
-        um = fr.energy(fr.U.values - t * phi.values)
+        um = fr.energy(fr.U.values - t * phi)
         fd = (up - 2 * u0 + um) / t**2
         quad = fr.h * float(
-            (fr.second_variation(fr.U).apply_values(phi.values)
-             * phi.values).sum()
-        )
+            (fr.second_variation(fr.U).apply_values(phi) * phi).sum())
         assert fd == pytest.approx(quad, rel=1e-4)
 
     def test_remainder_order(self, reducer_1d):
@@ -549,16 +543,17 @@ class TestSolveConstrained:
         # MINRES returns x = 0 for b = 0, and the true residual accepts it
         fr = reducer_2d.frame(self.CFG)
         b = np.zeros_like(fr.krylov_rhs(fr.gradient_density(fr.U)))
-        phi, _ = fr.solve_constrained(b, rtol=1e-11, atol=0.0, maxiter=10,
+        phi, _ = fr.solve_constrained(b, rtol=1e-11, atol=0.0,
                                       lin=fr.second_variation(fr.U))
         assert phi.shape == fr.U.values.shape
         assert not np.any(phi)
 
     def test_real_stall_raises(self, reducer_2d):
         fr = reducer_2d.frame(self.CFG)
+        fr.minres_budget = 2
         with pytest.raises(LinearSolveError, match="stalled"):
             fr.solve_constrained(fr.krylov_rhs(fr.gradient_density(fr.U)),
-                                 rtol=1e-12, atol=0.0, maxiter=2,
+                                 rtol=1e-12, atol=0.0,
                                  lin=fr.second_variation(fr.U))
 
 
@@ -629,8 +624,8 @@ class TestSolveCorrection:
         orig = rd._Frame.solve_constrained
         calls = []
 
-        def solve(self, b, rtol, atol, maxiter, lin):
-            delta, its = orig(self, b, rtol, atol, maxiter, lin)
+        def solve(self, b, rtol, atol, lin):
+            delta, its = orig(self, b, rtol, atol, lin)
             calls.append((self, b, rtol, atol, lin, delta, its))
             return delta, its
 
@@ -844,6 +839,27 @@ class TestMinimizePeaks:
         ok, _ = best.admissibility(reducer_1d.potential)
         assert ok
 
+    def test_step_halved_below_the_floor_ends_at_the_start(self, reducer_1d,
+                                                           monkeypatch):
+        # D admits the start alone: the first step is halved below the
+        # 1e-13 floor, and the record is the correction at y0
+        y0 = rd.PeakConfig(0.05, [[0.36]], delta=0.5, theta=0.8)
+        orig = rd.PeakConfig.admissibility
+
+        def admissibility(self, potential):
+            if np.array_equal(self.y, y0.y):
+                return orig(self, potential)
+            return False, "refused"
+
+        monkeypatch.setattr(rd.PeakConfig, "admissibility", admissibility)
+        best, sol, info = rd.minimize_peaks(reducer_1d, y0)
+        assert info["termination"] == "boundary"
+        assert info["newton_steps"] == 0 and info["rejected"] > 0
+        assert np.array_equal(best.y, y0.y)
+        assert np.array_equal(sol.frame.cfg.y, y0.y)
+        ref = rd.solve_correction(reducer_1d, y0)
+        assert sol.correction_norm == ref.correction_norm
+
     def test_clipped_steps_reach_the_unclipped_minimizer(self, reducer_1d,
                                                         monkeypatch):
         # from 0.6 the trust radius (0.05 delta = 0.025 at the start,
@@ -964,10 +980,15 @@ class TestStrictMode:
 
     def test_tail_violation_raises_in_strict_mode(self, params_1d, grid_1d,
                                                   well_1d):
-        from fkpeaks.errors import TruncationError
-        red = rd.Reducer(grid_1d, params_1d, well_1d, strict=True)
-        with pytest.raises(TruncationError):
-            red.system(0.16)
+        # strict mode is the warning filter that cli.run sets
+        import warnings as w
+        from fkpeaks.errors import TailTruncationWarning
+        red = rd.Reducer(grid_1d, params_1d, well_1d)
+        with w.catch_warnings():
+            w.simplefilter("error", TailTruncationWarning)
+            with pytest.raises(TailTruncationWarning, match="peak 0 tail"):
+                red.system(0.16)
+        assert 0.16 not in red._systems
 
 
 class TestEnergyConstants:
@@ -1008,11 +1029,11 @@ class TestEnergyConstants:
         system = gs.solve_system(frac_q, frac_params, [1.0, 1.4])
         s_tot = sum(system.seminorms)
         mass = sum(
-            v * sp.integrate(sp.Field(u.grid, u.values**2))
+            v * integrate(u.grid, u.values**2)
             for v, u in zip(system.peak_values, system.profiles)
         )
         pots = sum(
-            sp.integrate(sp.Field(u.grid, sp.pos_power(u.values, 3.0)))
+            integrate(u.grid, sp.pos_power(u.values, 3.0))
             for u in system.profiles
         )
         lhs = frac_params.a * s_tot + mass

@@ -12,6 +12,11 @@ TRUNCATES_BY_DESIGN = pytest.mark.filterwarnings(
     "ignore::fkpeaks.errors.TailTruncationWarning")
 
 
+def integrate(grid, values) -> float:
+    """Rectangle-rule integral h^N sum(values) over the box."""
+    return float(grid.spacing ** grid.dim * np.sum(values))
+
+
 def manufactured_classical(M, L=2.0, eps=0.1, y=0.15, amp=2.0):
     """u = amp sech((x-y)/eps) solves the classical equation (s=1, b=0,
     p=3) with V = 1 + (amp^2 - 2) sech^2((x-y)/eps), exactly; the field is
