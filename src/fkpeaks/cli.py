@@ -136,9 +136,10 @@ iterations.jsonl
 groundstate: iteration, gamma
 reduce:      per step of the correction at the returned y: iteration,
              increment_eps_norm (||phi_{n+1} - phi_n||_eps), inner_iterations
-             (MINRES iterations, restarts included), forcing (the step's
-             forcing term eta, the bound on its linear solve's true residual
-             relative to the right-hand side; 1e-11 for the contraction steps)
+             (MINRES iterations; one more apply confirms each stop), forcing
+             (the step's forcing term eta, the bound on its linear solve's
+             true residual relative to the right-hand side; 1e-11 for the
+             contraction steps)
 
 CSV columns
 -----------

@@ -14,10 +14,11 @@ Each fixed-point step solves the constrained symmetric system
 
 whose right-hand side is -I'_eps(U + phi), evaluated as the Kirchhoff
 residual at U + phi (groundstate.residual_density); L_eps is the
-kernel module's LinearizedOperator at U.  The system is solved by
-projected MINRES after symmetric preconditioning with
-P0 = eps^2s a (-Delta)^s + Vbar (a Fourier multiplier), which keeps the
-iteration matrix O(1)-conditioned uniformly in eps.  The Krylov vectors
+kernel module's LinearizedOperator at U.  The system is solved by the
+package's projected MINRES (Paige-Saunders), stopped on its recurrence
+residual and confirmed on the true one, after symmetric preconditioning
+with P0 = eps^2s a (-Delta)^s + Vbar (a Fourier multiplier), which keeps
+the iteration matrix O(1)-conditioned uniformly in eps.  The Krylov vectors
 are the preconditioned coordinates xi = P0^(1/2) phi as packed half
 spectra (spectral.pack), an isometry of grid fields: P0^(-1/2) and the
 bulk term act there as multipliers, so a matvec moves only P0^(-1/2) xi
@@ -39,7 +40,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.sparse import linalg as sla
 
 from . import spectral as sp
 from .errors import (
@@ -283,8 +283,8 @@ class ReducedSolution:
     full_residual: float
     orthogonality: np.ndarray
     increments: list[float] = field(repr=False, default_factory=list)
-    # MINRES iterations (restarts included) and forcing term eta of each
-    # outer step
+    # MINRES iterations and forcing term eta of each outer step (each
+    # solve also applies the form once to confirm its stop)
     inner_iterations: list[int] = field(repr=False, default_factory=list)
     forcing: list[float] = field(repr=False, default_factory=list)
     # density of I'_eps(U + phi), which the multipliers and
@@ -570,7 +570,7 @@ class _Frame:
         """Solve the constrained symmetric system A phi = -rhs on E_{eps,y}
         for b = krylov_rhs(rhs), with A the second variation `lin` (L_eps
         is second_variation(U)).  Returns phi and the MINRES iterations
-        spent, restarts included.
+        spent.
 
         Projected MINRES on Q m A m Q, m = P0^(-1/2), over the packed
         spectra of xi = P0^(1/2) phi; packing is an isometry, so norms are
@@ -578,46 +578,66 @@ class _Frame:
         real fields, where the right-hand side lies.
 
         `rtol` is held on the true residual: ||b - Q m A m Q xi|| <=
-        max(rtol ||b||, atol), with atol in the units of b.  scipy's
-        MINRES stops on rtol ||A|| ||xi|| or on its least-squares test,
-        which can leave the true residual at half of ||b||, so it starts
-        at rtol/10 (but not below CORRECTION_INNER_RTOL) and restarts from
-        xi at a tenth of its last rtol while the true residual misses.
-        Raises LinearSolveError when a restart no longer reduces the
-        residual or `minres_budget` iterations are spent in all.
+        max(rtol ||b||, atol), with atol in the units of b.  The Lanczos
+        recurrence with Givens rotations (Paige & Saunders 1975) stops when
+        its residual phibar meets that target, and a true residual confirms
+        the stop; the two drift apart in floating point (Choi, Paige &
+        Saunders 2011), so a miss halves the target below phibar and the
+        recurrence goes on.  Raises LinearSolveError, naming the stop, when
+        `minres_budget` iterations are spent, on a breakdown (gamma = 0) or
+        when a confirmation is no closer than the one before.
         """
         bnorm = float(np.linalg.norm(b))
-        op = sla.LinearOperator((b.size, b.size), dtype=float,
-                                matvec=lambda v: self.apply_hat(v, lin))
-        spent = 0
-
-        def count(_xk):
-            nonlocal spent
-            spent += 1
-
         target = max(rtol * bnorm, atol)
-        # one MINRES run gains nothing below CORRECTION_INNER_RTOL
-        inner_rtol = max(0.1 * rtol, CORRECTION_INNER_RTOL)
-        xi, resid = None, bnorm
+        xi, goal, last, spent = np.zeros_like(b), target, math.inf, 0
+        # the last Lanczos vector v_old and the next p = beta v, the search
+        # directions w_old, w, the last rotation (cs, sn) and the rotated
+        # tridiagonal's entries dbar, eps
+        v_old, p, beta = np.zeros_like(b), b, bnorm
+        w_old, w = np.zeros_like(b), np.zeros_like(b)
+        cs, sn, dbar, eps, phibar = -1.0, 0.0, 0.0, 0.0, bnorm
+
+        def stalled(stop: str) -> LinearSolveError:
+            resid = float(np.linalg.norm(b - self.apply_hat(xi, lin)))
+            return LinearSolveError(
+                f"projected MINRES stalled on {stop}: true residual "
+                f"{resid:.3e} misses eta = {rtol:.3e} of the rhs norm "
+                f"{bnorm:.3e} (atol {atol:.3e}, solution norm "
+                f"{float(np.linalg.norm(xi)):.3e}, {spent} iterations)")
+
         while True:
-            xi, info = sla.minres(op, b, x0=xi, rtol=inner_rtol,
-                                  maxiter=self.minres_budget - spent,
-                                  callback=count)
-            last, resid = resid, float(np.linalg.norm(b - op.matvec(xi)))
-            # the true residual one MINRES run can reach grows with the
-            # solution (up to 6.2e-10 ||xi|| measured on 64^2 to 256^2
-            # grids), so a residual under 1e-8 ||xi|| is roundoff
-            xnorm = float(np.linalg.norm(xi))
-            if resid <= max(target, 1e-8 * xnorm):
-                return self.to_field(self.project(xi)), spent
-            if resid >= last or spent >= self.minres_budget:
-                raise LinearSolveError(
-                    f"projected MINRES stalled: true residual {resid:.3e} "
-                    f"misses eta = {rtol:.3e} of the rhs norm {bnorm:.3e} "
-                    f"(atol {atol:.3e}, solution norm {xnorm:.3e}, "
-                    f"{spent} iterations, info={info})"
-                )
-            inner_rtol *= 0.1
+            # phibar = 0 (b = 0 or an invariant Krylov space) confirms on
+            # every pass, so the step below never divides by beta = 0
+            if phibar <= goal:
+                resid = float(np.linalg.norm(b - self.apply_hat(xi, lin)))
+                # the true residual MINRES can reach grows with the
+                # solution, so a residual under 1e-8 ||xi|| is roundoff
+                if resid <= max(target, 1e-8 * float(np.linalg.norm(xi))):
+                    return self.to_field(self.project(xi)), spent
+                if resid >= last:
+                    raise stalled("a confirmation without progress")
+                last, goal = resid, 0.5 * phibar
+                continue
+            if spent >= self.minres_budget:
+                raise stalled(f"its budget of {self.minres_budget} "
+                              "iterations")
+            v = p / beta
+            p = self.apply_hat(v, lin) - beta * v_old
+            alpha = float(v @ p)
+            p -= alpha * v
+            v_old, beta = v, float(np.linalg.norm(p))
+            spent += 1
+            # rotate the new column (beta, alpha, beta_next) by the last
+            # rotation, then annihilate beta_next
+            delta, gbar = cs * dbar + sn * alpha, sn * dbar - cs * alpha
+            eps_old, eps, dbar = eps, sn * beta, -cs * beta
+            gamma = math.hypot(gbar, beta)
+            if gamma == 0.0:
+                raise stalled("a Lanczos breakdown (gamma = 0)")
+            cs, sn = gbar / gamma, beta / gamma
+            w_old, w = w, (v - eps_old * w_old - delta * w) / gamma
+            xi = xi + (cs * phibar) * w
+            phibar *= sn
 
     def multipliers(self, grad_density: np.ndarray) -> np.ndarray:
         """Lagrange multipliers of the constrained stationarity system."""
@@ -673,9 +693,9 @@ class _Frame:
 MAX_CORRECTION_STEPS = 40
 OUTER_TOL_FACTOR = 1e-10   # outer tolerance on ||dphi||_eps / eps^(N/2)
 PICARD_STEPS = 3   # contraction steps before a correction's Newton steps
-# the MINRES rtol below which one run gains nothing (its true residual
-# stalls at 5.7e-11 to 6.2e-10 ||xi||): the forcing term of each
-# contraction step and the least forcing term of a Newton step
+# the MINRES rtol of each contraction step and the least forcing term of
+# a Newton step (MINRES itself reaches true residuals of 2e-15 to 8e-15
+# ||xi|| on 64^2 to 256^2 grids)
 CORRECTION_INNER_RTOL = 1e-11
 # Eisenstat-Walker forcing terms of the Newton steps (choice 2)
 FORCING_GAMMA = 0.9
@@ -901,14 +921,14 @@ def minimize_peaks(
     sum_b (e_b d_b + (e_b - dy_b) w_b), projected onto E at y + s dy.  s
     clips dy to a trust radius (0.05 delta, doubled after a clipped step,
     at most delta) and is halved into D_{eps,delta}.  The search ends
-    `boundary` when a halved step leaves under 1e-3 delta of slack or falls
-    below 1e-13, and `converged` when |dy| < 1e-13 and ||dphi||_eps is
-    under the correction's tolerance.  It starts at phi = 0, y0 and returns
-    a fresh solve_correction at the found y, history-free so that one y
-    gives one solution across starts, with the eigenvalues of
-    reduced_hessian there; a start outside the contraction regime fails
-    there (NoContractionError, or ratios above 1).  Raises IterationError
-    on a singular H or past MAX_SEARCH_EVALUATIONS steps.
+    `boundary` when two halved steps in a row leave under 1e-3 delta of
+    slack or one falls below 1e-13, and `converged` when |dy| < 1e-13 and
+    ||dphi||_eps is under the correction's tolerance.  It starts at
+    phi = 0, y0 and returns a fresh solve_correction at the found y,
+    history-free so that one y gives one solution across starts, with the
+    eigenvalues of reduced_hessian there; a start outside the contraction
+    regime fails there (NoContractionError, or ratios above 1).  Raises
+    IterationError on a singular H or past MAX_SEARCH_EVALUATIONS steps.
     """
     delta, peaks = y0.delta, red.potential.peaks
     k, n = y0.y.shape
@@ -928,7 +948,7 @@ def minimize_peaks(
     tol = OUTER_TOL_FACTOR * y0.eps ** (0.5 * red.params.dim)
     tau = tol / math.sqrt(fr.h)         # in the units of the Krylov rhs
     y, radius, last_bnorm = y0.y.ravel().copy(), 0.05 * delta, math.inf
-    termination = None
+    termination, pressed = None, False
     while termination is None:
         info["evaluations"] += 1
         u = Field(red.grid, fr.U.values + phi)
@@ -979,9 +999,11 @@ def minimize_peaks(
         fr = red.frame(y0.with_y(y.reshape(k, n)))
         phi = fr.project_field(phi + step * dphi)
         info["newton_steps"] += 1
-        if halved and slack(y) < boundary_tol:
-            # the critical point lies beyond D: each further step would
-            # only halve the gap to the boundary
+        # two halved steps in a row into the band: the critical point lies
+        # beyond D, and each further step would only halve the gap to the
+        # boundary (one such step can be a detour of a far start)
+        pressed, was_pressed = halved and slack(y) < boundary_tol, pressed
+        if pressed and was_pressed:
             termination = "boundary"
         elif shortened:
             radius = min(2.0 * radius, delta)

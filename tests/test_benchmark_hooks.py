@@ -32,8 +32,9 @@ def test_tracer_installs_and_restores(monkeypatch):
     assert all(getattr(owner, attr) is orig for owner, attr, orig in bound)
 
 
-def tiny_reducer() -> rd.Reducer:
-    return rd.Reducer(sp.GridSpec(1, 4.0, 256),
+def tiny_reducer(points: int = 256) -> rd.Reducer:
+    """Criterion 7's problem; on its 1024-point grid at points=1024."""
+    return rd.Reducer(sp.GridSpec(1, 4.0, points),
                       sp.ProblemParams(1, 0.4, 2.0, 1.0, 0.25),
                       rd.Potential.single_well([0.3], 1.0, [1.0], m=2.0))
 
@@ -44,21 +45,27 @@ def tiny_correction() -> rd.ReducedSolution:
 
 
 @TRUNCATES_BY_DESIGN
-def test_tracer_counts_every_minres_iteration(monkeypatch):
-    # a MINRES run, restarts included, that bypasses the module attribute
-    # the tracer rebinds would go uncounted
-    monkeypatch.syspath_prepend(str(BENCH))
-    from layers import install
-    from tracer import Tracer
+def test_inner_iterations_count_every_minres_apply(monkeypatch):
+    # each MINRES iteration applies the projected form once and each solve
+    # confirms its stop with one more apply, so the inner iterations a
+    # correction reports are all of its linear work
+    applies = []
+    orig = rd._Frame.apply_hat
 
-    tr = Tracer()
-    try:
-        install(tr)
-        sol = tiny_correction()
-    finally:
-        tr.restore()
-    assert sum(sol.inner_iterations) > 0
-    assert tr.counts["reduction.minres_iters"] == sum(sol.inner_iterations)
+    def apply_hat(self, z, lin):
+        applies.append(1)
+        return orig(self, z, lin)
+
+    monkeypatch.setattr(rd._Frame, "apply_hat", apply_hat)
+    wide = tiny_reducer(1024)
+    runs = [(tiny_reducer(), 0.16, 0.35)] + [
+        (wide, eps, 0.4) for eps in (0.16, 0.08, 0.04, 0.02)]
+    for red, eps, y in runs:
+        applies.clear()
+        sol = rd.solve_correction(red, rd.PeakConfig(eps, [[y]], 0.5, 0.8))
+        assert sum(sol.inner_iterations) > 0
+        assert len(applies) == (sum(sol.inner_iterations)
+                                + len(sol.inner_iterations))
 
 
 @TRUNCATES_BY_DESIGN

@@ -551,10 +551,50 @@ class TestSolveConstrained:
     def test_real_stall_raises(self, reducer_2d):
         fr = reducer_2d.frame(self.CFG)
         fr.minres_budget = 2
-        with pytest.raises(LinearSolveError, match="stalled"):
+        with pytest.raises(LinearSolveError,
+                           match="stalled on its budget of 2 iterations"):
             fr.solve_constrained(fr.krylov_rhs(fr.gradient_density(fr.U)),
                                  rtol=1e-12, atol=0.0,
                                  lin=fr.second_variation(fr.U))
+
+    def test_confirmation_without_progress_raises(self, reducer_2d,
+                                                  monkeypatch):
+        # the Lanczos vectors have unit norm; this apply answers the other
+        # calls, the confirmations, with zeros, so the second
+        # confirmation's true residual equals the first's, ||b||
+        orig = rd._Frame.apply_hat
+
+        def apply_hat(self, z, lin):
+            out = orig(self, z, lin)
+            return out if abs(np.linalg.norm(z) - 1.0) < 1e-12 else 0.0 * out
+
+        monkeypatch.setattr(rd._Frame, "apply_hat", apply_hat)
+        fr = reducer_2d.frame(self.CFG)
+        with pytest.raises(LinearSolveError,
+                           match="stalled on a confirmation without progress"):
+            fr.solve_constrained(fr.krylov_rhs(fr.gradient_density(fr.U)),
+                                 rtol=1e-6, atol=0.0,
+                                 lin=fr.second_variation(fr.U))
+
+    def test_indefinite_solve_matches_dense_minimum_norm_solution(self):
+        # the projected form of L_eps keeps the profile's negative
+        # direction on E, and vanishes on the constraint span and off the
+        # spectra of real fields: MINRES from 0 must find the
+        # minimum-norm solution there
+        red = rd.Reducer(sp.GridSpec(1, 4.0, 256),
+                         sp.ProblemParams(1, 0.4, 2.0, 1.0, 0.25),
+                         rd.Potential.single_well([0.3], 1.0, [1.0], m=2.0))
+        fr = red.frame(rd.PeakConfig(0.16, [[0.35]], 0.5, 0.8))
+        l_eps = fr.second_variation(fr.U)
+        eye = np.eye(fr.Qc.shape[1])
+        dense = np.column_stack([fr.apply_hat(e, l_eps) for e in eye])
+        assert np.linalg.eigvalsh(0.5 * (dense + dense.T))[0] < -0.1
+        b = fr.krylov_rhs(fr.gradient_density(fr.U))
+        phi, _ = fr.solve_constrained(b, rtol=1e-11, atol=0.0, lin=l_eps)
+        # the null space lies at roundoff, the smallest |eigenvalue| on E
+        # at 0.43 and the largest at 13
+        ref = fr.to_field(np.linalg.lstsq(dense, b, rcond=1e-10)[0])
+        assert np.abs(phi - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 @TRUNCATES_BY_DESIGN
@@ -655,11 +695,13 @@ class TestSolveCorrection:
 
     def test_minres_breakdown_names_forcing_and_true_residual(
             self, reducer_1d, monkeypatch):
-        monkeypatch.setattr(rd.sla, "minres",
-                            lambda A, b, **kw: (np.zeros_like(b), 0))
+        # a zero apply breaks the Lanczos recurrence down at its first step
+        monkeypatch.setattr(rd._Frame, "apply_hat",
+                            lambda self, z, lin: np.zeros_like(z))
         cfg = rd.PeakConfig(0.16, [[0.35]], delta=0.5, theta=0.8)
         with pytest.raises(LinearSolveError,
-                           match=r"true residual .* eta = 1\.000e-11"):
+                           match=r"breakdown .* true residual .* "
+                                 r"eta = 1\.000e-11"):
             rd.solve_correction(reducer_1d, cfg)
 
     def test_forcing_terms(self):
