@@ -8,7 +8,8 @@ grid array) and b the weight of the nonlocal rank-one term.  For the
 unit-potential ground state this is L+ (c = 1, A = a + b ||(-Delta)^(s/2)
 U||^2), and nondegeneracy means its kernel is exactly span{d_j U}; the
 reduction uses the same operator as L_eps, with c = V and the weight
-b eps^(4s-N).
+b eps^(4s-N).  It acts on grid values only; the reduction's preconditioned
+apply reads its local and rank-one terms (`add_lower_order`).
 
 Every spectral certificate comes from one Lanczos on the n+1 lowest
 eigenvalues with a magnitude certificate (`lanczos_smallest`): the
@@ -47,7 +48,6 @@ class LinearizedOperator:
         self._local = self.c - self.p * sp.pos_power(self.profile.values,
                                                      self.p - 1.0)
         self._h = grid.spacing**grid.dim
-        self._conjugation = None   # (m, multipliers) of apply_conjugated
 
     @property
     def grid(self) -> GridSpec:
@@ -66,36 +66,10 @@ class LinearizedOperator:
         """L v on grid values (2 transforms)."""
         sym = self.grid.symbol(self.s)
         out = self.coefficient * sp._ifftn(sym * sp._fftn(vals))
-        return self._add_lower_order(out, vals)
+        return self.add_lower_order(out, vals)
 
-    def apply_conjugated(self, z: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """m L m v for a real Fourier multiplier m on packed spectra
-        (`spectral.pack`): z packs v, the result packs m L m v (2
-        transforms; only m v visits the grid, for the local and rank-one
-        terms).
-
-        The result is projected onto the spectra of real fields, so the
-        apply is symmetric and vanishes off them.  The multipliers built
-        from m are kept for the next call with the same array, which must
-        not change in place.
-        """
-        grid = self.grid
-        if self._conjugation is None or self._conjugation[0] is not m:
-            scale = grid.packing_scale
-            self._conjugation = (
-                m, m / scale,
-                self.coefficient * grid.symbol(self.s) * m * m, scale * m,
-            )
-        _, m_in, bulk, m_out = self._conjugation
-        zhat = sp.packed_spectrum(grid, z)
-        u = sp._ifftn(m_in * zhat)
-        g = self._add_lower_order(np.zeros_like(u), u)
-        out = bulk * zhat + m_out * sp._fftn(g)
-        sp.make_hermitian(grid, out)
-        return out.view(float).ravel()
-
-    def _add_lower_order(self, out: np.ndarray,
-                         vals: np.ndarray) -> np.ndarray:
+    def add_lower_order(self, out: np.ndarray,
+                        vals: np.ndarray) -> np.ndarray:
         """out += (c - p U^(p-1)) v + 2 b <(-D)^s U, v> (-D)^s U."""
         out += self._local * vals
         if self.b != 0.0:

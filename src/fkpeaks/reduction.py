@@ -20,11 +20,11 @@ residual and confirmed on the true one, after symmetric preconditioning
 with P0 = eps^2s a (-Delta)^s + Vbar (a Fourier multiplier), which keeps
 the iteration matrix O(1)-conditioned uniformly in eps.  The Krylov vectors
 are the preconditioned coordinates xi = P0^(1/2) phi as packed half
-spectra (spectral.pack), an isometry of grid fields: P0^(-1/2) and the
-bulk term act there as multipliers, so a matvec moves only P0^(-1/2) xi
-to the grid and back (2 transforms).  Each matvec projects its result
-onto the spectra of real fields (spectral.make_hermitian), which keeps
-roundoff from feeding the packed components no real field has.
+spectra (scaled by GridSpec.packing_scale), an isometry of grid fields:
+the frame builds their multipliers once, so a matvec moves only
+P0^(-1/2) xi to the grid and back (2 transforms).  Each matvec projects
+its result onto the spectra of real fields (spectral.make_hermitian),
+which keeps roundoff from feeding the packed components no real field has.
 
 Each frame builds the kN x kN constraint algebra once: the stacked
 translation modes w_ij, their representatives P w_ij (P = eps^2s a
@@ -469,11 +469,13 @@ class _Frame:
         self.gram = self.h * (self.modes.reshape(len(dens), -1)
                               @ dens.reshape(len(dens), -1).T)
 
-        # symmetric preconditioner: P0 = eps^2s a |xi|^2s + Vbar
-        vbar = float(np.min(self.V))
-        self.p0 = self.a_eps * grid.symbol(s) + vbar
-        self.p0_isqrt = 1.0 / np.sqrt(self.p0)
-        self.p0_isqrt.setflags(write=False)     # apply_conjugated keeps it
+        # symmetric preconditioner m = P0^(-1/2), P0 = eps^2s a |xi|^2s +
+        # Vbar, as multipliers with the packing scale S: m/S (unpack, then
+        # m), S m (m, then pack) and |xi|^2s m^2 (the bulk term of m L m)
+        sym, scale = grid.symbol(s), grid.packing_scale
+        m = 1.0 / np.sqrt(self.a_eps * sym + float(np.min(self.V)))
+        self.m_unpack, self.m_pack = m / scale, scale * m
+        self.m_bulk = sym * m * m
         # orthonormal basis of preconditioned constraint densities
         wmat = np.stack([self.precondition(d) for d in dens])
         q, _ = np.linalg.qr(wmat.T)
@@ -490,31 +492,39 @@ class _Frame:
     def precondition(self, vals: np.ndarray) -> np.ndarray:
         """The packed spectrum of P0^(-1/2) f, a density in preconditioned
         coordinates (1 transform)."""
-        return sp.pack(self.red.grid, self.p0_isqrt * sp._fftn(vals))
+        return (self.m_pack * sp._fftn(vals)).view(float).ravel()
 
     def to_field(self, z: np.ndarray) -> np.ndarray:
         """The grid values phi = P0^(-1/2) xi of z, the packed spectrum
         of xi (1 transform)."""
-        return sp._ifftn(self.p0_isqrt * sp.unpack(self.red.grid, z))
+        return sp._ifftn(self.m_unpack * sp.packed_spectrum(self.red.grid, z))
 
     def project(self, z: np.ndarray) -> np.ndarray:
         return z - self.Qc.T @ (self.Qc @ z)
 
     def project_field(self, vals: np.ndarray) -> np.ndarray:
-        """Project grid values onto E_{eps,y} = {phi : <w_ij, phi> = 0}.
-
-        The Krylov projector acts on the packed spectrum of the
-        preconditioned coordinates xi = P0^(1/2) phi (2 transforms).
-        """
-        z = sp.pack(self.red.grid, np.sqrt(self.p0) * sp._fftn(vals))
-        return self.to_field(self.project(z))
+        """Project grid values eps-orthogonally onto E_{eps,y} = {phi :
+        <w_ij, phi>_eps = 0}, along the translation modes: phi - sum c w
+        with G c = h <P w, phi> (no transform)."""
+        c = np.linalg.solve(self.gram,
+                            self._pairings(self.mode_densities, vals))
+        return vals - np.tensordot(c, self.modes, 1)
 
     def apply_hat(self, z: np.ndarray,
                   lin: LinearizedOperator) -> np.ndarray:
         """Projected, preconditioned action Q m L m Q on packed spectra,
-        with m = P0^(-1/2) and Q the constraint projector."""
-        return self.project(lin.apply_conjugated(self.project(z),
-                                                 self.p0_isqrt))
+        with m = P0^(-1/2) and Q the constraint projector (2 transforms:
+        only m v visits the grid).  The result is projected last, exactly,
+        onto the spectra of real fields, so the apply vanishes off them."""
+        grid = self.red.grid
+        zhat = sp.packed_spectrum(grid, self.project(z))
+        mv = sp._ifftn(self.m_unpack * zhat)
+        lower = lin.add_lower_order(np.zeros_like(mv), mv)
+        out = (lin.coefficient * self.m_bulk) * zhat \
+            + self.m_pack * sp._fftn(lower)
+        out = sp.packed_spectrum(grid, self.project(out.view(float).ravel()))
+        sp.make_hermitian(grid, out)
+        return out.view(float).ravel()
 
     def second_variation(self, u: Field) -> LinearizedOperator:
         """The second variation I''_eps(u); L_eps at the ansatz u = U."""
@@ -667,7 +677,7 @@ class _Frame:
         spectra of real fields (H, `spectral.make_hermitian`), so
         `kernel.lanczos_smallest` runs on apply_hat(z) + COERCIVITY_SHIFT
         ((z - Hz) + Qc^T Qc z), which moves that null space to the shift;
-        a pick not below the shift raises EigensolverError.
+        a pick not below the shift by 1e-8 of it raises EigensolverError.
         """
         grid = self.red.grid
         l_eps = self.second_variation(self.U)
@@ -678,9 +688,11 @@ class _Frame:
             off = z - hz.view(float).ravel() + self.Qc.T @ (self.Qc @ z)
             return self.apply_hat(z, l_eps) + COERCIVITY_SHIFT * off
 
-        vals, _ = lanczos_smallest(form, 2 * self.p0.size, 1)
+        vals, _ = lanczos_smallest(form, self.Qc.shape[1], 1)
         rho = float(abs(vals[0]))
-        if rho >= COERCIVITY_SHIFT:
+        # eigsh's tol 1e-10 bounds the Ritz residual, hence the error, of
+        # the null space's eigenvalue to 1e-10 of the shift: refuse 1e-8
+        if rho >= (1.0 - 1e-8) * COERCIVITY_SHIFT:
             raise EigensolverError(f"min |eigenvalue| {rho:.6e} on E_eps_y is "
                                    f"not below the shift {COERCIVITY_SHIFT:g}")
         return rho

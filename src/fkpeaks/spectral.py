@@ -12,9 +12,9 @@ Conventions:
   - Parseval sums over the half spectrum weigh each mode by the number of
     full-spectrum modes it stands for (`GridSpec.hermitian_weights`): 1 on
     the k = 0 and k = M/2 columns of the last axis, 2 elsewhere;
-  - packed coordinates (`pack`) scale a half spectrum by
-    S = sqrt(hermitian_weights / M^N) and view it as a float64 vector, so
-    f -> pack(_fftn(f)) preserves the Euclidean norm of grid values; its
+  - packed coordinates scale a half spectrum by S = `packing_scale` =
+    sqrt(hermitian_weights / M^N) and view it as a float64 vector, so
+    packing _fftn(f) preserves the Euclidean norm of grid values; its
     image, the Hermitian-consistent vectors, is the spectra of real fields
     (`make_hermitian` projects onto it);
   - the fractional Laplacian acts as the Fourier multiplier |xi|^(2s),
@@ -309,24 +309,12 @@ def seminorm_inner(grid: GridSpec, s: float, uhat: np.ndarray,
     return sums if sums.ndim else float(sums)
 
 
-def pack(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Packed coordinates of a half spectrum: S * coeffs viewed as one
-    flat float64 vector (see the module conventions)."""
-    return (coeffs * grid.packing_scale).view(float).ravel()
-
-
 def packed_spectrum(grid: GridSpec, flat: np.ndarray) -> np.ndarray:
     """The scaled half spectrum S * coeffs that packed coordinates hold,
     as a complex view (a copy when `flat` is not contiguous);
     `.view(float).ravel()` packs it back."""
     flat = np.ascontiguousarray(flat)
     return flat.view(complex).reshape(grid.shape[:-1] + (-1,))
-
-
-def unpack(grid: GridSpec, flat: np.ndarray) -> np.ndarray:
-    """The half spectrum of packed coordinates (inverse of `pack`);
-    _ifftn of it drops the part off the real-field spectra."""
-    return packed_spectrum(grid, flat) / grid.packing_scale
 
 
 def make_hermitian(grid: GridSpec, coeffs: np.ndarray) -> None:

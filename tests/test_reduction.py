@@ -10,7 +10,7 @@ from fkpeaks import spectral as sp
 from fkpeaks.errors import (BoundaryMinimizerWarning, EigensolverError,
                             IterationError, LinearSolveError,
                             NoContractionError, ParameterError)
-from tests_support import TRUNCATES_BY_DESIGN, integrate
+from tests_support import TRUNCATES_BY_DESIGN, integrate, pack, unpack
 
 
 @pytest.fixture(scope="module")
@@ -312,21 +312,24 @@ class TestApplyLeps:
                                        theta=0.8))
 
     def test_packed_apply_matches_plain_apply(self, frame_2d):
-        # the 2-transform apply on packed half spectra against m (L (m v))
-        # on E_{eps,y}, composed through the packing, 2D
+        # the 2-transform apply on packed half spectra against Q m L m Q
+        # composed from grid applies through the packing, m = P0^(-1/2)
+        # from P0 = eps^2s a |xi|^2s + min V, 2D
         fr = frame_2d
         grid = fr.red.grid
         v = sp.random_band_limited(grid, 8.0, seed=5).values
-        z = fr.project(sp.pack(grid, sp._fftn(v)))
-        v = sp._ifftn(sp.unpack(grid, z))
-        m = fr.p0_isqrt
+        z = pack(grid, sp._fftn(v))
+        m = 1.0 / np.sqrt(fr.a_eps * grid.symbol(fr.red.params.s)
+                          + fr.V.min())
         l_eps = fr.second_variation(fr.U)
 
         def mult(x):
             return sp._ifftn(m * sp._fftn(x))
 
-        packed = sp._ifftn(sp.unpack(grid, l_eps.apply_conjugated(z, m)))
-        plain = mult(l_eps.apply_values(mult(v)))
+        v = sp._ifftn(unpack(grid, fr.project(z)))
+        plain = fr.project(pack(grid, sp._fftn(
+            mult(l_eps.apply_values(mult(v))))))
+        packed = fr.apply_hat(z, l_eps)
         assert np.abs(packed - plain).max() < 1e-12 * np.abs(plain).max()
 
     def test_packed_apply_is_hermitian_consistent(self, frame_2d):
@@ -335,9 +338,8 @@ class TestApplyLeps:
         # columns is the conjugate of its mirror across the leading axis
         fr = frame_2d
         grid = fr.red.grid
-        z = np.random.default_rng(11).standard_normal(2 * fr.p0.size)
-        out = fr.second_variation(fr.U).apply_conjugated(
-            z, fr.p0_isqrt).view(complex)
+        z = np.random.default_rng(11).standard_normal(fr.Qc.shape[1])
+        out = fr.apply_hat(z, fr.second_variation(fr.U)).view(complex)
         out = out.reshape(grid.shape[:-1] + (-1,))
         flip = (-np.arange(grid.points_per_dim)) % grid.points_per_dim
         for col in (0, grid.points_per_dim // 2):
@@ -381,6 +383,16 @@ class TestApplyLeps:
                                                        monkeypatch):
         # the shifted null space is then the pick, 0.3, not 0.4332
         monkeypatch.setattr(rd, "COERCIVITY_SHIFT", 0.3)
+        with pytest.raises(EigensolverError, match="not below the shift"):
+            frame_2d.coercivity()
+
+    def test_pick_a_roundoff_below_the_shift_raises(self, frame_2d,
+                                                    monkeypatch):
+        # Lanczos finds the shifted null space's eigenvalue only to its
+        # tolerance, so a pick just below the shift is that null space
+        pick = rd.COERCIVITY_SHIFT * (1.0 - 1e-15)
+        monkeypatch.setattr(rd, "lanczos_smallest", lambda matvec, size, n:
+                            (np.array([pick]), np.zeros((size, 1))))
         with pytest.raises(EigensolverError, match="not below the shift"):
             frame_2d.coercivity()
 
@@ -685,11 +697,11 @@ class TestSolveCorrection:
         assert all(n > 0 for n in sol.inner_iterations)
         assert [c[6] for c in calls] == sol.inner_iterations
         for fr, b, eta, atol, lin, delta, _ in newton:
-            # the Krylov coordinates xi = P0^(1/2) delta of the step; atol,
-            # a hundredth of the outer tolerance, binds only once ||b||
-            # is below a tenth of it
-            xi = fr.project(sp.pack(fr.red.grid,
-                                    np.sqrt(fr.p0) * sp._fftn(delta)))
+            # the Krylov coordinates xi = P0^(1/2) delta of the step (to_field
+            # inverted); atol, a hundredth of the outer tolerance, binds
+            # only once ||b|| is below a tenth of it
+            xi = fr.project((sp._fftn(delta) / fr.m_unpack)
+                            .view(float).ravel())
             resid = np.linalg.norm(b - fr.apply_hat(xi, lin))
             assert resid <= max(eta * np.linalg.norm(b), atol)
 
@@ -784,6 +796,32 @@ def test_bordered_multipliers_need_no_apply(problem):
                            for x, r in zip(d, rhs)])
     assert mu.shape == (cfg.y.size, cfg.y.size + 1) and its > 0
     assert np.abs(mu - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@TRUNCATES_BY_DESIGN
+@pytest.mark.parametrize("problem", ["1d", "2d", "two_peaks"])
+def test_project_field_is_the_eps_orthogonal_projector(reducer_1d, problem):
+    # onto E_{eps,y} along the translation modes: the result is
+    # eps-orthogonal to them, a second projection keeps it, and the part
+    # removed lies in their span
+    red, cfg = {
+        "1d": lambda: (reducer_1d, rd.PeakConfig(0.08, [[0.32]], delta=0.5,
+                                                 theta=0.8)),
+        "2d": problem_2d,
+        "two_peaks": problem_two_peaks,
+    }[problem]()
+    fr = red.frame(cfg)
+    phi = (sp.random_band_limited(red.grid, 4.0, seed=9).values
+           + 0.3 * fr.modes.sum(axis=0) / np.abs(fr.modes).max())
+    proj = fr.project_field(phi)
+    assert np.abs(fr.orthogonality(proj, fr.eps_norm(proj))).max() <= 1e-14
+    again = fr.project_field(proj)
+    assert np.abs(again - proj).max() <= 1e-14 * np.abs(proj).max()
+    removed = (phi - proj).ravel()
+    basis = fr.modes.reshape(len(fr.modes), -1).T
+    coef = np.linalg.lstsq(basis, removed, rcond=None)[0]
+    assert np.linalg.norm(removed - basis @ coef) \
+        <= 1e-12 * np.linalg.norm(removed)
 
 
 @TRUNCATES_BY_DESIGN

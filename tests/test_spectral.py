@@ -10,7 +10,7 @@ from fkpeaks.errors import (
     NonFiniteFieldError,
     ParameterError,
 )
-from tests_support import integrate
+from tests_support import integrate, pack, unpack
 
 
 class TestGridSpec:
@@ -339,9 +339,9 @@ class TestHalfSpectrumAgainstComplexFFT:
     def test_packing_is_an_isometry(self, fields):
         # T+ T u = u, and T keeps Euclidean norms and inner products
         g, u, v = fields
-        zu, zv = sp.pack(g, sp._fftn(u)), sp.pack(g, sp._fftn(v))
+        zu, zv = pack(g, sp._fftn(u)), pack(g, sp._fftn(v))
         assert zu.dtype == float and zu.size == 2 * sp._fftn(u).size
-        assert _rel(sp._ifftn(sp.unpack(g, zu)), u) < 1e-14
+        assert _rel(sp._ifftn(unpack(g, zu)), u) < 1e-14
         assert abs(np.linalg.norm(zu) - np.linalg.norm(u)) \
             <= 1e-14 * np.linalg.norm(u)
         assert abs(zu @ zv - (u * v).sum()) <= 1e-13 * np.linalg.norm(u) \
@@ -361,8 +361,8 @@ class TestHalfSpectrumAgainstComplexFFT:
         ppx = px.copy()
         sp.make_hermitian(g, ppx)
         assert np.array_equal(ppx, px)
-        off = sp.pack(g, x) - sp.pack(g, px)
-        assert abs(off @ sp.pack(g, sp._fftn(v))) \
+        off = pack(g, x) - pack(g, px)
+        assert abs(off @ pack(g, sp._fftn(v))) \
             <= 1e-13 * np.linalg.norm(off) * np.linalg.norm(v)
         vhat = sp._fftn(v)
         pv = vhat.copy()

@@ -17,6 +17,18 @@ def integrate(grid, values) -> float:
     return float(grid.spacing ** grid.dim * np.sum(values))
 
 
+def pack(grid, coeffs) -> np.ndarray:
+    """Packed coordinates of a half spectrum: S * coeffs viewed as one
+    flat float64 vector, S = grid.packing_scale."""
+    return (coeffs * grid.packing_scale).view(float).ravel()
+
+
+def unpack(grid, flat) -> np.ndarray:
+    """The half spectrum of packed coordinates (inverse of `pack`);
+    _ifftn of it drops the part off the real-field spectra."""
+    return sp.packed_spectrum(grid, flat) / grid.packing_scale
+
+
 def manufactured_classical(M, L=2.0, eps=0.1, y=0.15, amp=2.0):
     """u = amp sech((x-y)/eps) solves the classical equation (s=1, b=0,
     p=3) with V = 1 + (amp^2 - 2) sech^2((x-y)/eps), exactly; the field is
