@@ -121,8 +121,8 @@ def solve_profile(
     up = sp.pos_power(u, p)
     shift = 0.0
     for it in range(1, MAX_ITER + 1):
-        num = w_quad * np.vecdot(lu.reshape(k, -1), u.reshape(k, -1)) + shift
-        den = w_quad * np.vecdot(up.reshape(k, -1), u.reshape(k, -1))
+        num = w_quad * sp.dot(lu.reshape(k, -1), u.reshape(k, -1)) + shift
+        den = w_quad * sp.dot(up.reshape(k, -1), u.reshape(k, -1))
         if not np.all((den > 0) & np.isfinite(den) & np.isfinite(num)):
             raise DegenerateFixedPointError(
                 "normalisation denominator collapsed", residual=residual,

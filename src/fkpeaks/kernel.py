@@ -18,6 +18,7 @@ kernel of L+ (Morse index 1), and the reduction's inversion constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,8 +114,10 @@ def lanczos_smallest(matvec, size: int,
                                tol=1e-10, ncv=ncv)
     except sla.ArpackNoConvergence as exc:
         # the partial pairs scipy extracts (none when extraction fails)
-        ritz = [float(np.linalg.norm(matvec(vec) - lam * vec))
-                for lam, vec in zip(exc.eigenvalues, exc.eigenvectors.T)]
+        ritz = []
+        for lam, vec in zip(exc.eigenvalues, exc.eigenvectors.T):
+            r = matvec(vec) - lam * vec
+            ritz.append(math.sqrt(sp.dot(r, r)))
         raise EigensolverError(
             f"Lanczos stagnated ({exc})", ritz_residuals=ritz,
         ) from exc
@@ -176,7 +179,7 @@ def subspace_cosines(op: LinearizedOperator,
     out = []
     for f in fields:
         v = f.values.ravel()
-        nv = np.linalg.norm(v)
+        nv = math.sqrt(sp.dot(v, v))
         out.append(float(np.linalg.norm(q.T @ v) / nv) if nv > 0 else 0.0)
     return out
 
@@ -184,16 +187,23 @@ def subspace_cosines(op: LinearizedOperator,
 def kernel_report(op: LinearizedOperator, n: int) -> dict:
     """Spectrum summary: kernel count/alignment, gap, Morse-index count,
     and the residual ||L v - lambda v|| / ||v|| of every returned pair.
+    Needs n >= N + 1 (see `kernel_spectrum`); raises ParameterError below.
 
     The negative-eigenvalue count is a diagnostic only.
     """
+    dim = op.grid.dim
+    if n <= dim:
+        raise ParameterError(
+            f"kernel_report needs n >= N + 1 = {dim + 1}, got {n}: at n <= N "
+            "a kernel eigenvalue that roundoff puts below zero is the largest "
+            "computed, and its pick is refused")
     pairs = kernel_spectrum(op, n)
     vals = [lam for lam, _ in pairs]
-    residuals = [
-        float(np.linalg.norm(op.apply_values(f.values) - lam * f.values)
-              / np.linalg.norm(f.values))
-        for lam, f in pairs
-    ]
+    residuals = []
+    for lam, f in pairs:
+        v = f.values.ravel()
+        r = op.apply_values(f.values).ravel() - lam * v
+        residuals.append(math.sqrt(sp.dot(r, r)) / math.sqrt(sp.dot(v, v)))
     kernel_pairs = [(lam, f) for lam, f in pairs if abs(lam) < KERNEL_THRESHOLD]
     cosines = subspace_cosines(op, [f for _, f in kernel_pairs])
     absvals = sorted(abs(v) for v in vals)

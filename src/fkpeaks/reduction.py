@@ -512,12 +512,14 @@ class _Frame:
 
     def apply_hat(self, z: np.ndarray,
                   lin: LinearizedOperator) -> np.ndarray:
-        """Projected, preconditioned action Q m L m Q on packed spectra,
+        """Projected, preconditioned action Q m L m on packed spectra,
         with m = P0^(-1/2) and Q the constraint projector (2 transforms:
-        only m v visits the grid).  The result is projected last, exactly,
-        onto the spectra of real fields, so the apply vanishes off them."""
+        only m v visits the grid); on z in range(Q), such as the Lanczos
+        vectors of `solve_constrained`, it is Q m L m Q.  The result is
+        projected last, exactly, onto the spectra of real fields, so the
+        apply vanishes off them."""
         grid = self.red.grid
-        zhat = sp.packed_spectrum(grid, self.project(z))
+        zhat = sp.packed_spectrum(grid, z)
         mv = sp._ifftn(self.m_unpack * zhat)
         lower = lin.add_lower_order(np.zeros_like(mv), mv)
         out = (lin.coefficient * self.m_bulk) * zhat \
@@ -584,8 +586,9 @@ class _Frame:
 
         Projected MINRES on Q m A m Q, m = P0^(-1/2), over the packed
         spectra of xi = P0^(1/2) phi; packing is an isometry, so norms are
-        those of xi on the grid.  The matvec projects onto the spectra of
-        real fields, where the right-hand side lies.
+        those of xi on the grid.  The right-hand side lies in range(Q) and
+        on the spectra of real fields, and so do the Lanczos vectors: the
+        matvec is `apply_hat`, which projects its output only.
 
         `rtol` is held on the true residual: ||b - Q m A m Q xi|| <=
         max(rtol ||b||, atol), with atol in the units of b.  The Lanczos
@@ -597,7 +600,7 @@ class _Frame:
         `minres_budget` iterations are spent, on a breakdown (gamma = 0) or
         when a confirmation is no closer than the one before.
         """
-        bnorm = float(np.linalg.norm(b))
+        bnorm = math.sqrt(sp.dot(b, b))
         target = max(rtol * bnorm, atol)
         xi, goal, last, spent = np.zeros_like(b), target, math.inf, 0
         # the last Lanczos vector v_old and the next p = beta v, the search
@@ -607,22 +610,25 @@ class _Frame:
         w_old, w = np.zeros_like(b), np.zeros_like(b)
         cs, sn, dbar, eps, phibar = -1.0, 0.0, 0.0, 0.0, bnorm
 
+        def residual() -> float:
+            r = b - self.apply_hat(xi, lin)
+            return math.sqrt(sp.dot(r, r))
+
         def stalled(stop: str) -> LinearSolveError:
-            resid = float(np.linalg.norm(b - self.apply_hat(xi, lin)))
             return LinearSolveError(
                 f"projected MINRES stalled on {stop}: true residual "
-                f"{resid:.3e} misses eta = {rtol:.3e} of the rhs norm "
+                f"{residual():.3e} misses eta = {rtol:.3e} of the rhs norm "
                 f"{bnorm:.3e} (atol {atol:.3e}, solution norm "
-                f"{float(np.linalg.norm(xi)):.3e}, {spent} iterations)")
+                f"{math.sqrt(sp.dot(xi, xi)):.3e}, {spent} iterations)")
 
         while True:
             # phibar = 0 (b = 0 or an invariant Krylov space) confirms on
             # every pass, so the step below never divides by beta = 0
             if phibar <= goal:
-                resid = float(np.linalg.norm(b - self.apply_hat(xi, lin)))
+                resid = residual()
                 # the true residual MINRES can reach grows with the
                 # solution, so a residual under 1e-8 ||xi|| is roundoff
-                if resid <= max(target, 1e-8 * float(np.linalg.norm(xi))):
+                if resid <= max(target, 1e-8 * math.sqrt(sp.dot(xi, xi))):
                     return self.to_field(self.project(xi)), spent
                 if resid >= last:
                     raise stalled("a confirmation without progress")
@@ -633,9 +639,9 @@ class _Frame:
                               "iterations")
             v = p / beta
             p = self.apply_hat(v, lin) - beta * v_old
-            alpha = float(v @ p)
+            alpha = sp.dot(v, p)
             p -= alpha * v
-            v_old, beta = v, float(np.linalg.norm(p))
+            v_old, beta = v, math.sqrt(sp.dot(p, p))
             spent += 1
             # rotate the new column (beta, alpha, beta_next) by the last
             # rotation, then annihilate beta_next
@@ -673,9 +679,9 @@ class _Frame:
         The form is indefinite on E (the profile's single negative direction
         is not a translation mode and survives the projection), so the
         quantitative content of the inversion lemma is min |lambda| >= rho > 0.
-        `apply_hat` also vanishes on the constraint span and off the
+        The form Q m L m Q also vanishes on the constraint span and off the
         spectra of real fields (H, `spectral.make_hermitian`), so
-        `kernel.lanczos_smallest` runs on apply_hat(z) + COERCIVITY_SHIFT
+        `kernel.lanczos_smallest` runs on apply_hat(Q z) + COERCIVITY_SHIFT
         ((z - Hz) + Qc^T Qc z), which moves that null space to the shift;
         a pick not below the shift by 1e-8 of it raises EigensolverError.
         """
@@ -685,8 +691,9 @@ class _Frame:
         def form(z):
             hz = sp.packed_spectrum(grid, z).copy()
             sp.make_hermitian(grid, hz)
-            off = z - hz.view(float).ravel() + self.Qc.T @ (self.Qc @ z)
-            return self.apply_hat(z, l_eps) + COERCIVITY_SHIFT * off
+            qz = self.Qc.T @ (self.Qc @ z)
+            off = z - hz.view(float).ravel() + qz
+            return self.apply_hat(z - qz, l_eps) + COERCIVITY_SHIFT * off
 
         vals, _ = lanczos_smallest(form, self.Qc.shape[1], 1)
         rho = float(abs(vals[0]))
@@ -773,7 +780,7 @@ def solve_correction(
     for it in range(1, MAX_CORRECTION_STEPS + 1):
         u = Field(red.grid, fr.U.values + phi)
         b = fr.krylov_rhs(fr.gradient_density(u))
-        bnorm = float(np.linalg.norm(b))
+        bnorm = math.sqrt(sp.dot(b, b))
         if it <= PICARD_STEPS:
             lin, eta = l_eps, CORRECTION_INNER_RTOL
         else:
@@ -973,7 +980,7 @@ def minimize_peaks(
                 residual=resid, iterations=info["evaluations"],
             )
         b = fr.krylov_rhs(g)
-        bnorm = float(np.linalg.norm(b))
+        bnorm = math.sqrt(sp.dot(b, b))
         eta, last_bnorm = _forcing(bnorm, last_bnorm, tau), bnorm
         d, mu, its = _bordered(fr, u, eta, 0.01 * tau, g, b)
         info["forcing"].append(eta)

@@ -53,6 +53,19 @@ def _ifftn(a, axes=None):
     return sfft.irfftn(a, axes=axes)
 
 
+def dot(a: np.ndarray, b: np.ndarray):
+    """sum(a * b) over the last axis: a float for vectors, one value per
+    row for a stack.
+
+    Every grid-length inner product and norm of the package goes through
+    numpy's own single-threaded einsum loop, not BLAS: OpenBLAS threads a
+    ddot over more than about 10^4 entries, and its worker then
+    spin-waits about 0.13 s of CPU after each call, for no gain in wall
+    time."""
+    out = np.einsum("...i,...i->...", a, b)
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Periodic tensor grid on the box [-half_width, half_width)^dim."""

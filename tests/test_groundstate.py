@@ -94,8 +94,8 @@ def _single_field_petviashvili(grid, s, p, tol):
     for it in range(1, gs.MAX_ITER + 1):
         # a one-entry array: numpy's array power may differ from the
         # scalar pow in the last bit, and the loop powers the gamma array
-        gamma = np.array([(w_quad * float(np.vdot(lu, u).real))
-                          / (w_quad * float(np.vdot(up, u).real))])
+        gamma = np.array([(w_quad * sp.dot(lu.ravel(), u.ravel()))
+                          / (w_quad * sp.dot(up.ravel(), u.ravel()))])
         even = up
         for axis in range(up.ndim):
             even = 0.5 * (even + np.roll(np.flip(even, axis=axis), 1,

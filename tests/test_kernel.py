@@ -140,6 +140,12 @@ class TestKernelSpectrum:
         with pytest.raises(ParameterError):
             kn.kernel_spectrum(small_operator, 2 * 1 + 5)
 
+    def test_report_needs_more_pairs_than_the_kernel(self, small_operator):
+        # at n <= N the kernel eigenvalue may be the largest computed, and
+        # a roundoff sign then refuses the pick: the report asks for N + 1
+        with pytest.raises(ParameterError, match=r"n >= N \+ 1 = 2, got 1"):
+            kn.kernel_report(small_operator, n=1)
+
     def test_report_is_json_serializable(self, small_operator):
         import json
         report = kn.kernel_report(small_operator, n=4)

@@ -1,4 +1,7 @@
+import glob
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -326,7 +329,10 @@ class TestApplyLeps:
         def mult(x):
             return sp._ifftn(m * sp._fftn(x))
 
-        v = sp._ifftn(unpack(grid, fr.project(z)))
+        # apply_hat projects its output only: its input, like MINRES's
+        # Lanczos vectors, lies in range(Q)
+        z = fr.project(z)
+        v = sp._ifftn(unpack(grid, z))
         plain = fr.project(pack(grid, sp._fftn(
             mult(l_eps.apply_values(mult(v))))))
         packed = fr.apply_hat(z, l_eps)
@@ -599,7 +605,9 @@ class TestSolveConstrained:
         fr = red.frame(rd.PeakConfig(0.16, [[0.35]], 0.5, 0.8))
         l_eps = fr.second_variation(fr.U)
         eye = np.eye(fr.Qc.shape[1])
-        dense = np.column_stack([fr.apply_hat(e, l_eps) for e in eye])
+        # the operator MINRES sees, Q m L m Q: apply_hat on range(Q)
+        dense = np.column_stack([fr.apply_hat(fr.project(e), l_eps)
+                                 for e in eye])
         assert np.linalg.eigvalsh(0.5 * (dense + dense.T))[0] < -0.1
         b = fr.krylov_rhs(fr.gradient_density(fr.U))
         phi, _ = fr.solve_constrained(b, rtol=1e-11, atol=0.0, lin=l_eps)
@@ -607,6 +615,41 @@ class TestSolveConstrained:
         # at 0.43 and the largest at 13
         ref = fr.to_field(np.linalg.lstsq(dense, b, rcond=1e-10)[0])
         assert np.abs(phi - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def _thread_run_ns() -> dict[int, int]:
+    """CPU time in ns each thread of this process has run (schedstat)."""
+    out = {}
+    for path in glob.glob("/proc/self/task/*/schedstat"):
+        try:
+            with open(path) as fh:
+                out[int(path.split("/")[4])] = int(fh.read().split()[0])
+        except FileNotFoundError:       # the thread ended
+            pass
+    return out
+
+
+@pytest.mark.skipif(not glob.glob("/proc/self/task/*/schedstat"),
+                    reason="needs per-thread schedstat under /proc")
+@TRUNCATES_BY_DESIGN
+def test_correction_runs_on_the_calling_thread_only():
+    # the benchmark's reduce2d problem at 128^2: a correction makes no
+    # threaded BLAS call, so no library worker thread runs during it (a
+    # grid-length BLAS ddot would wake one for about 0.1 s of CPU)
+    pot = rd.Potential.single_well([0.2, -0.1], 1.0, [0.6, 0.4], m=2.0,
+                                   asym=0.1, asym_power=3.0)
+    red = rd.Reducer(sp.GridSpec(2, 2.5, 128),
+                     sp.ProblemParams(2, 0.75, 2.0, 1.0, 0.05), pot)
+    red.system(0.125)
+    time.sleep(0.3)         # let workers woken before the test fall asleep
+    me = threading.get_native_id()
+    before = _thread_run_ns()
+    sol = rd.solve_correction(red, rd.PeakConfig(0.125, pot.peaks, 0.4, 0.8))
+    after = _thread_run_ns()
+    assert sol.iterations > 1
+    added = {tid: ns - before.get(tid, 0) for tid, ns in after.items()
+             if tid != me}
+    assert all(ns == 0 for ns in added.values()), added
 
 
 @TRUNCATES_BY_DESIGN

@@ -153,6 +153,22 @@ class TestIntegrate:
         assert abs(integrate(g, f)) < 1e-12
 
 
+class TestDot:
+    # a packed vector at 128^2, a stack of 128^2 fields as solve_profile
+    # passes them, and a stack of stacks
+    @pytest.mark.parametrize("shape", [(16640,), (3, 16384), (2, 3, 2048)])
+    def test_matches_blas_dot(self, shape):
+        # positive entries: no cancellation, so the sums agree relatively
+        rng = np.random.default_rng(17)
+        a, b = rng.random(shape), rng.random(shape)
+        got = sp.dot(a, b)
+        rows = zip(a.reshape(-1, shape[-1]), b.reshape(-1, shape[-1]))
+        ref = np.array([np.dot(x, y) for x, y in rows]).reshape(shape[:-1])
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+        if len(shape) == 1:
+            assert type(got) is float
+
+
 class TestScalingLaw:
     def test_integer_rescale(self):
         # ||(-D)^{s/2} f(lam .)||^2 = lam^(2s-N) ||(-D)^{s/2} f||^2
