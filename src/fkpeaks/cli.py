@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,8 @@ from . import reduction as rd
 from . import spectral as sp
 from . import verify as vf
 from .errors import ParameterError, TailTruncationWarning
-from .groundstate import (DEFAULT_TOL, decay_fit, kirchhoff_scale, solve_Q,
-                          solve_system)
+from .groundstate import (DEFAULT_TOL, decay_fit, kirchhoff_scale,
+                          require_decay_window, solve_Q, solve_system)
 
 ENV_OUTPUT_ROOT = "FKPEAKS_OUT"
 COMMANDS = ("groundstate", "system", "reduce", "sweep", "verify")
@@ -62,11 +62,35 @@ def _count(value) -> int:
     return out
 
 
+def _object(value) -> dict:
+    """A JSON object (its keys are parsed by the field's own table)."""
+    if not isinstance(value, dict):
+        raise ParameterError(f"must be a JSON object, got {value!r}")
+    return value
+
+
+def _eps(value) -> list[float]:
+    """A list of distinct positive finite eps, in the given order."""
+    eps = [float(e) for e in value]
+    for i, e in enumerate(eps):
+        if not (0.0 < e < math.inf):
+            raise ParameterError(
+                f"eps values must be positive and finite, got {e}")
+        if e in eps[:i]:
+            raise ParameterError(
+                f"eps values must be distinct, got {e} twice in {value}")
+    return eps
+
+
 # each table maps a key of one manifest field to (parser, default); REQUIRED
 # marks a key with no default, and None an unset value (validation resolves
 # peak_values, center and radius from the potential and the grid)
 REQUIRED = object()
-TOP_LEVEL = {"delta": (float, 0.5), "theta": (float, 0.8),
+TOP_LEVEL = {"command": (str, REQUIRED), "params": (_object, REQUIRED),
+             "grid": (_object, REQUIRED), "potential": (_object, {}),
+             "eps": (_eps, []), "delta": (float, 0.5), "theta": (float, 0.8),
+             "seeds": (_object, {}), "tolerances": (_object, {}),
+             "options": (_object, {}), "output_dir": (str, ""),
              "strict": (_flag, False)}
 PARAMS = {"dim": (int, REQUIRED), "s": (float, REQUIRED),
           "p": (float, REQUIRED), "a": (float, REQUIRED),
@@ -124,12 +148,17 @@ def _parse(what: str, field: str, given: dict, table: dict) -> dict:
 RUN_README = """\
 Run directory layout
 ====================
-manifest.json   exact copy of the input manifest
-version.json    package and dependency versions
-report.json     per-stage results; `passed` marks gated checks
-*.bin / *.json  field snapshots (little-endian float64 + sidecar)
-*.csv           series exports
+README.md         this file
+manifest.json     the manifest as run: the input manifest plus the
+                  command-line overrides (the subcommand, --strict, the
+                  verify check); defaults are not filled in
+version.json      package and dependency versions
+report.json       per-stage results; `passed` marks gated checks; a
+                  verify check's full CheckReport is its `report`
+asymptotics.json  sweep: the asymptotic-exponent fit, also in report.json
 iterations.jsonl  per-iteration log, with options.verbose
+*.bin / *.json    field snapshots (little-endian float64 + sidecar)
+*.csv             series exports
 
 iterations.jsonl
 ----------------
@@ -150,129 +179,79 @@ sweep.csv:     eps, phi_norm, energy_over_epsN, max_drift,
 """
 
 
-@dataclass
-class RunManifest:
-    """Serializable description of one batch run."""
-
-    command: str
-    params: dict
-    grid: dict
-    potential: dict = field(default_factory=lambda: {"kind": "constant",
-                                                     "value": 1.0})
-    eps: list = field(default_factory=list)
-    delta: float = TOP_LEVEL["delta"][1]
-    theta: float = TOP_LEVEL["theta"][1]
-    seeds: dict = field(default_factory=lambda: {"master": SEEDS["master"][1]})
-    tolerances: dict = field(default_factory=dict)
-    output_dir: str = ""
-    strict: bool = TOP_LEVEL["strict"][1]
-    options: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunManifest":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ParameterError(f"unknown manifest fields: {sorted(unknown)}")
-        if "command" not in data:
-            raise ParameterError("manifest missing 'command'")
-        return cls(**data)
-
-    @classmethod
-    def from_file(cls, path) -> "RunManifest":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    # -- validation: every value a run reads is parsed, and passes its
-    #    owning type's checks, before any compute starts
-
-    def validate(self) -> tuple[sp.ProblemParams, sp.GridSpec, rd.Potential,
-                                list[rd.PeakConfig], dict]:
-        """The checked inputs of the run: params, grid, potential, the peak
-        configurations it computes from (largest eps first; empty outside
-        PEAK_RUNS), and the parsed values it reads: `delta`, `theta`,
-        `strict`, `eps` and, by field, `params` to `options`."""
-        if self.command not in COMMANDS:
+def validate(manifest: dict) -> tuple[sp.ProblemParams, sp.GridSpec,
+                                     rd.Potential, list[rd.PeakConfig], dict]:
+    """The checked inputs of a manifest's run: params, grid, potential, the
+    peak configurations it computes from (largest eps first; empty outside
+    PEAK_RUNS), and the parsed values it reads, by field of TOP_LEVEL.
+    Every value is parsed, and passes its owning type's checks, before any
+    compute starts; the manifest itself is left as given."""
+    values = _parse("fkpeaks", "manifest", manifest, TOP_LEVEL)
+    run = values["command"]
+    if run not in COMMANDS:
+        raise ParameterError(f"command must be one of {COMMANDS}, got {run!r}")
+    if run == "verify":
+        run = values["options"].get("check")
+        if run not in VERIFY_CHECKS:
             raise ParameterError(
-                f"command must be one of {COMMANDS}, got {self.command!r}"
-            )
-        run = self.command
-        if run == "verify":
-            run = self.options.get("check")
-            if run not in VERIFY_CHECKS:
-                raise ParameterError(
-                    f"verify needs options.check in {VERIFY_CHECKS}, "
-                    f"got {run!r}")
-        what = run if run == self.command else f"verify {run}"
-        values = _parse(what, "manifest",
-                        {k: getattr(self, k) for k in TOP_LEVEL}, TOP_LEVEL)
-        for name, table in (("params", PARAMS), ("grid", GRID),
-                            ("seeds", SEEDS), ("options", OPTIONS[run]),
-                            ("tolerances", TOLERANCES.get(run, {}))):
-            values[name] = _parse(what, name, getattr(self, name), table)
-        params = sp.ProblemParams(**values["params"])
-        grid = sp.GridSpec(params.dim, **values["grid"])
-        potential = build_potential(self.potential, params.dim)
-        values["eps"] = eps = [float(e) for e in self.eps]
-        for i, e in enumerate(eps):
-            if not (0.0 < e):
-                raise ParameterError(f"eps values must be positive, got {e}")
-            if e in eps[:i]:
-                raise ParameterError(f"eps values must be distinct, got {e} "
-                                     f"twice in {self.eps}")
-        delta, theta = values["delta"], values["theta"]
-        if delta <= 0 or not (0.0 < theta < 1.0):
-            raise ParameterError("need delta > 0 and theta in (0, 1)")
-        if not eps and run in EPS_RUNS:
-            raise ParameterError(f"{what} requires a nonempty eps list")
-        if len(eps) > 1 and run in ONE_EPS_RUNS:
-            raise ParameterError(
-                f"{what} runs at one eps, got {len(eps)}: {self.eps}; "
-                "use the sweep command for an eps list")
-        options = values["options"]
-        if run == "sweep" and len(eps) >= FIT_EPS and options["minimize"]:
-            vf.require_decade_span(eps)
-        if run == "sobolev" and eps:
-            vf.require_three_eps(eps)
-        window = options.get("decay_window")
-        if window is not None and not (window.shape == (2,) and 0 < window[0]
-                                       < window[1] < grid.half_width / 2):
-            raise ParameterError(
-                f"options.decay_window must be [r1, r2], 0 < r1 < r2 < L/2 ="
-                f" {grid.half_width / 2:g}, got {window.tolist()}")
-        for key, value in (("peak_values", potential.peak_values),
-                           ("center", potential.peaks[0]),
-                           ("radius", grid.half_width / 4)):
-            if key in options and options[key] is None:
-                options[key] = value
-        if run == "pohozaev":
-            vf.require_ball(grid, options["center"], options["radius"])
-        if run not in PEAK_RUNS:
-            return params, grid, potential, [], values
-        # pohozaev starts at the wells
-        offsets = options.get("start_offsets",
-                              [options.get("y0_offset", 0.0)])
-        starts = [rd.PeakConfig(e, potential.peaks + np.broadcast_to(
-                      off, potential.peaks.shape), delta, theta)
-                  for e in sorted(eps, reverse=True) for off in offsets]
-        if run == "uniqueness" and len(starts) < 2:
-            raise ParameterError(
-                "verify uniqueness compares solutions from at least two "
-                f"start_offsets, got {len(starts)}")
-        # D_eps_delta's separation eps^theta needs theta in the window
-        lo, hi = starts[0].theta_window(params.s, potential.holder)
-        if not (lo < theta < hi):
-            raise ParameterError(
-                f"theta must lie in the window ((N+2s)/(N+2s+alpha), 1)"
-                f" = ({lo:.6g}, {hi:g}), got {theta}")
-        if run in ("reduce", "sweep"):
-            # the start must lie in D_eps_delta at every eps it runs at;
-            # uniqueness reports starts outside it, pohozaev refuses at
-            # compute
-            for cfg in starts:
-                cfg.require_admissible(potential)
-        return params, grid, potential, starts, values
+                f"verify needs options.check in {VERIFY_CHECKS}, got {run!r}")
+    what = run if run == values["command"] else f"verify {run}"
+    for name, table in (("params", PARAMS), ("grid", GRID),
+                        ("seeds", SEEDS), ("options", OPTIONS[run]),
+                        ("tolerances", TOLERANCES.get(run, {}))):
+        values[name] = _parse(what, name, values[name], table)
+    params = sp.ProblemParams(**values["params"])
+    grid = sp.GridSpec(params.dim, **values["grid"])
+    potential = build_potential(values["potential"], params.dim)
+    eps, delta, theta = values["eps"], values["delta"], values["theta"]
+    if not (delta > 0 and 0.0 < theta < 1.0):
+        raise ParameterError("need delta > 0 and theta in (0, 1)")
+    if not eps and run in EPS_RUNS:
+        raise ParameterError(f"{what} requires a nonempty eps list")
+    if len(eps) > 1 and run in ONE_EPS_RUNS:
+        raise ParameterError(
+            f"{what} runs at one eps, got {len(eps)}: {eps}; "
+            "use the sweep command for an eps list")
+    options = values["options"]
+    if run == "sweep" and len(eps) >= FIT_EPS and options["minimize"]:
+        vf.require_decade_span(eps)
+    if run == "sobolev" and eps:
+        vf.require_three_eps(eps)
+    if (window := options.get("decay_window")) is not None:
+        try:
+            require_decay_window(grid, window)
+        except ValueError as exc:
+            raise ParameterError(f"options.decay_window: {exc}") from None
+    for key, value in (("peak_values", potential.peak_values),
+                       ("center", potential.peaks[0]),
+                       ("radius", grid.half_width / 4)):
+        if key in options and options[key] is None:
+            options[key] = value
+    if run == "pohozaev":
+        vf.require_ball(grid, options["center"], options["radius"])
+    if run not in PEAK_RUNS:
+        return params, grid, potential, [], values
+    # pohozaev starts at the wells
+    offsets = options.get("start_offsets", [options.get("y0_offset", 0.0)])
+    starts = [rd.PeakConfig(e, potential.peaks + np.broadcast_to(
+                  off, potential.peaks.shape), delta, theta)
+              for e in sorted(eps, reverse=True) for off in offsets]
+    if run == "uniqueness" and len(starts) < 2:
+        raise ParameterError(
+            "verify uniqueness compares solutions from at least two "
+            f"start_offsets, got {len(starts)}")
+    # D_eps_delta's separation eps^theta needs theta in the window
+    lo, hi = starts[0].theta_window(params.s, potential.holder)
+    if not (lo < theta < hi):
+        raise ParameterError(
+            f"theta must lie in the window ((N+2s)/(N+2s+alpha), 1)"
+            f" = ({lo:.6g}, {hi:g}), got {theta}")
+    if run in ("reduce", "sweep"):
+        # the start must lie in D_eps_delta at every eps it runs at;
+        # uniqueness reports starts outside it, pohozaev refuses at compute
+        for cfg in starts:
+            cfg.require_admissible(potential)
+    return params, grid, potential, starts, values
 
 
 # the keys of each potential kind besides `kind`: its constructor's arguments
@@ -310,19 +289,23 @@ def _write_json(path: Path, payload) -> None:
                                default=str))
 
 
-def _prepare_run_dir(manifest: RunManifest, out_override=None) -> Path:
-    root = out_override or manifest.output_dir or os.environ.get(
-        ENV_OUTPUT_ROOT, "runs")
-    run_dir = Path(root)
+def _prepare_run_dir(run_dir: Path, manifest: dict) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(run_dir / "manifest.json", manifest.to_dict())
+    _write_json(run_dir / "manifest.json", manifest)
     _write_json(run_dir / "version.json", {
         "fkpeaks": __version__,
         "numpy": np.__version__,
         "python": sys.version.split()[0],
     })
     (run_dir / "README.md").write_text(RUN_README)
-    return run_dir
+
+
+def _refused(detail) -> int:
+    """Report a manifest that fails validation; its exit status."""
+    sys.stderr.write(json.dumps({
+        "error": "validation", "detail": str(detail),
+    }) + "\n")
+    return 2
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +452,6 @@ def _stage_verify(values, params, grid, potential, starts, run_dir) -> dict:
             u = rd.solve_correction(red, starts[0]).solution
         rep = vf.pohozaev_residual(u, starts[0].eps, params, potential,
                                    **options)
-    vf.append_jsonl(rep, run_dir / "checks.jsonl")
-    vf.write_csv([rep], run_dir / "checks.csv")
     # diagnostic-only reports (passed is None) never gate the exit code
     return {"check": rep.name, "passed": rep.passed is not False,
             "diagnostic_only": rep.passed is None,
@@ -486,34 +467,33 @@ STAGES = {
 }
 
 
-def run(manifest: RunManifest, out_override=None) -> tuple[int, Path | None]:
+def run(manifest: dict, out_override=None) -> tuple[int, Path | None]:
     """Execute a manifest; returns (exit status, run directory)."""
     try:
-        params, grid, potential, starts, values = manifest.validate()
-    except (ParameterError, KeyError, TypeError, ValueError) as exc:
-        sys.stderr.write(json.dumps({
-            "error": "validation", "detail": str(exc),
-        }) + "\n")
-        return 2, None
-    run_dir = _prepare_run_dir(manifest, out_override)
+        params, grid, potential, starts, values = validate(manifest)
+    except (KeyError, TypeError, ValueError) as exc:
+        return _refused(exc), None
+    command = values["command"]
+    run_dir = Path(out_override or values["output_dir"]
+                   or os.environ.get(ENV_OUTPUT_ROOT, "runs"))
+    _prepare_run_dir(run_dir, manifest)
     t0 = time.time()
     try:
         with warnings.catch_warnings():
             if values["strict"]:
                 # a box that cuts a profile's tail fails the stage
                 warnings.simplefilter("error", TailTruncationWarning)
-            report = STAGES[manifest.command](values, params, grid,
-                                              potential, starts, run_dir)
+            report = STAGES[command](values, params, grid, potential,
+                                     starts, run_dir)
     except Exception as exc:
         sys.stderr.write(json.dumps({
-            "error": "compute", "stage": manifest.command,
-            "detail": repr(exc),
+            "error": "compute", "stage": command, "detail": repr(exc),
         }) + "\n")
         _write_json(run_dir / "report.json", {
-            "stage": manifest.command, "failed": repr(exc),
+            "stage": command, "failed": repr(exc),
         })
         return 3, run_dir
-    report["stage"] = manifest.command
+    report["stage"] = command
     report["wall_seconds"] = time.time() - t0
     _write_json(run_dir / "report.json", report)
     return (0 if report.get("passed", True) else 1), run_dir
@@ -540,17 +520,17 @@ def main(argv=None) -> int:
                            help="checker name (overrides manifest)")
     args = parser.parse_args(argv)
     try:
-        manifest = RunManifest.from_file(args.manifest)
-    except (OSError, json.JSONDecodeError, ParameterError) as exc:
-        sys.stderr.write(json.dumps({
-            "error": "validation", "detail": str(exc),
-        }) + "\n")
-        return 2
-    manifest.command = args.command
+        manifest = _object(json.loads(Path(args.manifest).read_text()))
+    except (OSError, ValueError) as exc:
+        return _refused(f"manifest: {exc}")
+    # the command line overrides the file; manifest.json records the result
+    manifest["command"] = args.command
     if args.strict:
-        manifest.strict = True
-    if args.command == "verify" and getattr(args, "check", None):
-        manifest.options["check"] = args.check
+        manifest["strict"] = True
+    if args.command == "verify" and args.check:
+        options = manifest.setdefault("options", {})
+        if isinstance(options, dict):   # else validation names the field
+            options["check"] = args.check
     status, _ = run(manifest, out_override=args.out)
     return status
 

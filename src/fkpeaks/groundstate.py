@@ -209,6 +209,18 @@ def solve_Q(grid: GridSpec, s: float, p: float,
     )
 
 
+def require_decay_window(grid: GridSpec, window) -> None:
+    """A decay-fit window [r1, r2]: 0 < r1 < r2, and r2 < L/2, clear of
+    the periodic wrap region."""
+    if np.shape(window) != (2,) or not (0 < window[0] < window[1]):
+        raise ParameterError(f"window must be [r1, r2] with 0 < r1 < r2, "
+                             f"got {np.asarray(window).tolist()}")
+    if not (window[1] < grid.half_width / 2):
+        raise GeometryError(
+            f"window edge {window[1]} reaches into the periodic wrap region "
+            f"(need r2 < L/2 = {grid.half_width / 2:g})")
+
+
 def decay_fit(prof: Field, window: tuple[float, float]) -> float:
     """Least-squares slope of log u against log |x| over r in [r1, r2].
 
@@ -216,15 +228,9 @@ def decay_fit(prof: Field, window: tuple[float, float]) -> float:
     faster-than-polynomial profiles (Gaussians) produce much steeper
     slopes and are flagged by callers.
     """
-    r1, r2 = window
     grid = prof.grid
-    if not (0 < r1 < r2):
-        raise ParameterError(f"window must satisfy 0 < r1 < r2, got {window}")
-    if r2 >= grid.half_width / 2:
-        raise GeometryError(
-            f"window edge {r2} reaches into the periodic wrap region "
-            f"(need r2 < L/2 = {grid.half_width / 2})"
-        )
+    require_decay_window(grid, window)
+    r1, r2 = window
     r = grid.radii()
     mask = (r >= r1) & (r <= r2)
     vals = prof.values[mask]

@@ -93,10 +93,12 @@ class Potential:
             raise ParameterError("coeffs must match peaks in shape")
         if np.any(self.coeffs == 0.0):
             raise ParameterError("expansion coefficients c_ij must be nonzero")
-        if m <= 1.0:
-            raise ParameterError(f"flatness exponent m must exceed 1, got {m}")
-        if holder <= 0.0:
-            raise ParameterError(f"Holder exponent must be positive, got {holder}")
+        if not (1.0 < m < math.inf):
+            raise ParameterError(
+                f"flatness exponent m must exceed 1 and be finite, got {m}")
+        if not (0.0 < holder < math.inf):
+            raise ParameterError(f"holder (the Holder exponent) must be "
+                                 f"positive and finite, got {holder}")
         self.m = float(m)
         self.holder = float(holder)
         self.grad_fn = grad_fn
@@ -122,8 +124,9 @@ class Potential:
         center = np.atleast_1d(np.asarray(center, dtype=float))
         coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
         q = float(asym_power) if asym_power is not None else m + 1.0
-        if q < m + 1.0:
-            raise ParameterError("asymmetry must be O(|x-a|^(m+1)) or smaller")
+        for key, x in (("value", value), ("asym", asym)):
+            if not math.isfinite(x):
+                raise ParameterError(f"{key} must be finite, got {x}")
 
         def fn(pts):
             d = np.asarray(pts, dtype=float) - center
@@ -140,7 +143,13 @@ class Potential:
                 g = g + asym * q * np.abs(t) ** (q - 1.0)
             return g
 
-        return cls(fn, center[None, :], coeffs[None, :], m, holder, grad_fn)
+        potential = cls(fn, center[None, :], coeffs[None, :], m, holder,
+                        grad_fn)
+        # the odd term stays O(|x-a|^(m+1)) or smaller
+        if not (m + 1.0 <= q < math.inf):
+            raise ParameterError(f"asym_power must be finite and at least "
+                                 f"m + 1 = {m + 1.0:g}, got {q}")
+        return potential
 
     @classmethod
     def multi_well(cls, centers, values, coeffs, m: float,
@@ -212,7 +221,7 @@ class Potential:
     def on_grid(self, grid: GridSpec) -> np.ndarray:
         if grid not in self._grid_cache:
             vals = self.fn(grid.points).reshape(grid.shape)
-            if np.any(vals <= 0):
+            if not np.all(vals > 0):
                 raise ParameterError("potential is not positive on the box")
             vals.setflags(write=False)
             self._grid_cache[grid] = vals
@@ -234,9 +243,10 @@ class PeakConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "y", np.atleast_2d(np.asarray(self.y, float)))
-        if self.eps <= 0:
-            raise ParameterError(f"eps must be positive, got {self.eps}")
-        if self.delta <= 0:
+        if not (0 < self.eps < math.inf):
+            raise ParameterError(
+                f"eps must be positive and finite, got {self.eps}")
+        if not (self.delta > 0):
             raise ParameterError(f"delta must be positive, got {self.delta}")
         if not (0.0 < self.theta < 1.0):
             raise ParameterError(f"theta must lie in (0, 1), got {self.theta}")
@@ -323,10 +333,12 @@ class GridSystem:
     residuals: list[float]
 
     def tail_fraction(self, i: int) -> float:
-        """Boundary value of profile i relative to its peak."""
-        vals = self.profiles[i].values
-        edge = np.abs(vals[(0,) * vals.ndim])
-        return float(edge / np.abs(vals).max())
+        """Largest boundary value of profile i relative to its peak: the
+        maximum of |W_i| over the index-0 face of every axis (the box's
+        edge, where the periodic images meet)."""
+        vals = np.abs(self.profiles[i].values)
+        edge = max(np.take(vals, 0, axis=k).max() for k in range(vals.ndim))
+        return float(edge / vals.max())
 
     def ansatz(self, y) -> tuple[list[Field], Field]:
         """The peaks W_i(. - y_i) and their sum U_{eps,y}."""

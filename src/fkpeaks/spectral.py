@@ -57,11 +57,15 @@ def dot(a: np.ndarray, b: np.ndarray):
     """sum(a * b) over the last axis: a float for vectors, one value per
     row for a stack.
 
-    Every grid-length inner product and norm of the package goes through
-    numpy's own single-threaded einsum loop, not BLAS: OpenBLAS threads a
-    ddot over more than about 10^4 entries, and its worker then
-    spin-waits about 0.13 s of CPU after each call, for no gain in wall
-    time."""
+    The package's grid-length inner products and norms that would call
+    BLAS (`@`, `np.vdot`, `np.vecdot`, `np.linalg.norm`) go through here,
+    on numpy's own single-threaded einsum loop: OpenBLAS threads a ddot
+    over more than about 10^4 entries, and its worker then spin-waits
+    about 0.13 s of CPU after each call, for no gain in wall time. A few
+    products are elementwise sums `(x * y).sum()`, numpy's pairwise sum,
+    which is single-threaded too: the rank-one term of
+    `kernel.LinearizedOperator.add_lower_order`, and `_Frame.eps_norm`
+    and `_Frame.energy` in `reduction`."""
     out = np.einsum("...i,...i->...", a, b)
     return float(out) if out.ndim == 0 else out
 
@@ -77,8 +81,9 @@ class GridSpec:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ParameterError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.half_width <= 0:
-            raise ParameterError(f"half_width must be positive, got {self.half_width}")
+        if not (0 < self.half_width < math.inf):
+            raise ParameterError(f"half_width must be positive and finite, "
+                                 f"got {self.half_width}")
         m = self.points_per_dim
         if m < 16 or m % 2 != 0:
             raise ParameterError(
@@ -238,16 +243,17 @@ class ProblemParams:
                 "s = 1 is the classical limit, permitted only with "
                 "validation_mode=True"
             )
-        if self.a <= 0:
-            raise ParameterError(f"a must be positive, got {self.a}")
-        if self.b < 0:
-            raise ParameterError(f"b must be nonnegative, got {self.b}")
+        if not (0 < self.a < math.inf):
+            raise ParameterError(f"a must be positive and finite, got {self.a}")
+        if not (0 <= self.b < math.inf):
+            raise ParameterError(
+                f"b must be nonnegative and finite, got {self.b}")
         if self.b > 0 and s < 1.0:
             if not (4.0 * s > n and 2.0 * s < n):
                 raise AdmissibilityError(
                     f"b > 0 requires 2s < N < 4s; got N={n}, s={s}"
                 )
-        if p <= 1.0:
+        if not (p > 1.0):
             raise ParameterError(
                 f"p must exceed 1 and stay below the subcritical window "
                 f"2N/(N-2s) - 1; got p={p}"

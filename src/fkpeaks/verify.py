@@ -6,7 +6,6 @@ returns a CheckReport carrying the tolerance it was judged against.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -44,31 +43,10 @@ class CheckReport:
     def as_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
 
 def digest_inputs(payload) -> str:
     text = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
-def append_jsonl(report: CheckReport, path) -> None:
-    with open(path, "a") as fh:
-        fh.write(report.to_json() + "\n")
-
-
-def write_csv(reports: list[CheckReport], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "digest", "passed", "tolerance",
-                         "measured", "expected", "notes"])
-        for r in reports:
-            writer.writerow([
-                r.name, r.inputs_digest, r.passed, r.tolerance,
-                json.dumps(r.measured, sort_keys=True),
-                json.dumps(r.expected, sort_keys=True), r.notes,
-            ])
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def test_reduce_report_read_by_workloads(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     from workloads import read_snapshot
 
-    status, run_dir = cli.run(cli.RunManifest.from_dict({
+    status, run_dir = cli.run({
         "command": "reduce",
         "params": {"dim": 1, "s": 1.0, "p": 3.0, "a": 1.0, "b": 0.25,
                    "validation_mode": True},
@@ -111,7 +111,7 @@ def test_reduce_report_read_by_workloads(tmp_path, monkeypatch):
         "eps": [0.1],
         "options": {"minimize": True, "y0_offset": 0.05},
         "output_dir": str(tmp_path / "reduce"),
-    }))
+    })
     assert status == 0
     report = json.loads((run_dir / "report.json").read_text())
     for key in ("y", "correction_norm", "reduced_energy",

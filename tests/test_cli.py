@@ -1,6 +1,8 @@
 import csv
 import json
+import math
 import re
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,31 @@ from fkpeaks.errors import (
 )
 from fkpeaks.groundstate import kirchhoff_scale, solve_Q
 from tests_support import TRUNCATES_BY_DESIGN
+
+
+def readme_names() -> list[str]:
+    """The file names and patterns a run directory's README lists."""
+    layout = cli.RUN_README.split("====\n", 1)[1].split("\n\n", 1)[0]
+    return [name for line in layout.splitlines() if not line.startswith(" ")
+            for name in line.split("  ", 1)[0].split(" / ")]
+
+
+@pytest.fixture(autouse=True)
+def run_directories_explain_themselves(monkeypatch):
+    """Every file that a run in this module writes to its run directory
+    matches a name or pattern that the directory's README lists."""
+    names = readme_names()
+    run = cli.run
+
+    def checked(*args, **kwargs):
+        status, run_dir = run(*args, **kwargs)
+        if run_dir is not None:
+            unlisted = [p.name for p in run_dir.iterdir()
+                        if not any(fnmatch(p.name, n) for n in names)]
+            assert unlisted == [], f"the run's README omits {unlisted}"
+        return status, run_dir
+
+    monkeypatch.setattr(cli, "run", checked)
 
 
 def manifest_groundstate(tmp_path):
@@ -66,7 +93,7 @@ def refused_before_compute(tmp_path, capsys, monkeypatch, run, change):
             spec.setdefault(name, {}).update(value)
         else:
             spec[name] = value
-    status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+    status, run_dir = cli.run(spec)
     assert (status, run_dir, solved) == (2, None, [])
     assert not (tmp_path / "sweep").exists()
     err = json.loads(capsys.readouterr().err)
@@ -75,21 +102,14 @@ def refused_before_compute(tmp_path, capsys, monkeypatch, run, change):
 
 
 class TestManifest:
-    def test_round_trip_lossless(self, tmp_path):
-        m = cli.RunManifest.from_dict(manifest_sweep(tmp_path))
-        again = cli.RunManifest.from_dict(
-            json.loads(json.dumps(m.to_dict()))
-        )
-        assert again == m
-
     def test_unknown_field_rejected(self):
-        with pytest.raises(ParameterError):
-            cli.RunManifest.from_dict({"command": "sweep", "bogus": 1})
+        with pytest.raises(ParameterError, match=r"manifest \['bogus'\]"):
+            cli.validate({"command": "sweep", "bogus": 1})
 
     def test_validation_before_compute(self, tmp_path):
         bad = manifest_groundstate(tmp_path)
         bad["params"]["p"] = 1.0
-        status, run_dir = cli.run(cli.RunManifest.from_dict(bad))
+        status, run_dir = cli.run(bad)
         assert status == 2
         assert run_dir is None
 
@@ -98,7 +118,7 @@ class TestManifest:
         # four searched eps feed the exponent fit, which needs a decade
         spec = manifest_sweep(tmp_path)
         spec["eps"] = [0.25, 0.2, 0.1, 0.05]
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 2
         assert run_dir is None
         assert "span at least one decade" in capsys.readouterr().err
@@ -113,7 +133,7 @@ class TestManifest:
         spec["command"], spec["eps"] = command, []
         if check:
             spec["options"] = {"check": check}
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 2
         assert run_dir is None
         assert "nonempty eps" in capsys.readouterr().err
@@ -128,7 +148,7 @@ class TestManifest:
         spec["command"], spec["eps"] = command, [0.2, 0.1]
         if check:
             spec["options"] = {"check": check}
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 2
         assert run_dir is None
         err = capsys.readouterr().err
@@ -148,7 +168,7 @@ class TestManifest:
         spec["eps"] = eps
         if check:
             spec["command"], spec["options"] = "verify", {"check": check}
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 2
         assert run_dir is None
         assert why in capsys.readouterr().err
@@ -159,7 +179,7 @@ class TestManifest:
         spec = manifest_sweep(tmp_path)
         spec["command"], spec["eps"] = "verify", eps
         spec["options"] = {"check": "sobolev"}
-        cli.RunManifest.from_dict(spec).validate()
+        cli.validate(spec)
 
     @pytest.mark.parametrize("command", ["reduce", "sweep"])
     @pytest.mark.parametrize("offset, why", [
@@ -174,7 +194,7 @@ class TestManifest:
         spec["command"], spec["options"] = command, {"y0_offset": offset}
         if command == "reduce":
             spec["eps"] = [0.1]
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 2
         assert run_dir is None
         err = capsys.readouterr().err
@@ -193,7 +213,7 @@ class TestManifest:
         spec = manifest_sweep(tmp_path)
         spec["command"], spec["eps"] = "verify", [0.1]
         spec["options"] = {"check": "uniqueness", "start_offsets": offsets}
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 2
         assert run_dir is None
         assert why in capsys.readouterr().err
@@ -215,14 +235,14 @@ class TestManifest:
             "options": {"check": check} if check else {},
             "output_dir": str(tmp_path / "run"),
         }
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 2
         assert run_dir is None
         assert not (tmp_path / "run").exists()
         assert "(0.777778, 1)" in capsys.readouterr().err
         # theta = 0.8 lies in the window and validates
         spec["theta"] = 0.8
-        cli.RunManifest.from_dict(spec).validate()
+        cli.validate(spec)
 
     @pytest.mark.parametrize("command, key", [
         ("reduce", "correction"), ("reduce", "profile"), ("sweep", "solver"),
@@ -234,7 +254,7 @@ class TestManifest:
         spec["command"], spec["tolerances"] = command, {key: 1e-9}
         if command == "reduce":
             spec["eps"] = [0.1]
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 2
         assert run_dir is None
         assert key in capsys.readouterr().err
@@ -252,7 +272,7 @@ class TestManifest:
         spec["command"], spec["options"] = command, options
         if command != "sweep":
             spec["eps"] = [0.1]
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 2
         assert run_dir is None
         assert not (tmp_path / "sweep").exists()
@@ -290,12 +310,30 @@ class TestManifest:
         ("system", {"options": {"peak_values": []}}, "options.peak_values"),
         ("pohozaev", {"options": {"radius": -0.1}}, "radius must be positive"),
         ("pohozaev", {"options": {"radius": 2.9}}, "does not fit strictly"),
+        ("reduce", {"eps": [-0.1]}, "eps values must be positive"),
+        ("reduce", {"eps": [math.inf]}, "eps values must be positive"),
+        ("reduce", {"delta": 0.0}, "need delta > 0"),
+        ("reduce", {"delta": math.nan}, "need delta > 0"),
+        ("groundstate", {"theta": 1.0}, "theta in (0, 1)"),
+        ("groundstate", {"grid": {"half_width": math.nan}}, "half_width"),
+        ("groundstate", {"grid": {"half_width": math.inf}}, "half_width"),
+        ("groundstate", {"params": {"a": math.nan}}, "a must be positive"),
+        ("groundstate", {"params": {"a": math.inf}}, "a must be positive"),
+        ("groundstate", {"params": {"b": math.nan}}, "b must be"),
+        ("groundstate", {"params": {"p": math.nan}}, "p must exceed 1"),
+        ("reduce", {"potential": {"value": math.nan}}, "value must be finite"),
+        ("reduce", {"potential": {"m": math.nan}}, "exponent m must"),
+        ("reduce", {"potential": {"holder": math.nan}}, "holder"),
+        ("reduce", {"potential": {"holder": 0.0}}, "holder"),
+        ("reduce", {"potential": {"coeffs": [1.0, 1.0]}}, "coeffs must match"),
+        ("reduce", {"potential": {"asym_power": 2.5}}, "asym_power must be"),
     ])
     def test_out_of_range_value_refused_before_compute(
             self, tmp_path, capsys, monkeypatch, run, change, named):
         # unchecked, each fails only at compute: no samples to take the
-        # maximum over, no peak to solve for, or no Pohozaev ball in the
-        # box (after the correction solve)
+        # maximum over, no peak to solve for, no Pohozaev ball in the box
+        # (after the correction solve), or a solver error far from the
+        # NaN or inf that caused it
         assert named in refused_before_compute(tmp_path, capsys, monkeypatch,
                                                run, change)
 
@@ -313,13 +351,13 @@ class TestManifest:
         spec = manifest_sweep(tmp_path)
         spec["command"], spec["options"] = "system", {"peak_values": None}
         spec["potential"]["asym_power"] = None
-        values = cli.RunManifest.from_dict(spec).validate()[-1]
+        values = cli.validate(spec)[-1]
         assert values["options"]["peak_values"].tolist() == [1.0]
 
     def test_theta_window_only_where_theta_is_used(self, tmp_path):
         spec = manifest_groundstate(tmp_path)
         spec["theta"] = 0.5
-        cli.RunManifest.from_dict(spec).validate()
+        cli.validate(spec)
 
     @pytest.mark.parametrize("kind, typo", [
         ("constant", "valeu"), ("single_well", "asym_pwr"),
@@ -337,7 +375,7 @@ class TestManifest:
                            "far_value": 1.5},
         }[kind]
         spec["potential"][typo] = 3.0
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 2
         assert run_dir is None
         assert not (tmp_path / "sweep").exists()
@@ -347,7 +385,7 @@ class TestManifest:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme.split("### Manifest example", 1)[1]
         block = section.split("```json", 1)[1].split("```", 1)[0]
-        cli.RunManifest.from_dict(json.loads(block)).validate()
+        cli.validate(json.loads(block))
 
     def test_readme_lists_each_runs_options(self):
         # one bullet per run, naming exactly the keys of cli.OPTIONS
@@ -373,8 +411,7 @@ class TestManifest:
 
 class TestGroundstateCommand:
     def test_snapshot_matches_soliton(self, tmp_path):
-        m = cli.RunManifest.from_dict(manifest_groundstate(tmp_path))
-        status, run_dir = cli.run(m)
+        status, run_dir = cli.run(manifest_groundstate(tmp_path))
         assert status == 0
         report = json.loads((run_dir / "report.json").read_text())
         assert report["passed"] is True
@@ -388,22 +425,23 @@ class TestGroundstateCommand:
     def test_solver_tolerance_is_read(self, tmp_path):
         spec = manifest_groundstate(tmp_path)
         spec["tolerances"] = {"solver": 1e-8}
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 0
         report = json.loads((run_dir / "report.json").read_text())
         assert report["passed"] is True and report["residual"] < 1e-8
 
     def test_manifest_copied_verbatim(self, tmp_path):
-        m = cli.RunManifest.from_dict(manifest_groundstate(tmp_path))
+        # no default is filled in
+        m = manifest_groundstate(tmp_path)
         _, run_dir = cli.run(m)
         copied = json.loads((run_dir / "manifest.json").read_text())
-        assert cli.RunManifest.from_dict(copied) == m
+        assert copied == m == manifest_groundstate(tmp_path)
 
     def test_kirchhoff_scale_and_gamma_log(self, tmp_path):
         spec = manifest_groundstate(tmp_path)
         spec["params"]["b"] = 0.25
         spec["options"] = {"c": 2.0, "verbose": True}
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 0
         report = json.loads((run_dir / "report.json").read_text())
         assert report["passed"] is True
@@ -428,14 +466,13 @@ class TestGroundstateCommand:
 
 class TestSystemCommand:
     def test_system_report(self, tmp_path):
-        m = cli.RunManifest.from_dict({
+        status, run_dir = cli.run({
             "command": "system",
             "params": {"dim": 1, "s": 0.4, "p": 2.0, "a": 1.0, "b": 1.0},
             "grid": {"half_width": 30.0, "points_per_dim": 1024},
             "options": {"peak_values": [1.0, 1.5]},
             "output_dir": str(tmp_path / "system"),
         })
-        status, run_dir = cli.run(m)
         assert status == 0
         report = json.loads((run_dir / "report.json").read_text())
         assert report["self_consistency_rel"] < 1e-8
@@ -446,8 +483,7 @@ class TestSystemCommand:
 @TRUNCATES_BY_DESIGN
 class TestSweepCommand:
     def test_sweep_emits_records_and_asymptotics(self, tmp_path):
-        m = cli.RunManifest.from_dict(manifest_sweep(tmp_path))
-        status, run_dir = cli.run(m)
+        status, run_dir = cli.run(manifest_sweep(tmp_path))
         assert status == 0
         report = json.loads((run_dir / "report.json").read_text())
         assert len(report["records"]) == 4
@@ -461,8 +497,8 @@ class TestSweepCommand:
         spec1["output_dir"] = str(tmp_path / "a")
         spec2 = dict(manifest_sweep(tmp_path))
         spec2["output_dir"] = str(tmp_path / "b")
-        _, dir1 = cli.run(cli.RunManifest.from_dict(spec1))
-        _, dir2 = cli.run(cli.RunManifest.from_dict(spec2))
+        _, dir1 = cli.run(spec1)
+        _, dir2 = cli.run(spec2)
         assert (dir1 / "sweep.csv").read_bytes() == \
             (dir2 / "sweep.csv").read_bytes()
 
@@ -480,7 +516,7 @@ class TestSweepCommand:
             "options": {"minimize": False, "y0_offset": 0.1},
             "output_dir": str(tmp_path / "sweep"),
         }
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 1
         report = json.loads((run_dir / "report.json").read_text())
         assert report["passed"] is False
@@ -502,7 +538,7 @@ class TestReduceCommand:
         spec["command"] = "reduce"
         spec["eps"] = [0.1]
         spec["output_dir"] = str(tmp_path / "reduce")
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 0
         report = json.loads((run_dir / "report.json").read_text())
         assert report["orthogonality"] < 1e-8
@@ -527,7 +563,7 @@ class TestReduceCommand:
     def test_strict_truncation_is_a_compute_failure(self, tmp_path, capsys):
         spec = self.truncating_reduce(tmp_path)
         spec["strict"] = True
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 3
         report = json.loads((run_dir / "report.json").read_text())
         assert report["failed"].startswith(
@@ -540,7 +576,7 @@ class TestReduceCommand:
         spec["command"], spec["strict"] = "verify", True
         spec["options"] = {"check": "uniqueness",
                            "start_offsets": [0.0, 0.05]}
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 1
         failed = json.loads(
             (run_dir / "report.json").read_text())["measured"]["failed"]
@@ -560,7 +596,7 @@ class TestReduceCommand:
         spec["delta"] = 1e-4
         spec["output_dir"] = str(tmp_path / "reduce")
         with pytest.warns(BoundaryMinimizerWarning):
-            status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+            status, run_dir = cli.run(spec)
         assert status == 1
         report = json.loads((run_dir / "report.json").read_text())
         assert report["search"]["termination"] == "boundary"
@@ -568,7 +604,7 @@ class TestReduceCommand:
 
 class TestVerifyCommand:
     def test_interaction_check_via_cli(self, tmp_path):
-        m = cli.RunManifest.from_dict({
+        status, run_dir = cli.run({
             "command": "verify",
             "params": {"dim": 1, "s": 0.4, "p": 2.0, "a": 1.0, "b": 0.0},
             "grid": {"half_width": 6.0, "points_per_dim": 64},
@@ -577,10 +613,14 @@ class TestVerifyCommand:
                         "samples": 5000},
             "output_dir": str(tmp_path / "verify"),
         })
-        status, run_dir = cli.run(m)
         assert status == 0
-        assert (run_dir / "checks.jsonl").exists()
-        assert (run_dir / "checks.csv").exists()
+        # report.json holds the check's one record, its full CheckReport
+        report = json.loads((run_dir / "report.json").read_text())
+        rep = vf.interaction_inequality_check(
+            [0.0], [2.0], 2.0, 2.0, 2.0, samples=5000, seed=1234)
+        assert report["report"] == json.loads(json.dumps(rep.as_dict()))
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "README.md", "manifest.json", "report.json", "version.json"]
 
     def test_check_named_on_the_command_line(self, tmp_path):
         # the manifest names no check; the positional argument does
@@ -594,7 +634,8 @@ class TestVerifyCommand:
         }))
         assert cli.main(["verify", "interaction", "--manifest",
                          str(path)]) == 0
-        assert (tmp_path / "verify" / "checks.jsonl").exists()
+        report = json.loads((tmp_path / "verify" / "report.json").read_text())
+        assert report["check"] == "interaction_inequality_check"
 
     @staticmethod
     def pohozaev(tmp_path, name, **options) -> dict:
@@ -611,24 +652,23 @@ class TestVerifyCommand:
         }
 
     def test_pohozaev_check_on_pipeline_solution(self, tmp_path):
-        m = cli.RunManifest.from_dict(self.pohozaev(tmp_path, "poho"))
-        status, run_dir = cli.run(m)
+        status, run_dir = cli.run(self.pohozaev(tmp_path, "poho"))
         assert status == 0
         report = json.loads((run_dir / "report.json").read_text())
         assert report["check"] == "pohozaev_residual"
 
     def test_pohozaev_from_a_snapshot_matches_the_correction(self, tmp_path):
         # the snapshot holds the solution the check otherwise computes
-        params, grid, pot, starts, _ = cli.RunManifest.from_dict(
-            self.pohozaev(tmp_path, "computed")).validate()
+        params, grid, pot, starts, _ = cli.validate(
+            self.pohozaev(tmp_path, "computed"))
         red = rd.Reducer(grid, params, pot)
         fio.save_field(rd.solve_correction(red, starts[0]).solution,
                        tmp_path / "u")
         reports = []
         for name, options in (("computed", {}),
                               ("snapshot", {"solution": str(tmp_path / "u")})):
-            status, run_dir = cli.run(cli.RunManifest.from_dict(
-                self.pohozaev(tmp_path, name, **options)))
+            status, run_dir = cli.run(
+                self.pohozaev(tmp_path, name, **options))
             assert status == 0
             report = json.loads((run_dir / "report.json").read_text())
             reports.append({k: v for k, v in report.items()
@@ -645,7 +685,7 @@ class TestVerifyCommand:
             "options": {"check": "sobolev", "samples": 6},
             "output_dir": str(tmp_path / "sobolev"),
         }
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 0
         report = json.loads((run_dir / "report.json").read_text())
         grid = sp.GridSpec(1, 6.0, 256)
@@ -670,10 +710,9 @@ class TestVerifyCommand:
             "options": {"check": "wrong_ansatz", "tol": 0.3},
             "output_dir": str(tmp_path / "wrong"),
         }
-        m = cli.RunManifest.from_dict(spec)
-        status, run_dir = cli.run(m)
+        status, run_dir = cli.run(spec)
         report = json.loads((run_dir / "report.json").read_text())
-        params, grid, pot, _, _ = m.validate()
+        params, grid, pot, _, _ = cli.validate(spec)
         rep = vf.wrong_ansatz_gap(grid, params, pot, eps_list=[0.06, 0.03],
                                   tol=0.3)
         assert report["report"] == json.loads(json.dumps(rep.as_dict()))
@@ -690,7 +729,7 @@ class TestVerifyCommand:
         spec["command"], spec["eps"] = "verify", [0.1]
         spec["options"] = {"check": "uniqueness",
                            "start_offsets": [0.05, -0.05]}
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 1
         report = json.loads((run_dir / "report.json").read_text())
         assert report["passed"] is False
@@ -698,14 +737,13 @@ class TestVerifyCommand:
         assert len(report["measured"]["failed"]) == 2
 
     def test_unknown_check_rejected(self, tmp_path):
-        m = cli.RunManifest.from_dict({
+        status, run_dir = cli.run({
             "command": "verify",
             "params": {"dim": 1, "s": 0.4, "p": 2.0, "a": 1.0, "b": 0.0},
             "grid": {"half_width": 6.0, "points_per_dim": 64},
             "options": {"check": "nope"},
             "output_dir": str(tmp_path / "verify2"),
         })
-        status, run_dir = cli.run(m)
         assert status == 2
         assert run_dir is None
         assert not (tmp_path / "verify2").exists()
@@ -719,7 +757,7 @@ class TestThreadsAndVerbose:
         spec["eps"] = [0.2]
         spec["options"] = {"verbose": True, "minimize": False}
         spec["output_dir"] = str(tmp_path / "verbose")
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 0
         rows = [json.loads(line) for line in
                 (run_dir / "iterations.jsonl").read_text().splitlines()]
@@ -731,6 +769,48 @@ class TestThreadsAndVerbose:
 
 
 class TestMain:
+    @pytest.mark.parametrize("command, manifest, named", [
+        ("reduce", 5, "manifest: must be a JSON object, got 5"),
+        ("reduce", ["command"], "manifest: must be a JSON object"),
+        ("verify", {"options": 7}, "manifest.options: must be a JSON object"),
+        ("verify interaction", {"options": 7}, "manifest.options"),
+        ("reduce", {"options": 7}, "manifest.options: must be a JSON object"),
+        ("reduce", {"eps": 0.1}, "manifest.eps: 'float' object is not"),
+        ("reduce", {"params": None}, "manifest.params"),
+        ("reduce", {"grid": {"half_width": math.nan, "points_per_dim": 256}},
+         "half_width"),
+    ], ids=["number", "list", "verify-options", "verify-check-options",
+            "reduce-options", "eps", "params", "nan"])
+    def test_malformed_manifest_is_a_validation_error(
+            self, tmp_path, capsys, command, manifest, named):
+        # a field of the wrong JSON type is named, not a traceback; the
+        # file's NaN literal reaches GridSpec's check
+        if isinstance(manifest, dict):
+            manifest = {**manifest_sweep(tmp_path), **manifest}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert cli.main([*command.split(), "--manifest", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and named in err["detail"]
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_manifest_json_is_the_manifest_as_run(self, tmp_path):
+        # the input plus the command-line overrides; no default filled in
+        spec = {
+            "command": "groundstate",
+            "params": {"dim": 1, "s": 0.4, "p": 2.0, "a": 1.0, "b": 0.0},
+            "grid": {"half_width": 6.0, "points_per_dim": 64},
+            "options": {"x_i": [0.0], "x_j": [2.0], "samples": 500},
+            "output_dir": str(tmp_path / "verify"),
+        }
+        path = tmp_path / "verify.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["verify", "interaction", "--strict", "--manifest",
+                         str(path)]) == 0
+        ran = json.loads((tmp_path / "verify" / "manifest.json").read_text())
+        assert ran == {**spec, "command": "verify", "strict": True,
+                       "options": {**spec["options"], "check": "interaction"}}
+
     @pytest.mark.parametrize("text", [None, "{not json"])
     def test_unreadable_manifest_is_a_validation_error(self, tmp_path,
                                                        capsys, text):
@@ -748,7 +828,7 @@ class TestEnvOutputRoot:
         monkeypatch.setenv(cli.ENV_OUTPUT_ROOT, str(tmp_path / "envroot"))
         spec = manifest_groundstate(tmp_path)
         spec["output_dir"] = ""
-        status, run_dir = cli.run(cli.RunManifest.from_dict(spec))
+        status, run_dir = cli.run(spec)
         assert status == 0
         assert str(run_dir).startswith(str(tmp_path / "envroot"))
 

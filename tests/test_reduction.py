@@ -143,6 +143,9 @@ class TestPeakConfig:
             rd.PeakConfig(-0.1, [[0.0]], delta=0.5, theta=0.8)
         with pytest.raises(ParameterError):
             rd.PeakConfig(0.1, [[0.0]], delta=0.5, theta=1.2)
+        for eps, delta in ((math.inf, 0.5), (0.1, 0.0), (0.1, math.nan)):
+            with pytest.raises(ParameterError, match="eps must|delta must"):
+                rd.PeakConfig(eps, [[0.0]], delta=delta, theta=0.8)
 
     def test_frame_rejects_configuration_outside_domain(self, reducer_1d):
         far = rd.PeakConfig(0.1, [[0.95]], delta=0.5, theta=0.8)
@@ -527,6 +530,15 @@ class TestGridSystem:
                                  c0=C11_VALUES, tol=self.TOL,
                                  init_width=width)
         assert sum(iterations) <= 2 * fixed[3]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_tail_fraction_reads_every_face(self, dim):
+        # exp(-|x|^2) on [-3, 3)^N: the index-0 faces peak at exp(-9) on
+        # the axes, where the 2D corner holds exp(-18)
+        grid = sp.GridSpec(dim, 3.0, 16)
+        w = sp.Field(grid, np.exp(-grid.radii() ** 2))
+        g = rd.GridSystem(grid, 0.1, 1.0, [w], [1.0], [1.0], [0.0])
+        assert g.tail_fraction(0) == math.exp(-9.0)
 
     def test_unconverged_loop_raises_typed_error(self, monkeypatch):
         monkeypatch.setattr(gs, "MAX_ITER", 5)

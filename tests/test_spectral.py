@@ -27,6 +27,8 @@ class TestGridSpec:
         dict(dim=1, half_width=-1.0, points_per_dim=32),
         dict(dim=1, half_width=1.0, points_per_dim=33),
         dict(dim=1, half_width=1.0, points_per_dim=8),
+        dict(dim=1, half_width=math.nan, points_per_dim=32),
+        dict(dim=1, half_width=math.inf, points_per_dim=32),
     ])
     def test_validation(self, bad):
         with pytest.raises(ParameterError):
@@ -419,6 +421,14 @@ class TestProblemParams:
             sp.ProblemParams(1, 0.4, 9.5, 1.0, 1.0)  # p >= 2N/(N-2s)-1 = 9
         with pytest.raises(ParameterError):
             sp.ProblemParams(1, 0.4, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("a, b, p", [
+        (math.nan, 1.0, 2.0), (math.inf, 1.0, 2.0), (1.0, math.nan, 2.0),
+        (1.0, math.inf, 2.0), (1.0, 1.0, math.nan),
+    ])
+    def test_non_finite_coefficients_refused(self, a, b, p):
+        with pytest.raises(ParameterError):
+            sp.ProblemParams(1, 0.4, p, a, b)
 
     def test_classical_needs_validation_mode(self):
         with pytest.raises(ParameterError):
