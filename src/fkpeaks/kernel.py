@@ -14,6 +14,11 @@ apply reads its local and rank-one terms (`add_lower_order`).
 Every spectral certificate comes from one Lanczos on the n+1 lowest
 eigenvalues with a magnitude certificate (`lanczos_smallest`): the
 kernel of L+ (Morse index 1), and the reduction's inversion constant.
+It is the package's own thick-restart Lanczos with full
+reorthogonalisation, stopped on ARPACK's convergence test (Ritz estimates
+at tol 1e-10) or at a fixed budget of LANCZOS_BUDGET applies; it runs on
+the calling thread, so its answer does not depend on the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import linalg as sla
+import scipy.linalg
 
 from . import spectral as sp
 from .errors import EigensolverError, ParameterError
@@ -30,6 +35,13 @@ from .groundstate import KirchhoffGroundState
 from .spectral import Field, GridSpec
 
 KERNEL_THRESHOLD = 1e-4  # |lambda| below this counts as kernel, at default grids
+# Ritz vectors a restart keeps beyond ARPACK's rule: 3 took 785 applies on
+# the 128^2 L+ at n = 5 and 1105 on the 256^2 one, where ARPACK's rule
+# alone took 916 and 1186 and a fixed n+9 took 830 and 1518
+LANCZOS_KEEP = 3
+# applies a Lanczos may spend: 3.6 times the most measured (1105 on the
+# 256^2 L+ at n = 5; 785 on 128^2, at most 229 on the tests' operators)
+LANCZOS_BUDGET = 4000
 
 
 @dataclass
@@ -93,35 +105,124 @@ def _dense_matrix(op: LinearizedOperator) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def _orthogonalise(basis: np.ndarray,
+                   w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """w less its projection on the orthonormal rows of `basis`, the
+    projection's coefficients and the remainder's norm: one classical
+    Gram-Schmidt pass, and a second when the first cancels more than
+    1 - 1/sqrt(2) of w's norm (the DGKS test; Daniel, Gragg, Kaufman &
+    Stewart 1976).  When the second pass cancels as much, w lies in the
+    span to roundoff and its norm is returned as 0.  The combination of
+    rows runs on numpy's einsum loop, which calls no BLAS.
+    """
+    before = math.sqrt(sp.dot(w, w))
+    total = np.zeros(len(basis))
+    for _ in range(2):
+        coef = sp.dot(basis, w)
+        w = w - np.einsum("i,in->n", coef, basis)
+        total += coef
+        norm = math.sqrt(sp.dot(w, w))
+        if norm > before / math.sqrt(2.0):
+            return w, total, norm
+        before = norm
+    return w, total, 0.0
+
+
 def lanczos_smallest(matvec, size: int,
                      n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n smallest-magnitude eigenpairs (values, vectors by column) of
-    a symmetric apply on vectors of length `size`: Lanczos (ARPACK) on the
-    n+1 lowest eigenvalues from a fixed start.  Every eigenvalue not
-    computed lies at or above the largest computed one, which certifies
-    the pick only when no picked |lambda| exceeds it.  Raises
-    EigensolverError when one does, and with the Ritz residuals of the
-    partial pairs when Lanczos does not converge.
+    a symmetric apply on vectors of length `size`: Lanczos on the n+1
+    lowest eigenvalues from a fixed start.  Every eigenvalue not computed
+    lies at or above the largest computed one, which certifies the pick
+    only when no picked |lambda| exceeds it.  Raises EigensolverError when
+    one does, and, with the residuals of the n pairs it would pick, when
+    the pairs have not converged within LANCZOS_BUDGET applies.
+
+    Thick-restart Lanczos (Wu & Simon 2000), which computes what ARPACK's
+    implicit restart with exact shifts computes (Sorensen 1992).  Each
+    step runs the three-term recurrence, then one classical Gram-Schmidt
+    pass against the whole basis, and a second when the DGKS test asks
+    (`_orthogonalise`).  Once the basis holds ncv vectors, the eigenpairs
+    (theta_i, y_i) of its Rayleigh quotient T give the Ritz pairs; the
+    n+1 lowest have converged when every Ritz estimate |beta_m y_m,i| <=
+    1e-10 max(eps^(2/3), |theta_i|) (ARPACK's test at tol 1e-10).  Until
+    then the basis restarts in place: its first rows become the lowest
+    Ritz vectors, the next the residual direction, and T their diagonal
+    and arrow, kept to LANCZOS_KEEP more than ARPACK keeps.  A Krylov
+    space that turns invariant (beta at roundoff of |A v|) goes on from a
+    seeded pseudo-random vector orthogonalised against the basis.  Every
+    product of vectors runs on numpy's einsum loop and T's eigenproblem in
+    LAPACK's QR iteration (driver "ev"; numpy's divide and conquer wakes an
+    OpenBLAS worker from 26 rows up), both on the calling thread, so the
+    answer does not depend on the BLAS thread count.
     """
-    a_op = sla.LinearOperator((size, size), matvec=matvec, dtype=float)
-    v0 = np.cos(np.arange(size) * 0.37) + 0.5  # fixed deterministic start
+    k = n + 1
     # A Krylov space from one start sees a repeated eigenvalue such as
     # the N-fold kernel only through rounding; a subspace that grows
     # with n keeps the apply count from swinging with roundoff.
-    ncv = min(size - 1, max(20, 5 * (n + 1)))
-    try:
-        vals, vecs = sla.eigsh(a_op, k=n + 1, which="SA", v0=v0,
-                               tol=1e-10, ncv=ncv)
-    except sla.ArpackNoConvergence as exc:
-        # the partial pairs scipy extracts (none when extraction fails)
+    ncv = min(size - 1, max(20, 5 * k))
+    basis = np.empty((ncv + 1, size))   # rows: the Lanczos vectors
+    tmat = np.zeros((ncv, ncv))         # their Rayleigh quotient
+    v0 = np.cos(np.arange(size) * 0.37) + 0.5  # fixed deterministic start
+    basis[0] = v0 / math.sqrt(sp.dot(v0, v0))
+    first, spent, breakdowns = 0, 0, 0
+    while True:
+        for j in range(first, ncv):
+            w = matvec(basis[j])
+            spent += 1
+            wnorm = math.sqrt(sp.dot(w, w))
+            # v_j's recurrence reaches v_(j-1), or, first after a restart,
+            # every kept Ritz vector
+            lo = 0 if j == first else j - 1
+            w = w - np.einsum("i,in->n", tmat[lo:j, j], basis[lo:j])
+            alpha = sp.dot(basis[j], w)
+            w, coef, beta = _orthogonalise(basis[:j + 1],
+                                           w - alpha * basis[j])
+            tmat[j, j] = alpha + coef[j]
+            # a remainder at roundoff of A v_j (1e-16 to 3e-14 of it on a
+            # matrix of 3 distinct eigenvalues, above 1e-3 on the tests'
+            # operators) is a breakdown
+            if beta > 1e-12 * wnorm:
+                basis[j + 1] = w / beta
+            else:
+                # go on from a fixed pseudo-random vector, as ARPACK does: a
+                # unit vector misses every other copy of an eigenvalue whose
+                # eigenvectors vanish at its index
+                breakdowns += 1
+                w, _, norm = _orthogonalise(
+                    basis[:j + 1],
+                    np.random.default_rng(breakdowns).standard_normal(size))
+                basis[j + 1], beta = w / norm, 0.0
+            if j + 1 < ncv:
+                tmat[j, j + 1] = tmat[j + 1, j] = beta
+        theta, y = scipy.linalg.eigh(tmat, driver="ev")
+        estimates = np.abs(beta * y[-1, :k])
+        converged = estimates <= 1e-10 * np.maximum(
+            np.finfo(float).eps ** (2.0 / 3.0), np.abs(theta[:k]))
+        if converged.all() or spent >= LANCZOS_BUDGET:
+            break
+        # ARPACK's rule (the n+1, and as many more as have converged, up
+        # to half the rest) and LANCZOS_KEEP more
+        keep = min(k + LANCZOS_KEEP + min(int(converged.sum()),
+                                          (ncv - k) // 2), ncv - 1)
+        basis[:keep] = np.einsum("ji,jn->in", y[:, :keep], basis[:ncv])
+        basis[keep] = basis[ncv]
+        tmat[:] = 0.0
+        tmat[:keep, :keep] = np.diag(theta[:keep])
+        tmat[keep, :keep] = tmat[:keep, keep] = beta * y[-1, :keep]
+        first = keep
+    vals = theta[:k]
+    vecs = np.einsum("ji,jn->ni", y[:, :k], basis[:ncv])
+    order = np.argsort(np.abs(vals), kind="stable")[:n]
+    if not converged.all():
         ritz = []
-        for lam, vec in zip(exc.eigenvalues, exc.eigenvectors.T):
-            r = matvec(vec) - lam * vec
+        for i in order:
+            r = matvec(vecs[:, i]) - vals[i] * vecs[:, i]
             ritz.append(math.sqrt(sp.dot(r, r)))
         raise EigensolverError(
-            f"Lanczos stagnated ({exc})", ritz_residuals=ritz,
-        ) from exc
-    order = np.argsort(np.abs(vals), kind="stable")[:n]
+            f"Lanczos stagnated: {int(converged.sum())} of {k} Ritz pairs "
+            f"converged within its budget of {LANCZOS_BUDGET} applies",
+            ritz_residuals=ritz)
     top = float(np.max(vals))
     if np.any(np.abs(vals[order]) > top):
         raise EigensolverError(
@@ -172,15 +273,17 @@ def kernel_spectrum(op: LinearizedOperator, n: int,
 def subspace_cosines(op: LinearizedOperator,
                      fields: list[Field]) -> list[float]:
     """Cosine of each field against span{d_j U}, the translation modes
-    (orthogonal projection)."""
-    basis = np.stack([sp.derivative(op.profile, j).values.ravel()
+    (orthogonal projection: |P v|^2 = c . G^(-1) c with c the modes'
+    products with v and G their Gram matrix, all by `spectral.dot`)."""
+    modes = np.stack([sp.derivative(op.profile, j).values.ravel()
                       for j in range(op.grid.dim)])
-    q, _ = np.linalg.qr(basis.T)
+    gram = sp.dot(modes[:, None], modes[None])
     out = []
     for f in fields:
         v = f.values.ravel()
-        nv = math.sqrt(sp.dot(v, v))
-        out.append(float(np.linalg.norm(q.T @ v) / nv) if nv > 0 else 0.0)
+        c, nv = sp.dot(modes, v), sp.dot(v, v)
+        out.append(math.sqrt(c @ np.linalg.solve(gram, c) / nv)
+                   if nv > 0 else 0.0)
     return out
 
 

@@ -167,6 +167,12 @@ class Potential:
         k = centers.shape[0]
         if len(values) != k or coeffs.shape[0] != k:
             raise ParameterError("values/coeffs must match the peak count")
+        if not (math.isfinite(far_value) and np.isfinite(values).all()):
+            raise ParameterError(f"far_value and values must be finite, got "
+                                 f"{far_value} and {values.tolist()}")
+        if plateau is not None and not (0 < plateau < math.inf):
+            raise ParameterError(f"plateau must be positive and finite, got "
+                                 f"{plateau}")
         sep = _min_separation(centers)
         radius = plateau if plateau is not None else min(1.0, 0.4 * sep)
         if 2.5 * radius > sep:
@@ -709,8 +715,10 @@ class _Frame:
 
         vals, _ = lanczos_smallest(form, self.Qc.shape[1], 1)
         rho = float(abs(vals[0]))
-        # eigsh's tol 1e-10 bounds the Ritz residual, hence the error, of
-        # the null space's eigenvalue to 1e-10 of the shift: refuse 1e-8
+        # Lanczos stops when each computed pair's Ritz estimate is at most
+        # 1e-10 of its |eigenvalue| (`kernel.lanczos_smallest`), which
+        # bounds the error of the null space's eigenvalue to 1e-10 of the
+        # shift: refuse 1e-8
         if rho >= (1.0 - 1e-8) * COERCIVITY_SHIFT:
             raise EigensolverError(f"min |eigenvalue| {rho:.6e} on E_eps_y is "
                                    f"not below the shift {COERCIVITY_SHIFT:g}")

@@ -1,8 +1,10 @@
 """Every function, method and class the package defines has a caller in
 the package or the benchmark: an entry point only tests call is dead code
-with a test attached."""
+with a test attached.  And the package imports no scipy.sparse."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 
@@ -124,3 +126,18 @@ def test_a_helper_only_tests_call_is_found(tmp_path):
         "def dispatched():\n    return Box().shown()\n")
     assert unreferenced(pkg, (tmp_path / "src",)) == [
         "mod.zeros", "mod.only_tests_call"]
+
+
+def test_package_imports_no_scipy_sparse():
+    # the package's one eigensolver is its own Lanczos; scipy.sparse (and
+    # ARPACK behind it) adds about 3.5 MiB of resident memory on import
+    code = ("import importlib, pkgutil, sys\n"
+            f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "import fkpeaks\n"
+            "for mod in pkgutil.iter_modules(fkpeaks.__path__):\n"
+            "    if mod.name != '__main__':\n"
+            "        importlib.import_module('fkpeaks.' + mod.name)\n"
+            "print([m for m in sys.modules if m.startswith('scipy.sparse')])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -381,6 +381,26 @@ class TestManifest:
         assert not (tmp_path / "sweep").exists()
         assert typo in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("far_value", math.nan, "far_value and values must be finite"),
+        ("plateau", math.nan, "plateau must be positive"),
+        ("plateau", 0.0, "plateau must be positive"),
+        ("plateau", -0.5, "plateau must be positive"),
+    ])
+    def test_multi_well_out_of_range_refused_before_compute(
+            self, tmp_path, capsys, key, value, named):
+        # unchecked, a NaN passes the overlap test and the run fails at
+        # compute on a potential that is not positive on the box
+        spec = manifest_sweep(tmp_path)
+        spec["command"], spec["eps"] = "reduce", [0.1]
+        spec["potential"] = {"kind": "multi_well", "centers": [[-1.0], [1.0]],
+                             "values": [1.0, 1.5], "coeffs": [[1.0], [1.0]],
+                             "m": 2.0, "far_value": 2.2, "plateau": 0.7,
+                             key: value}
+        status, run_dir = cli.run(spec)
+        assert (status, run_dir) == (2, None)
+        assert named in json.loads(capsys.readouterr().err)["detail"]
+
     def test_readme_manifest_example_validates(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme.split("### Manifest example", 1)[1]

@@ -5,7 +5,7 @@ from fkpeaks import groundstate as gs
 from fkpeaks import kernel as kn
 from fkpeaks import spectral as sp
 from fkpeaks.errors import EigensolverError, ParameterError
-from tests_support import integrate
+from tests_support import NEEDS_SCHEDSTAT, integrate, other_threads_ns
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +165,51 @@ class TestKernelSpectrum:
         for _, f in pairs:
             assert integrate(f.grid, f.values**2) == pytest.approx(
                 1.0, rel=1e-10)
+
+
+class TestLanczos:
+    def test_repeated_eigenvalues_through_breakdowns(self):
+        # three distinct eigenvalues: every Krylov space turns invariant
+        # after three steps, so each copy of 0.5 past the first comes from
+        # a vector the loop starts again from
+        d = np.repeat([0.5, 1.0, 3.0], [4, 20, 40])
+        vals, vecs = kn.lanczos_smallest(lambda v: d * v, d.size, 5)
+        assert vals == pytest.approx([0.5, 0.5, 0.5, 0.5, 1.0], abs=1e-14)
+        assert np.abs(d[:, None] * vecs - vecs * vals).max() < 1e-13
+        assert np.abs(vecs.T @ vecs - np.eye(5)).max() < 1e-13
+
+    def test_budget_stops_a_loop_that_never_converges(self):
+        # eigenvalues (i/500)^4 cluster at 0, where the Ritz estimates must
+        # fall below 1e-10 of eps^(2/3): Lanczos runs to its budget, which
+        # it checks once per fill of the 20-vector basis, and the residuals
+        # take n more applies
+        d = (np.arange(1, 501) / 500) ** 4
+        applies = []
+
+        def matvec(v):
+            applies.append(1)
+            return d * v
+
+        with pytest.raises(EigensolverError, match="budget") as info:
+            kn.lanczos_smallest(matvec, d.size, 2)
+        assert kn.LANCZOS_BUDGET <= len(applies) - 2 < kn.LANCZOS_BUDGET + 20
+        assert len(info.value.ritz_residuals) == 2
+        assert all(r > 0.0 for r in info.value.ritz_residuals)
+
+
+@NEEDS_SCHEDSTAT
+def test_kernel_report_runs_on_the_calling_thread_only():
+    # kernel2d's L+ on 112^2, the smallest grid on which ARPACK's
+    # reorthogonalisation woke an OpenBLAS worker on every run (about
+    # 0.4 s of its CPU): no library worker thread runs during the report
+    grid = sp.GridSpec(2, 8.0, 112)
+    base = gs.solve_Q(grid, 0.75, 2.0)
+    params = sp.ProblemParams(2, 0.75, 2.0, 1.0, 0.05)
+    op = kn.LinearizedOperator.from_kirchhoff(
+        gs.kirchhoff_scale(base, params, c=1.0))
+    report, added = other_threads_ns(lambda: kn.kernel_report(op, n=5))
+    assert report["kernel_dim"] == 2
+    assert all(ns == 0 for ns in added.values()), added
 
 
 class TestSystemPeakOperator:

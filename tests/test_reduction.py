@@ -1,7 +1,4 @@
-import glob
 import math
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -13,7 +10,8 @@ from fkpeaks import spectral as sp
 from fkpeaks.errors import (BoundaryMinimizerWarning, EigensolverError,
                             IterationError, LinearSolveError,
                             NoContractionError, ParameterError)
-from tests_support import TRUNCATES_BY_DESIGN, integrate, pack, unpack
+from tests_support import (NEEDS_SCHEDSTAT, TRUNCATES_BY_DESIGN, integrate,
+                           other_threads_ns, pack, unpack)
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +96,17 @@ class TestPotential:
                 centers=[[-0.3], [0.3]], values=[1.0, 1.0],
                 coeffs=[[1.0], [1.0]], m=2.0, far_value=2.0, plateau=0.5,
             )
+
+    @pytest.mark.parametrize("change, named", [
+        ({"values": [1.0, math.nan]}, "values must be finite"),
+        ({"far_value": math.inf}, "values must be finite"),
+        ({"plateau": 0.0}, "plateau must be positive"),
+    ])
+    def test_multi_well_out_of_range_rejected(self, change, named):
+        kw = dict(centers=[[-1.0], [1.0]], values=[1.0, 1.5],
+                  coeffs=[[1.0], [2.0]], m=2.0, far_value=2.5, plateau=0.6)
+        with pytest.raises(ParameterError, match=named):
+            rd.Potential.multi_well(**{**kw, **change})
 
     def test_invalid_exponents(self):
         with pytest.raises(ParameterError):
@@ -409,19 +418,15 @@ class TestApplyLeps:
             self, reducer_1d, monkeypatch):
         # one Lanczos serves the kernel and the inversion constant: a
         # stagnation reaches both as EigensolverError with the residuals
-        # of the partial pairs
-        def stagnate(a_op, k, **kw):
-            vec = np.ones(a_op.shape[0]) / math.sqrt(a_op.shape[0])
-            raise kn.sla.ArpackNoConvergence("no convergence", np.ones(1),
-                                             vec[:, None])
-
-        monkeypatch.setattr(kn.sla, "eigsh", stagnate)
+        # of the pairs it would pick; neither converges within one fill
+        # of its basis (20 applies; they take 92 and 108)
+        monkeypatch.setattr(kn, "LANCZOS_BUDGET", 1)
         cfg = rd.PeakConfig(0.05, [[0.3]], delta=0.5, theta=0.8)
         frame = reducer_1d.frame(cfg)
         for solve in (frame.coercivity,
                       lambda: kn.kernel_spectrum(
                           frame.second_variation(frame.U), 1)):
-            with pytest.raises(EigensolverError) as info:
+            with pytest.raises(EigensolverError, match="budget") as info:
                 solve()
             assert len(info.value.ritz_residuals) == 1
             assert info.value.ritz_residuals[0] > 0.0
@@ -629,20 +634,7 @@ class TestSolveConstrained:
         assert np.abs(phi - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
-def _thread_run_ns() -> dict[int, int]:
-    """CPU time in ns each thread of this process has run (schedstat)."""
-    out = {}
-    for path in glob.glob("/proc/self/task/*/schedstat"):
-        try:
-            with open(path) as fh:
-                out[int(path.split("/")[4])] = int(fh.read().split()[0])
-        except FileNotFoundError:       # the thread ended
-            pass
-    return out
-
-
-@pytest.mark.skipif(not glob.glob("/proc/self/task/*/schedstat"),
-                    reason="needs per-thread schedstat under /proc")
+@NEEDS_SCHEDSTAT
 @TRUNCATES_BY_DESIGN
 def test_correction_runs_on_the_calling_thread_only():
     # the benchmark's reduce2d problem at 128^2: a correction makes no
@@ -653,14 +645,9 @@ def test_correction_runs_on_the_calling_thread_only():
     red = rd.Reducer(sp.GridSpec(2, 2.5, 128),
                      sp.ProblemParams(2, 0.75, 2.0, 1.0, 0.05), pot)
     red.system(0.125)
-    time.sleep(0.3)         # let workers woken before the test fall asleep
-    me = threading.get_native_id()
-    before = _thread_run_ns()
-    sol = rd.solve_correction(red, rd.PeakConfig(0.125, pot.peaks, 0.4, 0.8))
-    after = _thread_run_ns()
+    sol, added = other_threads_ns(lambda: rd.solve_correction(
+        red, rd.PeakConfig(0.125, pot.peaks, 0.4, 0.8)))
     assert sol.iterations > 1
-    added = {tid: ns - before.get(tid, 0) for tid, ns in after.items()
-             if tid != me}
     assert all(ns == 0 for ns in added.values()), added
 
 

@@ -1,5 +1,9 @@
 """Shared oracle constructions for the test suite."""
 
+import glob
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,37 @@ from fkpeaks import spectral as sp
 # design; a truncation anywhere else shows in the test summary.
 TRUNCATES_BY_DESIGN = pytest.mark.filterwarnings(
     "ignore::fkpeaks.errors.TailTruncationWarning")
+
+
+NEEDS_SCHEDSTAT = pytest.mark.skipif(
+    not glob.glob("/proc/self/task/*/schedstat"),
+    reason="needs per-thread schedstat under /proc")
+
+
+def _thread_run_ns() -> dict[int, int]:
+    """CPU time in ns each thread of this process has run (schedstat)."""
+    out = {}
+    for path in glob.glob("/proc/self/task/*/schedstat"):
+        try:
+            with open(path) as fh:
+                out[int(path.split("/")[4])] = int(fh.read().split()[0])
+        except FileNotFoundError:       # the thread ended
+            pass
+    return out
+
+
+def other_threads_ns(work):
+    """work()'s result, and the CPU time in ns each other thread of this
+    process ran during it; workers woken before get 0.3 s to fall asleep.
+    A threaded BLAS call wakes a library worker that then spins for about
+    0.1 s of CPU."""
+    time.sleep(0.3)
+    me = threading.get_native_id()
+    before = _thread_run_ns()
+    result = work()
+    after = _thread_run_ns()
+    return result, {tid: ns - before.get(tid, 0) for tid, ns in after.items()
+                    if tid != me}
 
 
 def integrate(grid, values) -> float:
