@@ -14,8 +14,9 @@ apply reads its local and rank-one terms (`add_lower_order`).
 Every spectral certificate comes from one Lanczos on the n+1 lowest
 eigenvalues with a magnitude certificate (`lanczos_smallest`): the
 kernel of L+ (Morse index 1), and the reduction's inversion constant.
-It is the package's own thick-restart Lanczos with full
-reorthogonalisation, stopped on ARPACK's convergence test (Ritz estimates
+It is the package's own thick-restart Lanczos, which reorthogonalises a
+step only when the step's measured loss of orthogonality exceeds
+LANCZOS_ORTH_BAR, stopped on ARPACK's convergence test (Ritz estimates
 at tol 1e-10) or at a fixed budget of LANCZOS_BUDGET applies; it runs on
 the calling thread, so its answer does not depend on the BLAS thread
 count.
@@ -39,9 +40,24 @@ KERNEL_THRESHOLD = 1e-4  # |lambda| below this counts as kernel, at default grid
 # the 128^2 L+ at n = 5 and 1105 on the 256^2 one, where ARPACK's rule
 # alone took 916 and 1186 and a fixed n+9 took 830 and 1518
 LANCZOS_KEEP = 3
-# applies a Lanczos may spend: 3.6 times the most measured (1105 on the
-# 256^2 L+ at n = 5; 785 on 128^2, at most 229 on the tests' operators)
+# applies a Lanczos may spend: 2.8 times the most measured (1445 on the
+# 256^2 L+ of kernel2d's box at n = 5, 1105 on the 256^2 one at L = 16;
+# 785 on 128^2, at most 229 on the tests' operators)
 LANCZOS_BUDGET = 4000
+# overlap max_(i<j) |v_i . w| / beta of a new Lanczos vector w = beta
+# v_(j+1) above which a step reorthogonalises.  The floor is the sweep's
+# own roundoff: right after a full pass the overlap reads 1.4e-15 in the
+# median and at most 2.8e-14 on kernel2d's 128^2 and 256^2 L+, and a bar
+# of 1e-14 fired on 310 of 816 and 703 of 1514 steps there.  The ceiling
+# is the residuals: a skipped step leaves up to bar beta along each
+# earlier vector in the Lanczos relation, which every Ritz residual
+# carries, and beta stays under 280 on these operators, so 1e-13 keeps
+# that under 2.8e-11, below the 1e-10 |theta| the convergence test
+# allows the pairs off the kernel.  Measured at 1e-13: the pass ran on
+# 71 of 783 and 129 of 1445 steps, the kernel pairs' residuals stayed at
+# full reorthogonalisation's (at most 4e-13 and 2e-12) and no eigenvalue
+# moved more than 2.4e-12; at 1e-12 a 128^2 residual reached 2.6e-11.
+LANCZOS_ORTH_BAR = 1e-13
 
 
 @dataclass
@@ -81,10 +97,15 @@ class LinearizedOperator:
         out = self.coefficient * sp._ifftn(sym * sp._fftn(vals))
         return self.add_lower_order(out, vals)
 
-    def add_lower_order(self, out: np.ndarray,
+    def add_lower_order(self, out: np.ndarray | None,
                         vals: np.ndarray) -> np.ndarray:
-        """out += (c - p U^(p-1)) v + 2 b <(-D)^s U, v> (-D)^s U."""
-        out += self._local * vals
+        """out += (c - p U^(p-1)) v + 2 b <(-D)^s U, v> (-D)^s U; with
+        out None, the terms alone in a new array."""
+        local = self._local * vals
+        if out is None:
+            out = local
+        else:
+            out += local
         if self.b != 0.0:
             # <(-D)^(s/2)U, (-D)^(s/2)phi> = <(-D)^s U, phi>: one inner
             # product per application
@@ -140,9 +161,15 @@ def lanczos_smallest(matvec, size: int,
 
     Thick-restart Lanczos (Wu & Simon 2000), which computes what ARPACK's
     implicit restart with exact shifts computes (Sorensen 1992).  Each
-    step runs the three-term recurrence, then one classical Gram-Schmidt
-    pass against the whole basis, and a second when the DGKS test asks
-    (`_orthogonalise`).  Once the basis holds ncv vectors, the eigenpairs
+    step runs the three-term recurrence, then one product sweep c = V w
+    over the basis: c_j is the step's alpha and the rest its exact loss
+    of orthogonality.  Only when max |c_i| (i < j) exceeds LANCZOS_ORTH_BAR
+    of the remainder's norm does the step run a full classical
+    Gram-Schmidt pass, and a second when the DGKS test asks
+    (`_orthogonalise`), so the basis stays orthogonal to that bar, as in
+    Simon's partial reorthogonalisation (Math. Comp. 42 (1984) 115-142)
+    with the bar set for the residuals rather than the eigenvalues alone.
+    Once the basis holds ncv vectors, the eigenpairs
     (theta_i, y_i) of its Rayleigh quotient T give the Ritz pairs; the
     n+1 lowest have converged when every Ritz estimate |beta_m y_m,i| <=
     1e-10 max(eps^(2/3), |theta_i|) (ARPACK's test at tol 1e-10).  Until
@@ -175,10 +202,16 @@ def lanczos_smallest(matvec, size: int,
             # every kept Ritz vector
             lo = 0 if j == first else j - 1
             w = w - np.einsum("i,in->n", tmat[lo:j, j], basis[lo:j])
-            alpha = sp.dot(basis[j], w)
-            w, coef, beta = _orthogonalise(basis[:j + 1],
-                                           w - alpha * basis[j])
-            tmat[j, j] = alpha + coef[j]
+            # one sweep over the basis: c[j] is alpha, and c[:j] is what
+            # is left in w of the earlier vectors, the loss of orthogonality
+            c = sp.dot(basis[:j + 1], w)
+            alpha = c[j]
+            w = w - alpha * basis[j]
+            beta = math.sqrt(sp.dot(w, w))
+            if j > 0 and np.max(np.abs(c[:j])) > LANCZOS_ORTH_BAR * beta:
+                w, coef, beta = _orthogonalise(basis[:j + 1], w)
+                alpha += coef[j]
+            tmat[j, j] = alpha
             # a remainder at roundoff of A v_j (1e-16 to 3e-14 of it on a
             # matrix of 3 distinct eigenvalues, above 1e-3 on the tests'
             # operators) is a breakdown

@@ -91,6 +91,9 @@ class Potential:
         self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
         if self.coeffs.shape != self.peaks.shape:
             raise ParameterError("coeffs must match peaks in shape")
+        for key, x in (("peaks", self.peaks), ("coeffs", self.coeffs)):
+            if not np.isfinite(x).all():
+                raise ParameterError(f"{key} must be finite, got {x.tolist()}")
         if np.any(self.coeffs == 0.0):
             raise ParameterError("expansion coefficients c_ij must be nonzero")
         if not (1.0 < m < math.inf):
@@ -494,6 +497,9 @@ class _Frame:
         m = 1.0 / np.sqrt(self.a_eps * sym + float(np.min(self.V)))
         self.m_unpack, self.m_pack = m / scale, scale * m
         self.m_bulk = sym * m * m
+        # (A, A m_bulk) for the bulk coefficient A of the last operator
+        # apply_hat saw
+        self._bulk = (None, None)
         # orthonormal basis of preconditioned constraint densities
         wmat = np.stack([self.precondition(d) for d in dens])
         q, _ = np.linalg.qr(wmat.T)
@@ -537,11 +543,12 @@ class _Frame:
         projected last, exactly, onto the spectra of real fields, so the
         apply vanishes off them."""
         grid = self.red.grid
+        if self._bulk[0] != lin.coefficient:
+            self._bulk = (lin.coefficient, lin.coefficient * self.m_bulk)
         zhat = sp.packed_spectrum(grid, z)
         mv = sp._ifftn(self.m_unpack * zhat)
-        lower = lin.add_lower_order(np.zeros_like(mv), mv)
-        out = (lin.coefficient * self.m_bulk) * zhat \
-            + self.m_pack * sp._fftn(lower)
+        lower = lin.add_lower_order(None, mv)
+        out = self._bulk[1] * zhat + self.m_pack * sp._fftn(lower)
         out = sp.packed_spectrum(grid, self.project(out.view(float).ravel()))
         sp.make_hermitian(grid, out)
         return out.view(float).ravel()
@@ -621,11 +628,13 @@ class _Frame:
         bnorm = math.sqrt(sp.dot(b, b))
         target = max(rtol * bnorm, atol)
         xi, goal, last, spent = np.zeros_like(b), target, math.inf, 0
-        # the last Lanczos vector v_old and the next p = beta v, the search
+        # the Lanczos vectors v_old, v and the next p = beta v, the search
         # directions w_old, w, the last rotation (cs, sn) and the rotated
-        # tridiagonal's entries dbar, eps
-        v_old, p, beta = np.zeros_like(b), b, bnorm
-        w_old, w = np.zeros_like(b), np.zeros_like(b)
+        # tridiagonal's entries dbar, eps; the loop rotates the buffers
+        # and writes them in place, in the order the expressions in its
+        # comments evaluate
+        v_old, v, p, beta = np.zeros_like(b), np.empty_like(b), b, bnorm
+        w_old, w, tmp = np.zeros_like(b), np.zeros_like(b), np.empty_like(b)
         cs, sn, dbar, eps, phibar = -1.0, 0.0, 0.0, 0.0, bnorm
 
         def residual() -> float:
@@ -655,11 +664,13 @@ class _Frame:
             if spent >= self.minres_budget:
                 raise stalled(f"its budget of {self.minres_budget} "
                               "iterations")
-            v = p / beta
-            p = self.apply_hat(v, lin) - beta * v_old
+            # v = p / beta; p = A v - beta v_old; p -= alpha v
+            np.divide(p, beta, out=v)
+            p = self.apply_hat(v, lin)
+            p -= np.multiply(beta, v_old, out=tmp)
             alpha = sp.dot(v, p)
-            p -= alpha * v
-            v_old, beta = v, math.sqrt(sp.dot(p, p))
+            p -= np.multiply(alpha, v, out=tmp)
+            v_old, v, beta = v, v_old, math.sqrt(sp.dot(p, p))
             spent += 1
             # rotate the new column (beta, alpha, beta_next) by the last
             # rotation, then annihilate beta_next
@@ -669,8 +680,14 @@ class _Frame:
             if gamma == 0.0:
                 raise stalled("a Lanczos breakdown (gamma = 0)")
             cs, sn = gbar / gamma, beta / gamma
-            w_old, w = w, (v - eps_old * w_old - delta * w) / gamma
-            xi = xi + (cs * phibar) * w
+            # w_old, w = w, (v - eps_old w_old - delta w) / gamma, with v
+            # the vector just made, now in v_old
+            w_old *= eps_old
+            np.subtract(v_old, w_old, out=w_old)
+            w_old -= np.multiply(delta, w, out=tmp)
+            w_old /= gamma
+            w_old, w = w, w_old
+            xi += np.multiply(cs * phibar, w, out=tmp)
             phibar *= sn
 
     def multipliers(self, grad_density: np.ndarray) -> np.ndarray:

@@ -137,6 +137,13 @@ class GridSpec:
                        / self.points_per_dim ** self.dim)
 
     @cached_property
+    def hermitian_mirror(self) -> tuple[np.ndarray, ...]:
+        """Index of the conjugate partners of a k = 0 or k = M/2 column:
+        every leading axis flipped, k -> -k mod M (`make_hermitian`)."""
+        flip = (-np.arange(self.points_per_dim)) % self.points_per_dim
+        return np.ix_(*([flip] * (self.dim - 1)))
+
+    @cached_property
     def coords(self) -> tuple[np.ndarray, ...]:
         """Meshgrid coordinate arrays, one per axis."""
         return np.meshgrid(*([self.axis] * self.dim), indexing="ij")
@@ -345,11 +352,10 @@ def make_hermitian(grid: GridSpec, coeffs: np.ndarray) -> None:
     is replaced by its mean, so the result is Hermitian-consistent
     exactly, not to roundoff.
     """
-    m = grid.points_per_dim
-    flip = (-np.arange(m)) % m
-    cols = coeffs[..., ::m // 2]
-    mirrored = cols[np.ix_(*([flip] * (grid.dim - 1)))]
-    coeffs[..., ::m // 2] = 0.5 * (cols + mirrored.conj())
+    half = grid.points_per_dim // 2
+    cols = coeffs[..., ::half]
+    mirrored = cols[grid.hermitian_mirror]
+    coeffs[..., ::half] = 0.5 * (cols + mirrored.conj())
 
 
 def derivative(f: Field, axis: int) -> Field:

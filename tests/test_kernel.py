@@ -196,6 +196,32 @@ class TestLanczos:
         assert len(info.value.ritz_residuals) == 2
         assert all(r > 0.0 for r in info.value.ritz_residuals)
 
+    def test_reorthogonalises_only_where_orthogonality_is_lost(
+            self, monkeypatch):
+        # a low cluster under a spectrum reaching 1e3: the top Ritz values
+        # converge within a few dozen steps, and the basis loses its
+        # orthogonality along them, so the full pass must run, on few steps
+        d = np.concatenate([[1e-3, 1.5e-3, 2e-3], np.linspace(1.0, 1e3, 1997)])
+        passes, applies = [], []
+        orthogonalise = kn._orthogonalise
+
+        def counted(*args):
+            passes.append(1)
+            return orthogonalise(*args)
+
+        def matvec(v):
+            applies.append(1)
+            return d * v
+
+        monkeypatch.setattr(kn, "_orthogonalise", counted)
+        vals, vecs = kn.lanczos_smallest(matvec, d.size, 3)
+        top = np.abs(d).max()
+        assert np.abs(vals - np.sort(d)[:3]).max() <= 1e-12 * top
+        assert np.abs(vecs.T @ vecs - np.eye(3)).max() <= 1e-12
+        residuals = np.sqrt(((d[:, None] * vecs - vecs * vals) ** 2).sum(0))
+        assert residuals.max() <= 1e-10 * top
+        assert 0 < len(passes) < len(applies)
+
 
 @NEEDS_SCHEDSTAT
 def test_kernel_report_runs_on_the_calling_thread_only():

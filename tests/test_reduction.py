@@ -101,12 +101,23 @@ class TestPotential:
         ({"values": [1.0, math.nan]}, "values must be finite"),
         ({"far_value": math.inf}, "values must be finite"),
         ({"plateau": 0.0}, "plateau must be positive"),
+        ({"centers": [[-1.0], [math.nan]]}, "peaks must be finite"),
+        ({"coeffs": [[1.0], [math.nan]]}, "coeffs must be finite"),
     ])
     def test_multi_well_out_of_range_rejected(self, change, named):
         kw = dict(centers=[[-1.0], [1.0]], values=[1.0, 1.5],
                   coeffs=[[1.0], [2.0]], m=2.0, far_value=2.5, plateau=0.6)
         with pytest.raises(ParameterError, match=named):
             rd.Potential.multi_well(**{**kw, **change})
+
+    @pytest.mark.parametrize("change, named", [
+        ({"center": [0.0, math.nan]}, "peaks must be finite"),
+        ({"coeffs": [math.nan, 1.0]}, "coeffs must be finite"),
+    ])
+    def test_single_well_nan_rejected(self, change, named):
+        kw = dict(center=[0.0, 0.0], value=1.0, coeffs=[1.0, 2.0], m=2.0)
+        with pytest.raises(ParameterError, match=named):
+            rd.Potential.single_well(**{**kw, **change})
 
     def test_invalid_exponents(self):
         with pytest.raises(ParameterError):
