@@ -25,6 +25,11 @@ solve_profile: one Petviashvili loop over the (k, *grid) stack of peak
 profiles, at two transforms per iteration, whose multiplier c1 = eps^2s A
 follows the coefficient re-read from each iterate's seminorms.  It stops
 on one rule: every residual below tol at the A of the returned profiles.
+
+residual_density is the Kirchhoff residual I'(u) and LinearizedOperator
+its first variation, the second variation at a profile: L+ at a ground
+state, whose kernel the kernel module computes, and L_eps in the
+reduction.
 """
 
 from __future__ import annotations
@@ -383,3 +388,66 @@ def residual_density(u: Field, s: float, p: float, a_eps: float,
     return (coef * sp.fractional_laplacian(u, s).values
             + V * u.values - sp.pos_power(u.values, p))
 
+
+@dataclass
+class LinearizedOperator:
+    """Matrix-free symmetric action of the second variation:
+
+        L phi = A (-Delta)^s phi + c phi - p U^(p-1) phi
+                + 2 b (int (-Delta)^(s/2) U . (-Delta)^(s/2) phi) (-Delta)^s U
+
+    with A the full Kirchhoff coefficient, c the potential (a value or
+    grid values) and b the weight of the nonlocal rank-one term.  For the
+    unit-potential ground state this is L+ (c = 1, A = a + b ||(-Delta)^(s/2)
+    U||^2); the reduction uses it as L_eps, with c = V and the weight
+    b eps^(4s-N), and its preconditioned apply reads the local and
+    rank-one terms (`add_lower_order`).  It acts on grid values only."""
+
+    profile: Field
+    s: float
+    p: float
+    coefficient: float       # A = bulk Kirchhoff coefficient
+    b: float                 # weight of the rank-one term
+    c: float | np.ndarray    # potential: a value or grid values
+
+    def __post_init__(self):
+        grid = self.profile.grid
+        self.flU = sp.fractional_laplacian(self.profile, self.s).values
+        self._local = self.c - self.p * sp.pos_power(self.profile.values,
+                                                     self.p - 1.0)
+        self._h = grid.spacing**grid.dim
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.profile.grid
+
+    @classmethod
+    def from_kirchhoff(cls, ground: KirchhoffGroundState) -> "LinearizedOperator":
+        pr = ground.params
+        return cls(
+            profile=ground.profile, s=pr.s, p=pr.p,
+            coefficient=pr.a + pr.b * ground.seminorm_sq,
+            b=pr.b, c=ground.c,
+        )
+
+    def apply_values(self, vals: np.ndarray) -> np.ndarray:
+        """L v on grid values (2 transforms)."""
+        sym = self.grid.symbol(self.s)
+        out = self.coefficient * sp._ifftn(sym * sp._fftn(vals))
+        return self.add_lower_order(out, vals)
+
+    def add_lower_order(self, out: np.ndarray | None,
+                        vals: np.ndarray) -> np.ndarray:
+        """out += (c - p U^(p-1)) v + 2 b <(-D)^s U, v> (-D)^s U; with
+        out None, the terms alone in a new array."""
+        local = self._local * vals
+        if out is None:
+            out = local
+        else:
+            out += local
+        if self.b != 0.0:
+            # <(-D)^(s/2)U, (-D)^(s/2)phi> = <(-D)^s U, phi>: one inner
+            # product per application
+            inner = self._h * float((self.flU * vals).sum())
+            out += 2.0 * self.b * inner * self.flU
+        return out

@@ -1,39 +1,35 @@
-"""Second variation of the Kirchhoff functional and its kernel.
+"""The kernel of the second variation, and the package's one eigensolver.
 
-L phi = A (-Delta)^s phi + c phi - p U^(p-1) phi
-        + 2 b (int (-Delta)^(s/2) U . (-Delta)^(s/2) phi) (-Delta)^s U
-
-with A the full Kirchhoff coefficient, c the potential (a constant or a
-grid array) and b the weight of the nonlocal rank-one term.  For the
-unit-potential ground state this is L+ (c = 1, A = a + b ||(-Delta)^(s/2)
-U||^2), and nondegeneracy means its kernel is exactly span{d_j U}; the
-reduction uses the same operator as L_eps, with c = V and the weight
-b eps^(4s-N).  It acts on grid values only; the reduction's preconditioned
-apply reads its local and rank-one terms (`add_lower_order`).
+The second variation L is `groundstate.LinearizedOperator`, re-exported
+here; for the unit-potential ground state it is L+ (c = 1, A = a + b
+||(-Delta)^(s/2) U||^2), and nondegeneracy means its kernel is exactly
+span{d_j U}.
 
 Every spectral certificate comes from one Lanczos on the n+1 lowest
 eigenvalues with a magnitude certificate (`lanczos_smallest`): the
-kernel of L+ (Morse index 1), and the reduction's inversion constant.
+kernel of L+ (Morse index 1), and the reduction's inversion constant,
+which `reduction` reaches by importing this module on first use.
 It is the package's own thick-restart Lanczos, which reorthogonalises a
 step only when the step's measured loss of orthogonality exceeds
 LANCZOS_ORTH_BAR, stopped on ARPACK's convergence test (Ritz estimates
 at tol 1e-10) or at a fixed budget of LANCZOS_BUDGET applies; it runs on
 the calling thread, so its answer does not depend on the BLAS thread
-count.
+count.  Its Rayleigh quotient's eigenproblem is `scipy.linalg.eigh`,
+which makes this the one module that imports scipy: the CLI's commands
+load none.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from . import spectral as sp
 from .errors import EigensolverError, ParameterError
-from .groundstate import KirchhoffGroundState
-from .spectral import Field, GridSpec
+from .groundstate import LinearizedOperator
+from .spectral import Field
 
 KERNEL_THRESHOLD = 1e-4  # |lambda| below this counts as kernel, at default grids
 # Ritz vectors a restart keeps beyond ARPACK's rule: 3 took 785 applies on
@@ -58,60 +54,6 @@ LANCZOS_BUDGET = 4000
 # full reorthogonalisation's (at most 4e-13 and 2e-12) and no eigenvalue
 # moved more than 2.4e-12; at 1e-12 a 128^2 residual reached 2.6e-11.
 LANCZOS_ORTH_BAR = 1e-13
-
-
-@dataclass
-class LinearizedOperator:
-    """Matrix-free symmetric action of L on the profile's grid."""
-
-    profile: Field
-    s: float
-    p: float
-    coefficient: float       # A = bulk Kirchhoff coefficient
-    b: float                 # weight of the rank-one term
-    c: float | np.ndarray    # potential: a value or grid values
-
-    def __post_init__(self):
-        grid = self.profile.grid
-        self.flU = sp.fractional_laplacian(self.profile, self.s).values
-        self._local = self.c - self.p * sp.pos_power(self.profile.values,
-                                                     self.p - 1.0)
-        self._h = grid.spacing**grid.dim
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.profile.grid
-
-    @classmethod
-    def from_kirchhoff(cls, ground: KirchhoffGroundState) -> "LinearizedOperator":
-        pr = ground.params
-        return cls(
-            profile=ground.profile, s=pr.s, p=pr.p,
-            coefficient=pr.a + pr.b * ground.seminorm_sq,
-            b=pr.b, c=ground.c,
-        )
-
-    def apply_values(self, vals: np.ndarray) -> np.ndarray:
-        """L v on grid values (2 transforms)."""
-        sym = self.grid.symbol(self.s)
-        out = self.coefficient * sp._ifftn(sym * sp._fftn(vals))
-        return self.add_lower_order(out, vals)
-
-    def add_lower_order(self, out: np.ndarray | None,
-                        vals: np.ndarray) -> np.ndarray:
-        """out += (c - p U^(p-1)) v + 2 b <(-D)^s U, v> (-D)^s U; with
-        out None, the terms alone in a new array."""
-        local = self._local * vals
-        if out is None:
-            out = local
-        else:
-            out += local
-        if self.b != 0.0:
-            # <(-D)^(s/2)U, (-D)^(s/2)phi> = <(-D)^s U, phi>: one inner
-            # product per application
-            inner = self._h * float((self.flU * vals).sum())
-            out += 2.0 * self.b * inner * self.flU
-        return out
 
 
 def _dense_matrix(op: LinearizedOperator) -> np.ndarray:

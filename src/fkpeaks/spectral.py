@@ -9,6 +9,10 @@ Conventions:
     omitted modes are the complex conjugates of the kept ones, and every
     grid multiplier (`xi_sq`, `symbol`, `nyquist_mask`) lives on the same
     half-size array;
+  - transforms are numpy.fft's, one axis at a time: rfft on the last
+    axis and fft on the others, the same pocketfft and the same order as
+    scipy.fft.rfftn, so the same bits at power-of-two M (numpy's own
+    rfftn is not, in 3D);
   - Parseval sums over the half spectrum weigh each mode by the number of
     full-spectrum modes it stands for (`GridSpec.hermitian_weights`): 1 on
     the k = 0 and k = M/2 columns of the last axis, 2 elsewhere;
@@ -32,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import (
     AdmissibilityError,
@@ -41,16 +44,27 @@ from .errors import (
     ParameterError,
 )
 
+
 def _fftn(a, axes=None):
     # axes=None transforms every axis; a stack of fields (k, *grid) passes
     # its grid axes and is transformed slice by slice in one call
-    return sfft.rfftn(a, axes=axes)
+    *lead, last = range(np.ndim(a)) if axes is None else axes
+    out = np.fft.rfft(a, axis=last)
+    for ax in lead:
+        np.fft.fft(out, axis=ax, out=out)
+    return out
 
 
 def _ifftn(a, axes=None):
-    # the last axis has M/2 + 1 modes with M even, so irfftn's default
-    # output length M is the grid's
-    return sfft.irfftn(a, axes=axes)
+    # ifft on every axis but the last, in place after the first, then
+    # irfft to the grid's M = 2 (modes - 1), M even, on the last.  Each
+    # axis scales by 1/M, where scipy scales once by 1/M^N: the same bits
+    # when M is a power of two, roundoff apart otherwise
+    *lead, last = range(np.ndim(a)) if axes is None else axes
+    out = a
+    for ax in lead:
+        out = np.fft.ifft(out, axis=ax, out=None if out is a else out)
+    return np.fft.irfft(out, n=2 * (out.shape[last] - 1), axis=last)
 
 
 def dot(a: np.ndarray, b: np.ndarray):
@@ -64,7 +78,7 @@ def dot(a: np.ndarray, b: np.ndarray):
     about 0.13 s of CPU after each call, for no gain in wall time. A few
     products are elementwise sums `(x * y).sum()`, numpy's pairwise sum,
     which is single-threaded too: the rank-one term of
-    `kernel.LinearizedOperator.add_lower_order`, and `_Frame.eps_norm`
+    `groundstate.LinearizedOperator.add_lower_order`, and `_Frame.eps_norm`
     and `_Frame.energy` in `reduction`."""
     out = np.einsum("...i,...i->...", a, b)
     return float(out) if out.ndim == 0 else out
@@ -108,12 +122,13 @@ class GridSpec:
     def wavenumbers_axis(self) -> np.ndarray:
         """Signed wavenumbers xi = (pi/L) k along one axis, full FFT layout."""
         m = self.points_per_dim
-        return 2.0 * np.pi * sfft.fftfreq(m, d=self.spacing)
+        return 2.0 * np.pi * np.fft.fftfreq(m, d=self.spacing)
 
     @cached_property
     def wavenumbers_half(self) -> np.ndarray:
         """Wavenumbers xi = (pi/L) k, k = 0..M/2, of the last axis."""
-        return 2.0 * np.pi * sfft.rfftfreq(self.points_per_dim, d=self.spacing)
+        return 2.0 * np.pi * np.fft.rfftfreq(self.points_per_dim,
+                                             d=self.spacing)
 
     def wavenumbers(self, axis: int) -> np.ndarray:
         """Wavenumbers along `axis` in the half-spectrum layout."""

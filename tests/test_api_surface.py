@@ -1,11 +1,14 @@
 """Every function, method and class the package defines has a caller in
 the package or the benchmark: an entry point only tests call is dead code
-with a test attached.  And the package imports no scipy.sparse."""
+with a test attached.  And the package imports no scipy.sparse, and
+scipy.linalg only with the kernel module."""
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
+
+from tests_support import modules_loaded_by
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -141,3 +144,42 @@ def test_package_imports_no_scipy_sparse():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def _scipy(modules):
+    return sorted(m for m in modules if m == "scipy" or m.startswith("scipy."))
+
+
+def test_package_imports_scipy_only_with_the_kernel():
+    # numpy.fft does the transforms, so the CLI's commands load no scipy;
+    # the kernel's Lanczos needs scipy.linalg's eigh, and only that
+    every_but_kernel = modules_loaded_by(
+        "import importlib, pkgutil\n"
+        "import fkpeaks\n"
+        "for mod in pkgutil.iter_modules(fkpeaks.__path__):\n"
+        "    if mod.name not in ('__main__', 'kernel'):\n"
+        "        importlib.import_module('fkpeaks.' + mod.name)")
+    assert "fkpeaks.cli" in every_but_kernel
+    assert _scipy(every_but_kernel) == []
+    kernel = _scipy(modules_loaded_by("import fkpeaks.kernel"))
+    assert "scipy.linalg" in kernel
+    assert not [m for m in kernel
+                if m.startswith(("scipy.fft", "scipy.sparse"))]
+
+
+def test_coercivity_imports_the_kernel_on_first_use():
+    # a process that imported only the reduction reaches the Lanczos
+    # through reduction.lanczos_smallest, and gets the direct call's value
+    loaded = modules_loaded_by(
+        "from fkpeaks import reduction as rd, spectral as sp\n"
+        "red = rd.Reducer(sp.GridSpec(1, 4.0, 256),\n"
+        "                 sp.ProblemParams(1, 0.4, 2.0, 1.0, 0.25),\n"
+        "                 rd.Potential.single_well([0.3], 1.0, [1.0], m=2.0,\n"
+        "                                          holder=1.0))\n"
+        "frame = red.frame(rd.PeakConfig(0.1, [[0.3]], 0.5, 0.8))\n"
+        "assert 'fkpeaks.kernel' not in sys.modules\n"
+        "rho = frame.coercivity()\n"
+        "from fkpeaks import kernel\n"
+        "rd.lanczos_smallest = kernel.lanczos_smallest\n"
+        "assert frame.coercivity() == rho > 0.0, rho")
+    assert {"fkpeaks.kernel", "scipy.linalg"} <= loaded

@@ -405,6 +405,39 @@ class TestStackedTransforms:
         assert back.shape == stack.shape
 
 
+class TestTransformsMatchScipy:
+    """numpy.fft one axis at a time, in scipy.fft.rfftn's order, gives
+    scipy's bits: the same pocketfft, and 1/M per axis is exact for M a
+    power of two.  numpy's own rfftn takes the axes in the other order
+    and misses in 3D by about 1e-13."""
+
+    @pytest.mark.parametrize("shape,axes", [
+        ((2048,), None),
+        ((2, 2048), (1,)),
+        ((128, 128), None),
+        ((2, 128, 128), (1, 2)),
+        ((32, 32, 32), None),
+    ], ids=["1d", "1d-stack", "2d", "2d-stack", "3d"])
+    def test_bitwise_equal(self, shape, axes):
+        rng = np.random.default_rng(5)
+        vals = rng.standard_normal(shape)
+        half = sfft.rfftn(vals, axes=axes)
+        assert np.array_equal(sp._fftn(vals, axes=axes), half)
+        coeffs = half * (1.0 + rng.standard_normal(half.shape))
+        assert np.array_equal(sp._ifftn(coeffs, axes=axes),
+                              sfft.irfftn(coeffs, axes=axes))
+
+    @pytest.mark.parametrize("points", [16, 112, 128, 384, 2048])
+    def test_wavenumbers(self, points):
+        g = sp.GridSpec(1, 3.0, points)
+        assert np.array_equal(
+            g.wavenumbers_axis,
+            2.0 * np.pi * sfft.fftfreq(points, d=g.spacing))
+        assert np.array_equal(
+            g.wavenumbers_half,
+            2.0 * np.pi * sfft.rfftfreq(points, d=g.spacing))
+
+
 class TestProblemParams:
     def test_admissible_window(self):
         sp.ProblemParams(1, 0.4, 2.0, 1.0, 1.0)   # 2s < N < 4s holds

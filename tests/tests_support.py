@@ -1,8 +1,12 @@
 """Shared oracle constructions for the test suite."""
 
 import glob
+import json
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +49,20 @@ def other_threads_ns(work):
     after = _thread_run_ns()
     return result, {tid: ns - before.get(tid, 0) for tid, ns in after.items()
                     if tid != me}
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def modules_loaded_by(code: str) -> set[str]:
+    """The names in sys.modules after `code` runs in a fresh interpreter
+    with src on the path; the snippet failing fails the caller."""
+    prog = (f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
+            "print(json.dumps(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", prog], capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return set(json.loads(out.stdout.splitlines()[-1]))
 
 
 def integrate(grid, values) -> float:
