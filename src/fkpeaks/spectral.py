@@ -11,8 +11,8 @@ Conventions:
     half-size array;
   - transforms are numpy.fft's, one axis at a time: rfft on the last
     axis and fft on the others, the same pocketfft and the same order as
-    scipy.fft.rfftn, so the same bits at power-of-two M (numpy's own
-    rfftn is not, in 3D);
+    scipy.fft.rfftn and irfftn, scaled once by 1/M^N as they are, so
+    the same bits (numpy's own rfftn is not, in 3D);
   - Parseval sums over the half spectrum weigh each mode by the number of
     full-spectrum modes it stands for (`GridSpec.hermitian_weights`): 1 on
     the k = 0 and k = M/2 columns of the last axis, 2 elsewhere;
@@ -56,15 +56,18 @@ def _fftn(a, axes=None):
 
 
 def _ifftn(a, axes=None):
-    # ifft on every axis but the last, in place after the first, then
-    # irfft to the grid's M = 2 (modes - 1), M even, on the last.  Each
-    # axis scales by 1/M, where scipy scales once by 1/M^N: the same bits
-    # when M is a power of two, roundoff apart otherwise
+    # unscaled ifft on every axis but the last, in place after the first,
+    # then unscaled irfft to the grid's M = 2 (modes - 1), M even, on the
+    # last, and one factor 1/M^N after it, as scipy.fft.irfftn scales
     *lead, last = range(np.ndim(a)) if axes is None else axes
     out = a
     for ax in lead:
-        out = np.fft.ifft(out, axis=ax, out=None if out is a else out)
-    return np.fft.irfft(out, n=2 * (out.shape[last] - 1), axis=last)
+        out = np.fft.ifft(out, axis=ax, norm="forward",
+                          out=None if out is a else out)
+    points = 2 * (out.shape[last] - 1)
+    out = np.fft.irfft(out, n=points, axis=last, norm="forward")
+    out *= 1.0 / points ** (len(lead) + 1)
+    return out
 
 
 def dot(a: np.ndarray, b: np.ndarray):

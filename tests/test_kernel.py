@@ -3,9 +3,11 @@ import pytest
 
 from fkpeaks import groundstate as gs
 from fkpeaks import kernel as kn
+from fkpeaks import reduction as rd
 from fkpeaks import spectral as sp
 from fkpeaks.errors import EigensolverError, ParameterError
-from tests_support import NEEDS_SCHEDSTAT, integrate, other_threads_ns
+from tests_support import (NEEDS_SCHEDSTAT, TRUNCATES_BY_DESIGN, integrate,
+                           other_threads_ns)
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +223,80 @@ class TestLanczos:
         residuals = np.sqrt(((d[:, None] * vecs - vecs * vals) ** 2).sum(0))
         assert residuals.max() <= 1e-10 * top
         assert 0 < len(passes) < len(applies)
+
+    # a low cluster of four under a spectrum reaching 1e3: sqrt(kappa)
+    # passes the switch to the filter
+    wide = np.concatenate([[1e-3, 1.2e-3, 1.5e-3, 2e-3],
+                           np.linspace(0.5, 1e3, 1996)])
+
+    def test_filter_runs_on_a_wide_spectrum(self, monkeypatch):
+        # the filtered run's pairs come from a Rayleigh-Ritz with the
+        # operator itself
+        d = self.wide
+        filters = []
+        chebyshev = kn._chebyshev
+
+        def counted(*args):
+            filters.append(1)
+            return chebyshev(*args)
+
+        monkeypatch.setattr(kn, "_chebyshev", counted)
+        vals, vecs = kn.lanczos_smallest(lambda v: d * v, d.size, 3)
+        assert len(filters) == 1
+        top = np.abs(d).max()
+        assert np.abs(vals - np.sort(d)[:3]).max() <= 1e-12 * top
+        assert np.abs(vecs.T @ vecs - np.eye(3)).max() <= 1e-12
+        residuals = np.sqrt(((d[:, None] * vecs - vecs * vals) ** 2).sum(0))
+        assert residuals.max() <= 1e-10
+
+    def test_filter_refuses_what_it_amplifies_above_its_interval(
+            self, monkeypatch):
+        # an interval whose top lies below the spectrum's: the even-degree
+        # filter amplifies the eigenvalues above it, and they come out of
+        # the Rayleigh-Ritz above the damped interval's bottom
+        d = self.wide
+        chebyshev = kn._chebyshev
+
+        def short(matvec, lo, hi, low, degree):
+            return chebyshev(matvec, lo, 0.2 * hi, low, 2 * (degree // 2))
+
+        monkeypatch.setattr(kn, "_chebyshev", short)
+        with pytest.raises(EigensolverError,
+                           match="filtered Lanczos not certified"):
+            kn.lanczos_smallest(lambda v: d * v, d.size, 3)
+
+    @TRUNCATES_BY_DESIGN
+    def test_filter_never_runs_for_the_coercivity_form(self, monkeypatch):
+        # the reduction's preconditioned form has sqrt(kappa) near 2: it
+        # converges on the operator itself
+        params = sp.ProblemParams(2, 0.75, 2.0, 1.0, 0.05)
+        grid = sp.GridSpec(2, 2.5, 64)
+        pot = rd.Potential.single_well([0.1, -0.1], 1.0, [1.0, 1.5], m=2.0)
+        frame = rd.Reducer(grid, params, pot).frame(
+            rd.PeakConfig(0.25, [[0.1, -0.1]], delta=0.4, theta=0.8))
+        filters = []
+        monkeypatch.setattr(kn, "_chebyshev",
+                            lambda *args: filters.append(args))
+        assert frame.coercivity() == pytest.approx(0.43318975727, rel=1e-6)
+        assert filters == []
+
+    @pytest.mark.parametrize("degree", [3, 4])
+    def test_filter_falls_below_its_interval_and_is_bounded_on_it(
+            self, degree):
+        # p read off the filter of a diagonal operator: 1 at the low end,
+        # decreasing up to lo, and within |p(lo)| < 1 on [lo, hi], for odd
+        # and even degree alike
+        low, lo, hi = -0.9, 3.8, 279.0
+        below = np.linspace(low, lo, 200)
+        inside = np.linspace(lo, hi, 2000)
+        x = np.concatenate([below, inside])
+        p = -kn._chebyshev(lambda v: x * v, lo, hi, low, degree)(
+            np.ones_like(x))
+        assert p[0] == pytest.approx(1.0, abs=1e-14)
+        assert np.all(np.diff(p[:below.size]) < 0.0)
+        p_lo = p[below.size]
+        assert 0.0 < p_lo < 1.0
+        assert np.abs(p[below.size:]).max() <= p_lo * (1.0 + 1e-12)
 
 
 @NEEDS_SCHEDSTAT

@@ -407,9 +407,9 @@ class TestStackedTransforms:
 
 class TestTransformsMatchScipy:
     """numpy.fft one axis at a time, in scipy.fft.rfftn's order, gives
-    scipy's bits: the same pocketfft, and 1/M per axis is exact for M a
-    power of two.  numpy's own rfftn takes the axes in the other order
-    and misses in 3D by about 1e-13."""
+    scipy's bits: the same pocketfft, and the inverse scaled once by
+    1/M^N, as scipy scales it.  numpy's own rfftn takes the axes in the
+    other order and misses in 3D by about 1e-13."""
 
     @pytest.mark.parametrize("shape,axes", [
         ((2048,), None),
@@ -417,7 +417,12 @@ class TestTransformsMatchScipy:
         ((128, 128), None),
         ((2, 128, 128), (1, 2)),
         ((32, 32, 32), None),
-    ], ids=["1d", "1d-stack", "2d", "2d-stack", "3d"])
+        # off powers of two, 1/M per axis misses scipy's 1/M^N by roundoff
+        ((112, 112), None),
+        ((2, 96, 96), (1, 2)),
+        ((24, 24, 24), None),
+    ], ids=["1d", "1d-stack", "2d", "2d-stack", "3d", "2d-112", "2d-stack-96",
+            "3d-24"])
     def test_bitwise_equal(self, shape, axes):
         rng = np.random.default_rng(5)
         vals = rng.standard_normal(shape)
